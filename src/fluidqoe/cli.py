@@ -492,7 +492,11 @@ def dispatch(argv) -> int:
             args["cap"] = bool(ns.cap)
             init = ns.initial_state
             if init is not None and init != "stationary":
-                init = int(init)
+                try:
+                    init = int(init)
+                except ValueError:
+                    raise ConfigError(f"--initial-state must be 'stationary' or a "
+                                      f"state index, got {init!r}") from None
             args["initial_state"] = init if init is not None else "stationary"
 
     payload = _RUNNERS[sub](snapshot, args)

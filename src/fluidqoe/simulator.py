@@ -12,16 +12,16 @@ cumulative playback time reaches ``Z / mu``.
 Randomness comes from a counter-based generator (splitmix64 finalizer over
 ``(seed, replication, draw index)``), so every replication owns an
 independent stream addressed by pure arithmetic: results are bit-identical
-no matter how replications are batched or parallelized.
+no matter how replications are batched.
 
-Replications are simulated in lockstep as numpy arrays, one event per
-iteration per active session.
+One lockstep engine serves full sessions, fill-only runs (the start-up
+oracle) and drain-only runs (the first-passage oracle).  Replications are
+simulated as numpy arrays, one event per iteration per live replication;
+finished replications leave the arrays.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -82,8 +82,9 @@ class SimConfig:
                 f"arrival_cap_mode must be 'unbounded' or 'capped_at_Z', "
                 f"got {self.arrival_cap_mode!r}"
             )
-        if not (self.initial_state_mode == "stationary"
-                or isinstance(self.initial_state_mode, (int, np.integer))):
+        mode = self.initial_state_mode
+        if not (mode == "stationary" or (isinstance(mode, (int, np.integer))
+                                         and not isinstance(mode, bool))):
             raise DomainError(
                 "initial_state_mode must be 'stationary' or a state index"
             )
@@ -91,12 +92,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SessionOutcome:
-    """One simulated session: start-up delay, starvation instants, completion."""
+    """One simulated session: start-up delay and starvation instants."""
 
     startup_delay: float
     starvation_times: tuple
     starvation_count: int
-    completed: bool
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,6 @@ class SimStats:
         return out
 
 
-# Event priority within one lockstep iteration; ties resolve to the earlier
-# column, so exhausting the file beats an exactly simultaneous starvation.
-_EV_END, _EV_CROSS, _EV_STARVE, _EV_CAP, _EV_JUMP = range(5)
-
 _MAX_EVENTS = 20_000_000
 
 
@@ -160,28 +156,36 @@ def _jump_tables(model: FluidModel):
     return exit_rates, cum
 
 
-class _Streams:
-    """Per-replication draw bookkeeping against the counter generator."""
+class _Batch:
+    """Per-replication arrays of the replications still running.
 
-    def __init__(self, seed: int, rep_lo: int, rep_hi: int):
-        self.seed = seed
-        self.reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-        self.counters = np.zeros(rep_hi - rep_lo, dtype=np.uint64)
+    ``streams`` and ``counters`` address each replication's draws from
+    :func:`counter_uniform`; :meth:`keep` drops finished replications from
+    every array at once.
+    """
 
-    def draw(self, idx) -> np.ndarray:
-        """One uniform per selected replication; advances their counters."""
-        u = counter_uniform(self.seed, self.reps[idx], self.counters[idx])
-        self.counters[idx] += 1
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def draw(self, seed: int, idx, k: int = 1) -> np.ndarray:
+        """``k`` uniforms per selected replication, shape ``(k, len)``."""
+        counters = self.counters[idx]
+        u = counter_uniform(seed, self.streams[idx],
+                            counters + np.arange(k, dtype=np.uint64)[:, None])
+        self.counters[idx] = counters + np.uint64(k)
         return u
 
+    def keep(self, live) -> None:
+        for name, a in list(vars(self).items()):
+            setattr(self, name, a.take(live))
 
-def _initial_states(model: FluidModel, cfg: SimConfig, streams: _Streams) -> np.ndarray:
-    n = streams.reps.size
-    everyone = np.arange(n)
+
+def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
+    n = batch.streams.size
     if cfg.initial_state_mode == "stationary":
         cum_pi = np.cumsum(stationary_distribution(model))
         cum_pi[-1] = max(cum_pi[-1], 1.0)
-        u = streams.draw(everyone)
+        u = batch.draw(cfg.seed, slice(None))[0]
         return np.searchsorted(cum_pi, u, side="right").astype(np.int64)
     state0 = int(cfg.initial_state_mode)
     if not (0 <= state0 < model.n_states):
@@ -189,144 +193,210 @@ def _initial_states(model: FluidModel, cfg: SimConfig, streams: _Streams) -> np.
     return np.full(n, state0, dtype=np.int64)
 
 
-def _sojourns(streams: _Streams, idx, exit_rates, states) -> np.ndarray:
-    u = streams.draw(idx)
-    rates = exit_rates[states]
-    with np.errstate(divide="ignore"):
-        return np.where(rates > 0, -np.log1p(-u) / np.where(rates > 0, rates, 1.0), np.inf)
+def _sojourns(u, exit_rates, states) -> np.ndarray:
+    if exit_rates.size == 1:
+        return np.full(u.size, np.inf)  # a one-state chain never leaves
+    # an irreducible chain of two or more states leaves every state
+    return -np.log1p(-u) / exit_rates[states]
 
 
-def _jump_targets(streams: _Streams, idx, cum_jump, states) -> np.ndarray:
-    u = streams.draw(idx)
-    rows = cum_jump[states]
-    return (rows > u[:, None]).argmax(axis=1).astype(np.int64)
+def _jump_targets(u, cum_jump, states) -> np.ndarray:
+    # each row of cum_jump is nondecreasing and ends at >= 1 > u, so the
+    # first entry above u comes after every entry at or below it
+    target = np.zeros(states.size, dtype=np.int64)
+    for column in cum_jump[:, :-1].T:
+        target += column[states] <= u
+    return target
 
 
-def _run_sessions(model: FluidModel, params: SessionParams, cfg: SimConfig,
-                  rep_lo: int, rep_hi: int, record_times: bool = False):
-    """Simulate replications ``rep_lo .. rep_hi - 1`` in lockstep.
+# On the unsorted masks the engine produces, masked numpy selects (np.where,
+# boolean-mask assignment, ``where=``) ran 5-15x slower than plain arithmetic
+# (numpy 2.4, 2-vCPU x86 VM, 20 000 rows), so candidate columns are masked by
+# adding -0.0 (an exact no-op) or inf.
+_PAD = np.array([np.inf, -0.0])
 
-    Returns per-replication arrays (start-up delay, starvation count, first
-    starvation instant on the playback clock with NaN for none, total
-    playback seconds) plus optional per-replication starvation-instant lists.
+
+def _unless(ok) -> np.ndarray:
+    """-0.0 where ``ok``, inf elsewhere: adding it masks a finite column."""
+    return _PAD[ok.view(np.int8)]
+
+
+def _quotient(num, den, ok) -> np.ndarray:
+    """``num / den`` where ``ok``, else inf (``num`` and ``den`` finite)."""
+    return num / (den * ok + ~ok) + _unless(ok)
+
+
+def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimConfig,
+              rep_lo: int = 0, rep_hi: int | None = None, record_times: bool = False):
+    """Simulate replications ``rep_lo .. rep_hi - 1`` (default: all) of one phase.
+
+    ``phase`` is one of
+    ``"session"``: fill to ``min(x, Z)``, play, and re-prefetch after each
+    starvation until ``Z / mu`` seconds have played (``limit`` is ``Z``);
+    ``"fill"``: from an empty buffer, stop at the first crossing of ``x``
+    (``limit`` is unused);
+    ``"drain"``: play from level ``x``, stop at the first starvation or after
+    ``limit`` seconds of playback.
+
+    Returns per-replication arrays: ``startup`` (wall time of the first
+    crossing) and ``first_starvation`` (its playback instant), both NaN for
+    none; ``count`` of starvations; ``end_state``, the state at the crossing
+    or starvation that ends a fill or drain run (-1 otherwise); the total
+    ``play_time`` of a session; and, with ``record_times``, the lists of
+    starvation instants.
     """
+    rep_hi = cfg.replications if rep_hi is None else rep_hi
     n = rep_hi - rep_lo
-    lam = model.lam
-    mu = model.mu
-    x, Z = params.x, params.Z
-    capped = cfg.arrival_cap_mode == "capped_at_Z"
+    lam, mu = model.lam, model.mu
+    session, drain = phase == "session", phase == "drain"
+    capped = session and cfg.arrival_cap_mode == "capped_at_Z"
+    final = {"session": None, "fill": "cross", "drain": "starve"}[phase]
     exit_rates, cum_jump = _jump_tables(model)
 
-    streams = _Streams(cfg.seed, rep_lo, rep_hi)
-    state = _initial_states(model, cfg, streams)
-    tau = _sojourns(streams, np.arange(n), exit_rates, state)
+    b = _Batch(streams=np.arange(rep_lo, rep_hi, dtype=np.uint64),
+               counters=np.zeros(n, dtype=np.uint64), rows=np.arange(n))
+    b.state = _initial_states(model, cfg, b)
+    b.tau = _sojourns(b.draw(cfg.seed, slice(None))[0], exit_rates, b.state)
+    b.buf = np.full(n, float(x) if drain else 0.0)
+    b.clock = np.zeros(n)  # wall clock; the playback clock of a drain run
+    if session:
+        b.playing = np.zeros(n, dtype=bool)
+        b.target = np.full(n, float(min(x, limit)))
+        b.played = np.zeros(n)
+        b.play_time = np.zeros(n)
+        if capped:
+            b.arrived = np.zeros(n)
 
-    buf = np.zeros(n)
-    played = np.zeros(n)
-    arrived = np.zeros(n)
-    wall = np.zeros(n)
-    play_time = np.zeros(n)
-    playing = np.zeros(n, dtype=bool)
-    target = np.full(n, float(min(x, Z)))
     startup = np.full(n, np.nan)
-    nstarv = np.zeros(n, dtype=np.int64)
     first_starv = np.full(n, np.nan)
-    done = np.zeros(n, dtype=bool)
+    nstarv = np.zeros(n, dtype=np.int64)
+    end_state = np.full(n, -1, dtype=np.int64)
+    play_time = np.zeros(n)
     times = [[] for _ in range(n)] if record_times else None
 
+    # a session buffer within float noise of its target has reached it, and
+    # one that runs empty at the very moment the file ends has not starved
     grace = 1e-9 * max(1.0, x)
-    end_grace = 1e-9 * max(1.0, Z / mu)
+    end_grace = 1e-9 * max(1.0, limit / mu)
     for _ in range(_MAX_EVENTS):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
+        m = b.rows.size
+        if m == 0:
             break
-        st = state[act]
-        rate = lam[st].astype(float)
+        if session:
+            playing = b.playing
+            any_play, all_play = bool(playing.any()), bool(playing.all())
+        else:
+            playing, any_play, all_play = np.bool_(drain), drain, drain
+        rate = lam[b.state]
         if capped:
-            rate = np.where(arrived[act] >= Z, 0.0, rate)
-        play = playing[act]
+            rate = rate * (b.arrived < limit)
 
-        cand = np.full((act.size, 5), np.inf)
+        # candidate event times in priority order: ties go to the earlier
+        # column, so exhausting the file (or reaching the drain horizon)
+        # beats an exactly simultaneous starvation, and every event beats a
+        # jump; columns no live row can use are left out
+        cols = []
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand[:, _EV_END] = np.where(play, (Z - played[act]) / mu, np.inf)
-            need = target[act] - buf[act]
-            fillable = (~play) & (rate > 0)
-            cand[:, _EV_CROSS] = np.where(
-                fillable, need / np.where(rate > 0, rate, 1.0), np.inf)
-            cand[(~play) & (need <= grace), _EV_CROSS] = 0.0
-            net = rate - mu
-            draining = play & (net < 0)
-            cand[:, _EV_STARVE] = np.where(
-                draining, buf[act] / np.where(net < 0, -net, 1.0), np.inf)
-            # an empty buffer at the very moment the file ends is not a
-            # starvation: absorb float-level ties into the end event
-            tie = cand[:, _EV_STARVE] >= cand[:, _EV_END] - end_grace
-            cand[tie, _EV_STARVE] = np.inf
+            if any_play:
+                end = (limit - b.played) / mu if session else limit - b.clock
+                if not all_play:
+                    end = end + _unless(playing)
+                cols.append(("end", end))
+            if not all_play:
+                need = (b.target if session else x) - b.buf
+                cross = _quotient(need, rate, ~playing & (rate > 0))
+                if session:
+                    cross[~playing & (need <= grace)] = 0.0
+                cols.append(("cross", cross))
+            if any_play:
+                net = rate - mu
+                starve = _quotient(b.buf, -net, playing & (net < 0))
+                if session:
+                    starve[playing & (starve >= end - end_grace)] = np.inf
+                cols.append(("starve", starve))
             if capped:
-                open_cap = rate > 0
-                cand[:, _EV_CAP] = np.where(
-                    open_cap, (Z - arrived[act]) / np.where(open_cap, rate, 1.0), np.inf)
-            cand[:, _EV_JUMP] = tau[act]
+                cols.append(("cap", _quotient(limit - b.arrived, rate, rate > 0)))
 
-        event = np.argmin(cand, axis=1)
-        dt = cand[np.arange(act.size), event]
+        dt = b.tau
+        for _, when in cols:
+            dt = np.minimum(dt, when)
         if not np.all(np.isfinite(dt)):
             raise NonConvergence(
                 "simulation deadlocked: no finite next event (does any state "
                 "deliver content?)"
             )
+        # each replication takes the first column that attains its minimum
+        hit, earlier = {}, np.zeros(m, dtype=bool)
+        for event, when in cols:
+            hit[event] = (when == dt) & ~earlier
+            earlier |= hit[event]
 
-        wall[act] += dt
-        arrived[act] += rate * dt
-        tau[act] -= dt
-        buf[act] += np.where(play, rate - mu, rate) * dt
-        played[act] += np.where(play, mu * dt, 0.0)
-        play_time[act] += np.where(play, dt, 0.0)
+        b.clock += dt
+        b.tau -= dt
+        b.buf += (rate - mu * playing) * dt
+        if session:
+            b.played += mu * dt * playing
+            b.play_time += dt * playing
+            if capped:
+                b.arrived += rate * dt
 
-        hit = act[event == _EV_END]
-        if hit.size:
-            done[hit] = True
-            played[hit] = Z
+        stop = hit.get("end", False)
+        if "cross" in hit:
+            idx = np.flatnonzero(hit["cross"])
+            r = b.rows[idx]
+            fresh = np.isnan(startup[r])
+            startup[r[fresh]] = b.clock[idx[fresh]]
+            if session:
+                b.buf[idx] = b.target[idx]
+                b.playing[idx] = True
 
-        hit = act[event == _EV_CROSS]
-        if hit.size:
-            buf[hit] = target[hit]
-            playing[hit] = True
-            fresh = hit[np.isnan(startup[hit])]
-            startup[fresh] = wall[fresh]
-
-        hit = act[event == _EV_STARVE]
-        if hit.size:
-            buf[hit] = 0.0
-            playing[hit] = False
-            nstarv[hit] += 1
-            t_play = played[hit] / mu
-            fresh = np.isnan(first_starv[hit])
-            first_starv[hit[fresh]] = t_play[fresh]
-            target[hit] = np.minimum(x, Z - played[hit])
+        if "starve" in hit:
+            idx = np.flatnonzero(hit["starve"])
+            r = b.rows[idx]
+            nstarv[r] += 1
+            t_play = b.played[idx] / mu if session else b.clock[idx]
+            fresh = np.isnan(first_starv[r])
+            first_starv[r[fresh]] = t_play[fresh]
             if record_times:
-                for idx, tval in zip(hit, t_play):
-                    times[idx].append(float(tval))
+                for i, t in zip(r, t_play):
+                    times[i].append(float(t))
+            if session:
+                b.buf[idx] = 0.0
+                b.playing[idx] = False
+                b.target[idx] = np.minimum(x, limit - b.played[idx])
 
         if capped:
-            hit = act[event == _EV_CAP]
-            if hit.size:
-                # from here on the buffer is exactly the unplayed remainder;
-                # re-sync it so the final drain ties with the end event
-                arrived[hit] = Z
-                buf[hit] = Z - played[hit]
+            # from here on the buffer is exactly the unplayed remainder;
+            # re-sync it so the final drain ties with the end event
+            idx = np.flatnonzero(hit["cap"])
+            b.arrived[idx] = limit
+            b.buf[idx] = limit - b.played[idx]
 
-        hit = act[event == _EV_JUMP]
-        if hit.size:
-            state[hit] = _jump_targets(streams, hit, cum_jump, state[hit])
-            tau[hit] = _sojourns(streams, hit, exit_rates, state[hit])
+        if final is not None:
+            idx = np.flatnonzero(hit[final])
+            end_state[b.rows[idx]] = b.state[idx]
+            stop = stop | hit[final]
+
+        # the rest reach the end of their sojourn: jump, draw the next one
+        idx = np.flatnonzero(~earlier)
+        if idx.size:
+            u_next, u_stay = b.draw(cfg.seed, idx, 2)
+            state = _jump_targets(u_next, cum_jump, b.state[idx])
+            b.state[idx] = state
+            b.tau[idx] = _sojourns(u_stay, exit_rates, state)
+
+        if np.any(stop):
+            if session:
+                play_time[b.rows[stop]] = b.play_time[stop]
+            b.keep(np.flatnonzero(~stop))
     else:
-        raise NonConvergence(f"simulation exceeded {_MAX_EVENTS} events")
+        raise NonConvergence(f"{phase} simulation exceeded {_MAX_EVENTS} events")
 
     return {
         "startup": startup,
         "count": nstarv,
         "first_starvation": first_starv,
+        "end_state": end_state,
         "play_time": play_time,
         "times": times,
     }
@@ -338,13 +408,12 @@ def simulate_session(model: FluidModel, params: SessionParams, cfg: SimConfig,
 
     Bit-identical to the same replication inside a :func:`monte_carlo` batch.
     """
-    out = _run_sessions(model, params, cfg, replication, replication + 1,
-                        record_times=True)
+    out = _lockstep(model, "session", params.x, params.Z, cfg,
+                    replication, replication + 1, record_times=True)
     return SessionOutcome(
         startup_delay=float(out["startup"][0]),
         starvation_times=tuple(out["times"][0]),
         starvation_count=int(out["count"][0]),
-        completed=True,
     )
 
 
@@ -356,39 +425,16 @@ def _metric(values: np.ndarray) -> MetricStats:
     return MetricStats(mean=mean, var=var, ci_half=float(half))
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else FLUIDQOE_THREADS (0 = auto), else 1."""
-    if workers is None:
-        env = os.environ.get("FLUIDQOE_THREADS", "")
-        workers = int(env) if env else 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
-
-
 def monte_carlo(model: FluidModel, params: SessionParams, cfg: SimConfig,
-                startup_grid=None, first_starvation_grid=None,
-                workers: int | None = None) -> SimStats:
+                startup_grid=None, first_starvation_grid=None) -> SimStats:
     """Replicated sessions with confidence intervals and empirical CDFs.
 
-    Replications split into contiguous chunks across ``workers`` threads;
-    because every replication owns a counter-addressed random stream the
-    result is bit-identical for any worker count.
+    Every replication owns a counter-addressed random stream, so each
+    session is bit-identical to :func:`simulate_session` with its index.
     """
     n = cfg.replications
-    w = min(resolve_workers(workers), n)
-    bounds = np.linspace(0, n, w + 1, dtype=int)
-    if w == 1:
-        chunks = [_run_sessions(model, params, cfg, 0, n)]
-    else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            chunks = list(pool.map(
-                lambda se: _run_sessions(model, params, cfg, se[0], se[1]),
-                zip(bounds[:-1], bounds[1:]),
-            ))
-    startup = np.concatenate([c["startup"] for c in chunks])
-    counts = np.concatenate([c["count"] for c in chunks])
-    first = np.concatenate([c["first_starvation"] for c in chunks])
+    out = _lockstep(model, "session", params.x, params.Z, cfg)
+    startup, counts, first = out["startup"], out["count"], out["first_starvation"]
 
     stats = SimStats(
         replications=n,
@@ -417,41 +463,8 @@ def prefetch_times(model: FluidModel, x: float, cfg: SimConfig):
         raise DomainError(f"x must be > 0, got {x}")
     if np.all(model.lam == 0):
         raise DomainError("no state delivers content")
-    n = cfg.replications
-    exit_rates, cum_jump = _jump_tables(model)
-    streams = _Streams(cfg.seed, 0, n)
-    state = _initial_states(model, cfg, streams)
-    tau = _sojourns(streams, np.arange(n), exit_rates, state)
-    buf = np.zeros(n)
-    wall = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    delay = np.zeros(n)
-    end_state = np.zeros(n, dtype=np.int64)
-
-    for _ in range(_MAX_EVENTS):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
-            break
-        rate = model.lam[state[act]]
-        with np.errstate(divide="ignore"):
-            cross = np.where(rate > 0, (x - buf[act]) / np.where(rate > 0, rate, 1.0), np.inf)
-        crossed = cross <= tau[act]
-        dt = np.where(crossed, cross, tau[act])
-        wall[act] += dt
-        buf[act] += rate * dt
-        tau[act] -= dt
-
-        hit = act[crossed]
-        done[hit] = True
-        delay[hit] = wall[hit]
-        end_state[hit] = state[hit]
-        jump = act[~crossed]
-        if jump.size:
-            state[jump] = _jump_targets(streams, jump, cum_jump, state[jump])
-            tau[jump] = _sojourns(streams, jump, exit_rates, state[jump])
-    else:
-        raise NonConvergence(f"prefetch simulation exceeded {_MAX_EVENTS} events")
-    return delay, end_state
+    out = _lockstep(model, "fill", x, np.inf, cfg)
+    return out["startup"], out["end_state"]
 
 
 def first_passage_times(model: FluidModel, x: float, horizon: float, cfg: SimConfig):
@@ -462,42 +475,7 @@ def first_passage_times(model: FluidModel, x: float, horizon: float, cfg: SimCon
     """
     if not (x > 0) or not (horizon > 0):
         raise DomainError("x and horizon must be > 0")
-    n = cfg.replications
-    exit_rates, cum_jump = _jump_tables(model)
-    streams = _Streams(cfg.seed, 0, n)
-    state = _initial_states(model, cfg, streams)
-    tau = _sojourns(streams, np.arange(n), exit_rates, state)
-    buf = np.full(n, float(x))
-    clock = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    out_t = np.full(n, np.inf)
-    out_state = np.full(n, -1, dtype=np.int64)
-
-    for _ in range(_MAX_EVENTS):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
-            break
-        net = model.lam[state[act]] - model.mu
-        with np.errstate(divide="ignore"):
-            starve = np.where(net < 0, buf[act] / np.where(net < 0, -net, 1.0), np.inf)
-        stop = horizon - clock[act]
-        timed_out = stop <= np.minimum(starve, tau[act])
-        starved = (~timed_out) & (starve <= tau[act])
-        dt = np.where(timed_out, stop, np.where(starved, starve, tau[act]))
-        clock[act] += dt
-        buf[act] += net * dt
-        tau[act] -= dt
-
-        hit = act[starved]
-        if hit.size:
-            out_t[hit] = clock[hit]
-            out_state[hit] = state[hit]
-            done[hit] = True
-        done[act[timed_out]] = True
-        jump = act[(~starved) & (~timed_out)]
-        if jump.size:
-            state[jump] = _jump_targets(streams, jump, cum_jump, state[jump])
-            tau[jump] = _sojourns(streams, jump, exit_rates, state[jump])
-    else:
-        raise NonConvergence(f"first-passage simulation exceeded {_MAX_EVENTS} events")
-    return out_t, out_state
+    out = _lockstep(model, "drain", x, horizon, cfg)
+    taus = out["first_starvation"]
+    taus[np.isnan(taus)] = np.inf
+    return taus, out["end_state"]

@@ -25,6 +25,7 @@ from fluidqoe import (
     validate_model,
 )
 from fluidqoe.cli import main as cli_main, rerun_manifest
+from fluidqoe.simulator import _lockstep
 
 REFERENCE = validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0)
 ONOFF = validate_model([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0], 25.0)
@@ -230,7 +231,8 @@ def test_criterion_8_cost_crossover():
 
 
 def test_criterion_9_determinism(tmp_path):
-    """Manifest reruns are byte-identical; the simulator is worker-invariant."""
+    """Manifest reruns are byte-identical; simulator output is independent of
+    how replications are batched."""
     start = time.perf_counter()
     config = tmp_path / "model.json"
     config.write_text(json.dumps({
@@ -267,13 +269,16 @@ def test_criterion_9_determinism(tmp_path):
             replay_summary = replay.parent / (replay.name + ".summary.json")
             ok &= replay_summary.read_bytes() == summary.read_bytes()
 
+    # replications [0, n) in one engine call equal the calls over [0, k)
+    # and [k, n) joined, in every phase
     cfg = SimConfig(replications=20_000, seed=909)
-    params = SessionParams(x=40.0, Z=500.0)
-    serial = monte_carlo(REFERENCE, params, cfg, workers=1)
-    threaded = monte_carlo(REFERENCE, params, cfg, workers=8)
-    ok &= serial.starvation_probability == threaded.starvation_probability
-    ok &= serial.starvation_count == threaded.starvation_count
-    ok &= serial.startup_delay == threaded.startup_delay
-    ok &= bool(np.array_equal(serial.count_histogram, threaded.count_histogram))
+    for phase, limit in (("session", 500.0), ("fill", np.inf), ("drain", 20.0)):
+        whole = _lockstep(REFERENCE, phase, 40.0, limit, cfg)
+        parts = [_lockstep(REFERENCE, phase, 40.0, limit, cfg, lo, hi)
+                 for lo, hi in ((0, 7_001), (7_001, 20_000))]
+        for key, value in whole.items():
+            if value is not None:
+                ok &= bool(np.array_equal(
+                    value, np.concatenate([p[key] for p in parts]), equal_nan=True))
     elapsed = time.perf_counter() - start
     report(9, ok, elapsed)

@@ -111,6 +111,14 @@ class TestExitCodes:
         assert code == 2
         assert "OverflowRisk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state", ["foo", "1.5"])
+    def test_bad_initial_state_is_config_error(self, model_config, state, capsys):
+        code = main(["simulate", "--config", model_config, "--reps", "10",
+                     "--initial-state", state])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ConfigError:") and err.count("\n") == 1
+
     def test_selftest_passes(self, capsys):
         assert main(["invert-selftest"]) == 0
         report = json.loads(capsys.readouterr().out)

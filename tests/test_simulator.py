@@ -15,7 +15,7 @@ from fluidqoe import (
     stationary_distribution,
     validate_model,
 )
-from fluidqoe.simulator import _run_sessions
+from fluidqoe.simulator import _lockstep
 
 
 class TestCounterRng:
@@ -87,20 +87,38 @@ class TestDeterminism:
         b = monte_carlo(reference_model, reference_session, cfg)
         self.assert_stats_identical(a, b)
 
-    def test_worker_count_invariance(self, reference_model, reference_session):
+    @pytest.mark.parametrize("phase,limit", [("session", 500.0), ("fill", np.inf),
+                                             ("drain", 20.0)])
+    def test_chunk_invariance(self, reference_model, phase, limit):
+        # counter-addressed streams make every replication independent of
+        # how the replications are batched
         cfg = SimConfig(replications=5000, seed=78)
-        serial = monte_carlo(reference_model, reference_session, cfg, workers=1)
-        threaded = monte_carlo(reference_model, reference_session, cfg, workers=7)
-        assert serial.starvation_probability == threaded.starvation_probability
-        assert serial.startup_delay == threaded.startup_delay
-        np.testing.assert_array_equal(serial.count_histogram, threaded.count_histogram)
+        whole = _lockstep(reference_model, phase, 40.0, limit, cfg, record_times=True)
+        parts = [_lockstep(reference_model, phase, 40.0, limit, cfg, lo, hi,
+                           record_times=True) for lo, hi in ((0, 1237), (1237, 5000))]
+        for key, value in whole.items():
+            if key == "times":
+                assert value == parts[0][key] + parts[1][key]
+            else:
+                np.testing.assert_array_equal(
+                    value, np.concatenate([p[key] for p in parts]))
 
     def test_session_equals_batch_member(self, reference_model, reference_session):
         cfg = SimConfig(replications=500, seed=79)
-        batch = _run_sessions(reference_model, reference_session, cfg, 0, 500)
+        batch = _lockstep(reference_model, "session", reference_session.x,
+                          reference_session.Z, cfg)
         one = simulate_session(reference_model, reference_session, cfg, replication=123)
         assert one.startup_delay == batch["startup"][123]
         assert one.starvation_count == batch["count"][123]
+
+    def test_prefetch_equals_session_startup(self, onoff_model, reference_session):
+        # a session's first prefetch is a fill run on the same stream
+        cfg = SimConfig(replications=60, seed=91)
+        delays, states = prefetch_times(onoff_model, reference_session.x, cfg)
+        for rep in range(cfg.replications):
+            one = simulate_session(onoff_model, reference_session, cfg, replication=rep)
+            assert delays[rep] == one.startup_delay
+        assert np.all(states == 0)  # the crossing happens while delivering
 
     def test_capped_arrivals_leave_metrics_unchanged(self, reference_model,
                                                      reference_session):
@@ -116,8 +134,8 @@ class TestDeterminism:
 
 class TestSessionInvariants:
     def test_playback_clock_identity(self, reference_model, reference_session):
-        out = _run_sessions(reference_model, reference_session,
-                            SimConfig(replications=400, seed=81), 0, 400)
+        out = _lockstep(reference_model, "session", reference_session.x,
+                        reference_session.Z, SimConfig(replications=400, seed=81))
         np.testing.assert_allclose(
             out["play_time"], reference_session.Z / reference_model.mu, atol=1e-9
         )
@@ -174,19 +192,6 @@ class TestAgainstAnalytics:
         assert np.all(hit == 0)  # only state 1 drains
 
 
-class TestWorkerResolution:
-    def test_env_variable(self, monkeypatch):
-        from fluidqoe.simulator import resolve_workers
-
-        monkeypatch.delenv("FLUIDQOE_THREADS", raising=False)
-        assert resolve_workers() == 1
-        monkeypatch.setenv("FLUIDQOE_THREADS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv("FLUIDQOE_THREADS", "0")
-        assert resolve_workers() >= 1
-        assert resolve_workers(workers=2) == 2
-
-
 class TestConfigValidation:
     def test_bad_replications(self):
         with pytest.raises(DomainError):
@@ -199,6 +204,8 @@ class TestConfigValidation:
     def test_bad_initial_state(self, reference_model, reference_session):
         with pytest.raises(DomainError):
             SimConfig(initial_state_mode=2.5)
+        with pytest.raises(DomainError):
+            SimConfig(initial_state_mode=True)
         cfg = SimConfig(initial_state_mode=5)
         with pytest.raises(DomainError):
             simulate_session(reference_model, reference_session, cfg)
