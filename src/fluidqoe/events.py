@@ -16,12 +16,17 @@ density/CDF from buffer level ``x``:
   fewer than ``x`` frames remain (the re-prefetch swallows the whole rest).
 
 The count probabilities chain these with composite-trapezoid quadrature on
-a playback-time grid aligned so that ``x/mu`` is a whole number of steps;
-per-count support bounds (the k-th starvation cannot happen before ``k x``
-frames have played, nor so late that the remaining ones cannot fit) are
-applied at node granularity.  State is carried along the chain: densities
-are resolved per starvation state, because re-prefetch outcomes and
-subsequent passages depend on it.
+a playback-time grid aligned so that ``x/mu`` is a whole number of steps.
+The densities, kernels and survivals of every node come from one inversion
+call each.  One chain serves every count: each step is a windowed discrete
+convolution of the previous starvation density with the continuation
+kernel (the k-th starvation cannot happen before ``k x`` frames have
+played), and the ``j``-th step's density, closed with the survival, gives
+the probability of exactly ``j`` starvations.  The bound that the remaining
+starvations must still fit in the file cuts only nodes the later steps
+never read, so the chain need not be rebuilt per count.  State is carried
+along the chain: densities are resolved per starvation state, because
+re-prefetch outcomes and subsequent passages depend on it.
 """
 
 from __future__ import annotations
@@ -75,10 +80,11 @@ def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray,
                       evaluator, inv: InversionParams):
     """Per-state no-starvation probability over a remaining horizon.
 
-    Returns a callable ``survive(h) -> (L,)``: re-prefetch from the given
-    state, then avoid the first passage for ``h`` seconds.  Deterministic
-    drain atoms of the passage law are stepped in exactly; only the
-    continuous remainder is inverted.
+    Returns a callable ``survive(h)``: re-prefetch from the given state, then
+    avoid the first passage for ``h`` seconds.  ``h`` is a horizon (result
+    ``(L,)``) or a 1-D array of horizons (result ``(len(h), L)``, one
+    inversion call).  Deterministic drain atoms of the passage law are
+    stepped in exactly; only the continuous remainder is inverted.
     """
     times, masses = starvation_atoms(model, x)
     live = np.nonzero(masses > 0.0)[0]
@@ -91,10 +97,12 @@ def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray,
             vals = vals - np.exp(-np.outer(omegas, times[live])) @ weights.T
         return vals
 
-    def survive(h: float) -> np.ndarray:
+    def survive(h) -> np.ndarray:
         cdf = np.asarray(invert_cdf(continuous, h, inv))
         if live.size:
-            cdf = cdf + weights @ (h >= times[live] - 1e-12 * np.maximum(times[live], 1.0))
+            arrived = np.asarray(h)[..., None] >= (
+                times[live] - 1e-12 * np.maximum(times[live], 1.0))
+            cdf = cdf + arrived @ weights.T
         return 1.0 - np.clip(cdf, 0.0, 1.0)
 
     return survive
@@ -258,24 +266,23 @@ def build_path_grid(model: FluidModel, params: SessionParams,
         refetch = np.einsum("jn,knm->kjm", fill, H)
         return np.concatenate([first[:, None, :], refetch], axis=1)
 
-    refetch_survival = _refetch_survival(model, x, fill, ev, inv)
     support = max(earliest_starvation_time(model, x), x / mu)
     first_density = np.zeros((n_t, L))
     kernel = np.zeros((n_t, L, L))
-    for g in range(n_t):
-        if t[g] < support or t[g] == 0.0:
-            continue
-        block = invert(stacked_density, t[g], inv)
-        first_density[g] = block[0]
-        kernel[g] = block[1:]
+    feasible = ~((t < support) | (t == 0.0))
+    if np.any(feasible):
+        block = invert(stacked_density, t[feasible], inv)
+        first_density[feasible] = block[:, 0]
+        kernel[feasible] = block[:, 1:]
     first_density = _clamp_density(first_density, "first starvation density")
     kernel = _clamp_density(kernel, "continuation kernel")
 
+    # where mu t >= Z - x the closure is certain and the cached 1 goes unused
     survive = np.ones((n_t, L))
-    for g in range(n_t):
-        if mu * t[g] >= Z - x:
-            continue  # closure certain; cached value unused anyway
-        survive[g] = refetch_survival(horizon - t[g])
+    at_risk = mu * t < Z - x
+    if np.any(at_risk):
+        refetch_survival = _refetch_survival(model, x, fill, ev, inv)
+        survive[at_risk] = refetch_survival(horizon - t[at_risk])
 
     return PathGrid(x=x, Z=Z, mu=mu, step=step, n_t=n_t, t=t, rho0=rho0,
                     fill=fill, first_density=first_density, kernel=kernel,
@@ -324,26 +331,35 @@ def _window_weights(n_nodes: int, step: float) -> np.ndarray:
     return w
 
 
-def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int,
-                upper_idx: float) -> np.ndarray:
+def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int) -> np.ndarray:
     """One continuation step: integrate ``f`` against the re-prefetch kernel.
 
     ``f[g1, j]`` is a starvation density; the result ``new[g2, m]`` gathers
     paths with the next starvation at node ``g2``, integrating ``g1`` over
-    ``[lower_gate, g2 - ix]`` and cutting ``g2`` at ``upper_idx`` (node units).
+    ``[lower_gate, g2 - ix]`` and cutting ``g2`` at the end of the file.
+    The integral is a composite trapezoid, i.e. the plain sum
+    ``sum_g1 f[g1, j] kernel[g2 - g1, j, m]`` (one convolution per ``(j, m)``)
+    less half of each end node; the one-node window ``g2 = lower_gate + ix``
+    gets weight 0.
     """
     ix = grid.nodes_per_prefetch
-    n_t = grid.n_t
     new = np.zeros_like(f)
-    g2_max = min(n_t, int(np.ceil(upper_idx)))
-    for g2 in range(lower_gate + ix, g2_max):
-        hi = g2 - ix
-        if hi < lower_gate:
-            continue
-        w = _window_weights(hi - lower_gate + 1, grid.step)
-        seg = f[lower_gate:hi + 1]
-        ker = grid.kernel[ix:g2 - lower_gate + 1][::-1]
-        new[g2] = np.einsum("n,nj,njm->m", w, seg, ker)
+    g2_lo = lower_gate + ix
+    g2_hi = min(grid.n_t, int(np.ceil(grid.Z / (grid.mu * grid.step))))
+    n = g2_hi - g2_lo  # output nodes g2_lo .. g2_hi - 1
+    if n <= 1:
+        return new
+    # row c of seg/ker is g1 = lower_gate + c and gap ix + c: the c-th
+    # convolution output is g2 = g2_lo + c, summing g1 up to g2 - ix
+    seg = f[lower_gate:lower_gate + n]
+    ker = grid.kernel[ix:ix + n]
+    L = f.shape[1]
+    total = np.empty((n, L, L))
+    for j in range(L):
+        for m in range(L):
+            total[:, j, m] = np.convolve(seg[:, j], ker[:, j, m])[:n]
+    ends = seg[0][None, :, None] * ker + seg[:, :, None] * ker[0][None]
+    new[g2_lo + 1:g2_hi] = grid.step * (total[1:] - 0.5 * ends[1:]).sum(axis=1)
     return new
 
 
@@ -355,10 +371,14 @@ def starvation_count_pmf(model: FluidModel, params: SessionParams,
     """Probability of exactly ``0 .. j_max`` starvations in a session.
 
     ``p[0]`` comes from the overall starvation probability (one code path for
-    both quantities); each ``p[j]`` chains the grid's cached densities with
-    the per-count support bounds and closes with the no-more-starvations
-    probability.  The residual mass beyond ``j_max`` is estimated by letting
-    the chain continue once more; if it exceeds 5% the truncation is refused.
+    both quantities).  One chain serves every count: step ``j - 1`` of it is
+    the density of the ``j``-th starvation, which ``p[j]`` closes with the
+    no-more-starvations probability.  The per-count support bound (the
+    ``l``-th starvation of ``j`` must leave room for ``j - l - 1`` more) only
+    cuts nodes that neither the next step nor the closure reads, so the chain
+    runs without it.  The residual mass beyond ``j_max`` is the mass of the
+    last step that goes on to starve at least once more; if it exceeds 5% the
+    truncation is refused.
     """
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
@@ -367,30 +387,19 @@ def starvation_count_pmf(model: FluidModel, params: SessionParams,
         return StarvationPmf(p=np.eye(j_max + 1)[0], tail=0.0)
     if grid is None:
         grid = build_path_grid(model, params, inv, points_per_prefetch, method)
-    x, Z, mu = grid.x, grid.Z, grid.mu
     ix = grid.nodes_per_prefetch
-    iz = Z / (mu * grid.step)  # file end in node units (possibly fractional)
-    n_t = grid.n_t
+    iz = grid.Z / (grid.mu * grid.step)  # file end in node units (possibly fractional)
 
     p = np.zeros(j_max + 1)
     p[0] = 1.0 - starvation_probability(model, params, inv, method)
 
-    node = np.arange(n_t)
-    for j in range(1, j_max + 1):
-        f = grid.first_density.copy()
-        f[(node < ix) | (node >= iz)] = 0.0
-        for l in range(1, j):
-            reserve = j - l - 1
-            f = _chain_once(f, grid, lower_gate=l * ix,
-                            upper_idx=iz - reserve * ix)
-        p[j] = _close_chain(f, grid, j)
-
-    # loose chain (no per-count tightening) down to the j_max-th starvation;
-    # the residual is the mass that then goes on to starve at least once more
+    node = np.arange(grid.n_t)
     f = grid.first_density.copy()
     f[(node < ix) | (node >= iz)] = 0.0
-    for l in range(1, j_max):
-        f = _chain_once(f, grid, lower_gate=l * ix, upper_idx=iz)
+    p[1] = _close_chain(f, grid, 1)
+    for j in range(2, j_max + 1):
+        f = _chain_once(f, grid, lower_gate=(j - 1) * ix)
+        p[j] = _close_chain(f, grid, j)
     tail = _continue_mass(f, grid)
     if tail > TAIL_LIMIT:
         raise TailTooLarge(
@@ -409,12 +418,8 @@ def _close_chain(f: np.ndarray, grid: PathGrid, j: int) -> float:
     if hi <= lo:
         return 0.0
     w = _window_weights(hi - lo + 1, grid.step)
-    closure = np.empty((hi - lo + 1, f.shape[1]))
-    for offset, g in enumerate(range(lo, hi + 1)):
-        if grid.mu * grid.t[g] >= grid.Z - grid.x:
-            closure[offset] = 1.0
-        else:
-            closure[offset] = grid.survive[g]
+    certain = grid.mu * grid.t[lo:hi + 1] >= grid.Z - grid.x
+    closure = np.where(certain[:, None], 1.0, grid.survive[lo:hi + 1])
     return float(np.einsum("n,nj,nj->", w, f[lo:hi + 1], closure))
 
 
@@ -425,8 +430,6 @@ def _continue_mass(f: np.ndarray, grid: PathGrid) -> float:
     if hi <= 0:
         return 0.0
     w = _window_weights(hi + 1, grid.step)
-    more = np.zeros((hi + 1, f.shape[1]))
-    for g in range(hi + 1):
-        if grid.mu * grid.t[g] < grid.Z - grid.x:
-            more[g] = 1.0 - grid.survive[g]
+    at_risk = grid.mu * grid.t[:hi + 1] < grid.Z - grid.x
+    more = np.where(at_risk[:, None], 1.0 - grid.survive[:hi + 1], 0.0)
     return float(np.einsum("n,nj,nj->", w, f[:hi + 1], more))

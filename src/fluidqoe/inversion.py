@@ -11,16 +11,26 @@ and then accelerates the series with Euler summation: the returned value is
 the binomial average of the partial sums ``s_n .. s_{n+m}``.  ``A`` controls
 the aliasing (discretization) error, roughly ``e^-A``; pushing ``A`` up also
 multiplies round-off by ``e^(A/2)``, so in double precision there is a hard
-ceiling on useful values (see :data:`PRECISION_CEILING_A`).
+ceiling on useful values (see :data:`PRECISION_CEILING_A`).  This is the
+EULER algorithm of Abate & Whitt, "Numerical inversion of Laplace transforms
+of probability distributions", ORSA J. Computing 7(1), 1995.
 
 Evaluators may return scalars or arrays: an input frequency array of shape
 ``(K,)`` must map to shape ``(K, *value_shape)``.  Whole matrices of
 transforms are inverted in one pass this way, and every frequency is
 evaluated exactly once per inversion.
+
+``t`` may be one time or a 1-D array of times.  The frequencies
+``(A + 2 k pi i) / 2t`` depend on ``t``, so no evaluation is shared between
+times; instead the frequencies of a block of times go to the evaluator in
+one call and the Euler sums of the block run as one array operation.  A
+scalar ``t`` is a block of one, and long arrays are split into blocks of a
+fixed size so the evaluator's working memory stays bounded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,45 +112,90 @@ def _evaluate(f: Callable, omegas: np.ndarray) -> np.ndarray:
     return values
 
 
-def invert(f: Callable, t: float, params: InversionParams = DEFAULT_PARAMS):
-    """Invert an ordinary Laplace transform at time ``t > 0``.
+# Times inverted per evaluator call: 16 times at the default 51 frequencies
+# each is 816 frequencies, which bounds the evaluator's working arrays for
+# however long a time vector is.
+_TIMES_PER_CALL = 16
+
+
+@functools.lru_cache(maxsize=32)
+def _euler_constants(params: InversionParams) -> tuple:
+    """The time-independent parts of the Euler sum at one operating point:
+    ``i pi idx`` over the frequency index 0 .. l(n+m+1), the phases
+    ``e^(i j pi / l)`` (j = 1 .. l), the signs ``(-1)^k`` (k = 0 .. n+m) as a
+    column, the binomial weights ``C(m, k) / 2^m`` and ``e^(A / 2l)``."""
+    l, m, n = params.l, params.m, params.n
+    n_terms = n + m + 1
+    arrays = (
+        1j * np.pi * np.arange(l * n_terms + 1),
+        np.exp(1j * np.pi * np.arange(1, l + 1) / l),
+        ((-1.0) ** np.arange(n_terms))[:, None],
+        np.array([math.comb(m, k) for k in range(m + 1)], dtype=float) * 0.5**m,
+    )
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller of the cache
+    return arrays + (math.exp(params.A / (2 * l)),)
+
+
+def invert(f: Callable, t, params: InversionParams = DEFAULT_PARAMS):
+    """Invert an ordinary Laplace transform at a time ``t > 0`` or at each
+    time of a 1-D array ``t``.
 
     ``f`` maps a complex frequency array of shape ``(K,)`` to values of shape
     ``(K, ...)`` and must be conjugate-symmetric (real-valued original).
-    Returns a float, or a real array matching the evaluator's trailing shape.
+    For a scalar ``t`` the result is a float, or a real array matching the
+    evaluator's trailing shape; for an array of ``T`` times it has shape
+    ``(T, ...)``.  The frequencies of up to ``_TIMES_PER_CALL`` times go to
+    ``f`` in one call, and the Euler sums of those times run as one array
+    operation; a scalar ``t`` is a block of one.  Each frequency is evaluated
+    exactly once.
 
-    Deterministic: identical inputs give bit-identical results.
+    Deterministic: identical inputs give bit-identical results.  A time
+    inverted within a batch may differ from the same time inverted alone in
+    the last bits, where the matrix products sum in another order.
     """
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DomainError(f"t must be a float or a 1-D array, got shape {times.shape}")
+    if times.size == 0:
+        raise DomainError("t must hold at least one time")
+    if not (times > 0).all():
+        raise DomainError(f"t must be > 0, got {times.min()}")
     params.check_precision()
-    l, m, n, A = params.l, params.m, params.n, params.A
+    flat = times.reshape(-1)
+    blocks = [_invert_block(f, flat[i:i + _TIMES_PER_CALL], params)
+              for i in range(0, flat.size, _TIMES_PER_CALL)]
+    if times.ndim == 1:
+        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    result = blocks[0][0]
+    return float(result) if result.ndim == 0 else result
 
-    base = A / (2 * l * t)
+
+def _invert_block(f: Callable, t: np.ndarray, params: InversionParams) -> np.ndarray:
+    """Euler sums at the times ``t`` (shape ``(T,)``) from one evaluator call."""
+    scaled_idx, phase, signs, weights, exp_half = _euler_constants(params)
+    l, n = params.l, params.n
+    n_times, n_terms = t.size, signs.size
+
     # Term k (k = 0 .. n+m) needs f~(base + i pi (j + k l)/(l t)), j = 1 .. l;
-    # the frequency index j + k l runs over 1 .. l(n+m+1) without repeats.
-    n_terms = n + m + 1
-    idx = np.arange(1, l * n_terms + 1)
-    omegas = np.concatenate(([base], base + 1j * np.pi * idx / (l * t)))
-    values = _evaluate(f, omegas)
+    # the frequency index j + k l runs over 1 .. l(n+m+1) without repeats,
+    # and index 0 is the real abscissa itself.
+    base = params.A / (2 * l * t)
+    omegas = base[:, None] + scaled_idx / (l * t)[:, None]
+    values = _evaluate(f, omegas.reshape(-1))
+    shape = values.shape[1:]
+    values = values.reshape(omegas.shape + (-1,))  # (T, frequency, value)
 
-    head = values[0].real
-    tail = values[1:].reshape((n_terms, l) + values.shape[1:])
+    head = values[:, 0].real
     # Each j carries the phase e^(i j pi / l); the real part of the phased sum
     # is what survives for a real-valued original.
-    phase = np.exp(1j * np.pi * np.arange(1, l + 1) / l)
-    phased = np.tensordot(tail, phase, axes=([1], [0])).real
+    phased = (phase @ values[:, 1:].reshape(n_times, n_terms, l, -1)).real
 
-    pref = math.exp(A / (2 * l)) / (2 * l * t)
-    terms = 2.0 * pref * phased
-    terms[0] = terms[0] + pref * head
-    signs = (-1.0) ** np.arange(n_terms)
-    signed = terms * signs.reshape((n_terms,) + (1,) * (terms.ndim - 1))
-
-    partial = np.cumsum(signed, axis=0)[n:]
-    weights = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float) * 0.5**m
-    result = np.tensordot(weights, partial, axes=([0], [0]))
-    return float(result) if np.ndim(result) == 0 else result
+    pref = (exp_half / (2 * l * t))[:, None]
+    terms = 2.0 * pref[:, None] * phased
+    terms[:, 0] += pref * head
+    partial = np.cumsum(terms * signs, axis=1)[:, n:]
+    return (weights @ partial).reshape((n_times,) + shape)
 
 
 def _cdf_evaluator(lst: Callable) -> Callable:
@@ -151,21 +206,23 @@ def _cdf_evaluator(lst: Callable) -> Callable:
     return over_omega
 
 
-def invert_cdf_value(lst: Callable, t: float,
+def invert_cdf_value(lst: Callable, t,
                      params: InversionParams = DEFAULT_PARAMS) -> CdfValue:
     """Invert the Laplace-Stieltjes transform of a (sub-)probability CDF.
 
-    The ordinary transform of the CDF is ``lst(w)/w``.  Raw inverted values
-    outside ``[-1e-3, 1 + 1e-3]`` raise :class:`OutOfRange` (a broken
+    The ordinary transform of the CDF is ``lst(w)/w``.  ``t`` is a time or a
+    1-D array of times, as for :func:`invert`.  Raw inverted values outside
+    ``[-1e-3, 1 + 1e-3]`` at any time raise :class:`OutOfRange` (a broken
     transform or unsuitable parameters, not ordinary ripple); anything closer
     is clamped to [0, 1].
     """
     raw = invert(_cdf_evaluator(lst), t, params)
     arr = np.asarray(raw, dtype=float)
     if np.any(arr < -CDF_ERROR_TOL) or np.any(arr > 1.0 + CDF_ERROR_TOL):
-        worst = float(arr.flat[int(np.argmax(np.abs(arr - 0.5)))])
+        at = np.unravel_index(int(np.argmax(np.abs(arr - 0.5))), arr.shape)
+        when = float(np.asarray(t, dtype=float)[at[:np.ndim(t)]])
         raise OutOfRange(
-            f"inverted CDF value {worst:g} at t={t:g} is outside "
+            f"inverted CDF value {float(arr[at]):g} at t={when:g} is outside "
             f"[-{CDF_ERROR_TOL:g}, 1+{CDF_ERROR_TOL:g}]"
         )
     clamped = np.clip(arr, 0.0, 1.0)
@@ -174,8 +231,9 @@ def invert_cdf_value(lst: Callable, t: float,
     return CdfValue(raw=arr, clamped=clamped)
 
 
-def invert_cdf(lst: Callable, t: float, params: InversionParams = DEFAULT_PARAMS):
-    """Clamped CDF value at ``t``; see :func:`invert_cdf_value`."""
+def invert_cdf(lst: Callable, t, params: InversionParams = DEFAULT_PARAMS):
+    """Clamped CDF value at ``t`` (a time or a 1-D array of times); see
+    :func:`invert_cdf_value`."""
     return invert_cdf_value(lst, t, params).clamped
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -31,6 +29,22 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
+
+
+def _communicating_classes(edges: np.ndarray) -> int:
+    """Number of communicating classes of the directed graph ``edges[i, j]``.
+
+    States communicate when each reaches the other; reachability is closed
+    by repeated boolean squaring, and each class shares one row of mutual
+    reachability.
+    """
+    reach = np.eye(edges.shape[0], dtype=bool) | edges
+    while True:
+        closed = reach @ reach
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    return len(np.unique(reach & reach.T, axis=0))
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,7 @@ class FluidModel:
         if not (self.mu > 0):
             raise NonPositivePlayoutRate(f"mu = {self.mu:g} must be > 0")
         if L > 1:
-            pattern = csr_matrix((off > 0).astype(np.int8))
-            n_comp, _ = connected_components(pattern, directed=True, connection="strong")
+            n_comp = _communicating_classes(off > 0)
             if n_comp != 1:
                 raise Reducible(
                     f"transition pattern splits into {n_comp} communicating classes"

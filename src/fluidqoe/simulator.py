@@ -59,6 +59,11 @@ def counter_uniform(seed: int, stream, counter) -> np.ndarray:
     return ((word >> _SHIFT11).astype(np.float64)) * _INV53
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; ``bool`` is not a count or an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Replication plan: count, seed, arrival capping, initial-state rule.
@@ -75,6 +80,9 @@ class SimConfig:
     initial_state_mode: "str | int" = "stationary"
 
     def __post_init__(self):
+        for name in ("replications", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
         if self.arrival_cap_mode not in ("unbounded", "capped_at_Z"):
@@ -83,8 +91,7 @@ class SimConfig:
                 f"got {self.arrival_cap_mode!r}"
             )
         mode = self.initial_state_mode
-        if not (mode == "stationary" or (isinstance(mode, (int, np.integer))
-                                         and not isinstance(mode, bool))):
+        if not (mode == "stationary" or _is_integer(mode)):
             raise DomainError(
                 "initial_state_mode must be 'stationary' or a state index"
             )

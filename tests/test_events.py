@@ -3,6 +3,7 @@ import pytest
 
 from fluidqoe import (
     GridTooCoarse,
+    ScenarioSpec,
     SessionParams,
     SimConfig,
     TailTooLarge,
@@ -16,11 +17,70 @@ from fluidqoe import (
     terminal_probability,
     validate_model,
 )
+from fluidqoe.qoe import scenario_to_model
 
 
 @pytest.fixture(scope="module")
 def onoff_session():
     return SessionParams(x=40.0, Z=1000.0)
+
+
+def _trapezoid_weights(n_nodes, step):
+    if n_nodes <= 1:
+        return np.zeros(max(n_nodes, 0))
+    w = np.full(n_nodes, step)
+    w[0] = w[-1] = step / 2
+    return w
+
+
+def _reference_chain_step(f, grid, lower_gate, upper_idx):
+    """One continuation step, node by node: the next starvation at ``g2``
+    integrates ``f[g1] kernel[g2 - g1]`` over ``g1 in [lower_gate, g2 - ix]``."""
+    ix = grid.nodes_per_prefetch
+    new = np.zeros_like(f)
+    for g2 in range(lower_gate + ix, min(grid.n_t, int(np.ceil(upper_idx)))):
+        hi = g2 - ix
+        w = _trapezoid_weights(hi - lower_gate + 1, grid.step)
+        ker = grid.kernel[ix:g2 - lower_gate + 1][::-1]
+        new[g2] = np.einsum("n,nj,njm->m", w, f[lower_gate:hi + 1], ker)
+    return new
+
+
+def _reference_pmf(model, params, j_max, grid):
+    """Count pmf with one chain per count, each step cut by that count's
+    support bound (the ``l``-th of ``j`` starvations leaves room for
+    ``j - l - 1`` more), and the tail from a separate uncut chain."""
+    ix = grid.nodes_per_prefetch
+    iz = grid.Z / (grid.mu * grid.step)
+    hi = min(grid.n_t - 1, int(np.ceil(iz)) - 1)
+    certain = grid.mu * grid.t >= grid.Z - grid.x
+    node = np.arange(grid.n_t)
+    first = np.where(((node < ix) | (node >= iz))[:, None], 0.0, grid.first_density)
+
+    def chain(steps, cut):
+        f = first
+        for l in range(1, steps + 1):
+            f = _reference_chain_step(f, grid, l * ix, cut(l))
+        return f
+
+    p = np.zeros(j_max + 1)
+    p[0] = 1.0 - starvation_probability(model, params)
+    for j in range(1, j_max + 1):
+        f = chain(j - 1, lambda l: iz - (j - l - 1) * ix)
+        lo = j * ix
+        if hi > lo:
+            closure = np.empty((hi - lo + 1, f.shape[1]))
+            for offset, g in enumerate(range(lo, hi + 1)):
+                closure[offset] = 1.0 if certain[g] else grid.survive[g]
+            w = _trapezoid_weights(hi - lo + 1, grid.step)
+            p[j] = np.einsum("n,nj,nj->", w, f[lo:hi + 1], closure)
+    f = chain(j_max - 1, lambda l: iz)
+    more = np.zeros((hi + 1, f.shape[1]))
+    for g in range(hi + 1):
+        if not certain[g]:
+            more[g] = 1.0 - grid.survive[g]
+    tail = np.einsum("n,nj,nj->", _trapezoid_weights(hi + 1, grid.step), f[:hi + 1], more)
+    return p, tail
 
 
 class TestFirstStarvationDensity:
@@ -179,6 +239,30 @@ class TestStarvationCountPmf:
         )
 
 
+PROGRESSIVE = scenario_to_model(ScenarioSpec(
+    throughput=(200_000.0, 400_000.0), frame_sizes=(10_000.0, 20_000.0),
+    alpha=1.0, beta=3.0, mu=17.75))
+
+
+class TestSharedChain:
+    @pytest.mark.parametrize("source, x, Z", [
+        ("onoff", 40.0, 1000.0),
+        ("bursty", 40.0, 501.0),     # file end 200.4 nodes in: between nodes
+        ("progressive", 20.0, 500.0),
+    ])
+    @pytest.mark.parametrize("j_max", [3, 10])
+    def test_matches_per_count_chains(self, source, x, Z, j_max, onoff_model,
+                                      reference_model):
+        model = {"onoff": onoff_model, "bursty": reference_model,
+                 "progressive": PROGRESSIVE}[source]
+        params = SessionParams(x=x, Z=Z)
+        grid = build_path_grid(model, params)
+        pmf = starvation_count_pmf(model, params, j_max=j_max, grid=grid)
+        p, tail = _reference_pmf(model, params, j_max, grid)
+        np.testing.assert_allclose(pmf.p, np.clip(p, 0.0, None), rtol=0.0, atol=1e-14)
+        assert pmf.tail == pytest.approx(tail, rel=0.0, abs=1e-14)
+
+
 class TestPathGrid:
     def test_alignment(self, reference_model, reference_session):
         grid = build_path_grid(reference_model, reference_session,
@@ -195,3 +279,11 @@ class TestPathGrid:
         assert np.all(grid.first_density >= 0.0)
         assert np.all(grid.kernel >= 0.0)
         assert np.all((grid.survive >= 0.0) & (grid.survive <= 1.0))
+
+    def test_field_shapes(self, reference_model, reference_session):
+        grid = build_path_grid(reference_model, reference_session)
+        L = reference_model.n_states
+        assert grid.t.shape == (grid.n_t,)
+        assert grid.first_density.shape == grid.survive.shape == (grid.n_t, L)
+        assert grid.kernel.shape == (grid.n_t, L, L)
+        assert grid.rho0.shape == (L,) and grid.fill.shape == (L, L)

@@ -14,11 +14,13 @@ from fluidqoe import (
     self_test,
 )
 from fluidqoe.inversion import (
+    _TIMES_PER_CALL,
     DEFAULT_PARAMS,
     LEGACY_M64_PARAMS,
     reference_original,
     reference_transform,
 )
+from fluidqoe.starvation import starvation_evaluator
 
 
 def damped_sine(omega):
@@ -76,6 +78,34 @@ class TestInvert:
         assert len(calls) == 1
         assert calls[0] == DEFAULT_PARAMS.n_evaluations
 
+    def test_batch_matches_scalar_calls(self, reference_model):
+        # more times than one evaluator call takes, on a scalar and a 2x2 transform
+        ts = np.linspace(0.05, 12.0, 2 * _TIMES_PER_CALL + 5)
+        for f in (damped_sine, starvation_evaluator(reference_model, 40.0)):
+            batch = invert(f, ts)
+            one_by_one = np.array([invert(f, float(t)) for t in ts])
+            assert batch.shape == one_by_one.shape
+            np.testing.assert_allclose(batch, one_by_one, rtol=0.0, atol=1e-14)
+
+    def test_batch_requires_positive_times(self):
+        for ts in ([0.5, 0.0, 1.0], [1.0, 2.0, -0.1], []):
+            with pytest.raises(DomainError):
+                invert(damped_sine, np.array(ts))
+        with pytest.raises(DomainError):
+            invert(damped_sine, np.ones((2, 2)))
+
+    def test_batch_evaluation_caching(self):
+        calls = []
+
+        def counting(w):
+            calls.append(w.shape[0])
+            return damped_sine(w)
+
+        n_times = 2 * _TIMES_PER_CALL + 3
+        invert(counting, np.linspace(0.1, 5.0, n_times))
+        assert len(calls) == math.ceil(n_times / _TIMES_PER_CALL)
+        assert sum(calls) == n_times * DEFAULT_PARAMS.n_evaluations
+
     def test_oversampled_grid(self):
         params = InversionParams(l=2, m=11, n=20, A=30.0)
         assert invert(damped_sine, 0.5, params) == pytest.approx(
@@ -105,6 +135,15 @@ class TestInvertCdf:
         lst = lambda w: 1.01 * np.ones_like(w)
         with pytest.raises(OutOfRange):
             invert_cdf(lst, 1.0)
+
+
+    def test_out_of_range_at_one_time_of_a_batch(self):
+        # 1.01 (1 - e^-2t) leaves the band only once it passes 1.001, near t = 2.35
+        lst = lambda w: 1.01 * 2.0 / (2.0 + w)
+        value = invert_cdf_value(lst, np.array([0.5, 1.0]))
+        assert value.raw.shape == value.clamped.shape == (2,)
+        with pytest.raises(OutOfRange, match="t=3"):
+            invert_cdf_value(lst, np.array([0.5, 1.0, 3.0, 1.5]))
 
 
 class TestInversionParams:

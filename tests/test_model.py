@@ -46,11 +46,15 @@ class TestValidateModel:
             validate_model([[-1, 1], [1, -1]], [1, -2], 1.0)
 
     def test_reducible_rejected(self):
-        with pytest.raises(Reducible):
+        with pytest.raises(Reducible, match="into 2 communicating classes"):
             validate_model([[0, 0], [0, 0]], [1, 2], 1.0)
-        with pytest.raises(Reducible):
+        with pytest.raises(Reducible, match="into 2 communicating classes"):
             validate_model(
                 [[-1, 1, 0], [1, -1, 0], [0, 1, -1]], [1, 2, 3], 1.0
+            )
+        with pytest.raises(Reducible, match="into 3 communicating classes"):
+            validate_model(
+                [[-1, 1, 0], [0, -1, 1], [0, 0, 0]], [1, 2, 3], 1.0
             )
 
     def test_one_way_chain_is_reducible(self):

@@ -194,8 +194,19 @@ class TestAgainstAnalytics:
 
 class TestConfigValidation:
     def test_bad_replications(self):
-        with pytest.raises(DomainError):
-            SimConfig(replications=0)
+        for bad in (0, 2.5, True, "3"):
+            with pytest.raises(DomainError):
+                SimConfig(replications=bad)
+
+    def test_bad_seed(self):
+        for bad in (1.5, False, "7"):
+            with pytest.raises(DomainError):
+                SimConfig(seed=bad)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(replications=np.int64(3), seed=np.uint32(4),
+                        initial_state_mode=np.int8(1))
+        assert (cfg.replications, cfg.seed, cfg.initial_state_mode) == (3, 4, 1)
 
     def test_bad_cap_mode(self):
         with pytest.raises(DomainError):
