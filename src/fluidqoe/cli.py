@@ -18,6 +18,7 @@ trace.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib.metadata import version as _pkg_version
@@ -380,6 +381,8 @@ def rerun_manifest(manifest_path: str, out: str | None = None) -> int:
     return _write_outputs(sub, manifest["config"], manifest["args"], payload, target)
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluidqoe",

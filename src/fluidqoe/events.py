@@ -45,10 +45,10 @@ from .errors import (
 )
 from .inversion import DEFAULT_PARAMS, InversionParams, invert, invert_cdf
 from .model import FluidModel, SessionParams, stationary_distribution
+from .spectral import evaluator
 from .starvation import (
     earliest_starvation_time,
     starvation_atoms,
-    starvation_evaluator,
     starvation_probability,
 )
 from .startup import prefetch_end_distribution
@@ -77,7 +77,7 @@ def _playback_start(model: FluidModel, x: float):
 
 
 def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray,
-                      evaluator, inv: InversionParams):
+                      ev, inv: InversionParams):
     """Per-state no-starvation probability over a remaining horizon.
 
     Returns a callable ``survive(h)``: re-prefetch from the given state, then
@@ -92,7 +92,7 @@ def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray,
 
     def continuous(omegas):
         omegas = np.atleast_1d(np.asarray(omegas, dtype=complex))
-        vals = np.einsum("jn,knm->kj", fill, np.asarray(evaluator(omegas)))
+        vals = np.einsum("jn,knm->kj", fill, np.asarray(ev(omegas)))
         if live.size:
             vals = vals - np.exp(-np.outer(omegas, times[live])) @ weights.T
         return vals
@@ -122,7 +122,7 @@ def first_starvation_density(model: FluidModel, params: SessionParams, t: float,
     if mu * t < x or mu * t >= Z or t < earliest_starvation_time(model, x):
         return 0.0
     rho0, _ = _playback_start(model, x)
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
 
     def contracted(omegas):
         return np.einsum("i,kij->k", rho0, np.asarray(ev(omegas)))
@@ -150,7 +150,7 @@ def terminal_probability(model: FluidModel, params: SessionParams, t: float,
     if mu * t >= Z - x:
         return np.ones(L)
     _, fill = _playback_start(model, x)
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
     survive = _refetch_survival(model, x, fill, ev, inv)
     return survive(Z / mu - t)
 
@@ -180,7 +180,7 @@ def continuation_kernel(model: FluidModel, params: SessionParams, delta_t: float
     if delta_t < earliest_starvation_time(model, x):
         return np.zeros(L)
     _, fill = _playback_start(model, x)
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
 
     def refetch_density(omegas):
         return np.einsum("jn,knm->kj", fill, np.asarray(ev(omegas)))
@@ -257,7 +257,7 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     t = np.arange(n_t) * step
 
     rho0, fill = _playback_start(model, x)
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
     L = model.n_states
 
     def stacked_density(omegas):

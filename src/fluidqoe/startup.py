@@ -22,39 +22,11 @@ import numpy as np
 import scipy.linalg
 
 from ._fdiff import derivative_at_zero, warn_if_inconsistent
-from .errors import DomainError, InfeasiblePlayout, ZeroArrivalState
+from .errors import DomainError, InfeasiblePlayout
 from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps,
                         invert_cdf, subtract_atoms)
 from .model import FluidModel, stationary_distribution
-from .spectral import TwoStateParams, transform_matrix, two_state_transform
-
-
-def startup_evaluator(model: FluidModel, x: float, method: str = "auto"):
-    """Frequency-array evaluator for the start-up transform matrix.
-
-    Two-state models route to the closed form unless ``method='generic'``
-    forces the pencil path.  Requires every arrival rate positive: a source
-    that can stall at rate zero breaks the duality's boundary system.
-    """
-    if np.any(model.lam <= 0.0):
-        raise ZeroArrivalState(
-            "start-up analysis requires every arrival rate > 0; "
-            f"lambda = {model.lam.tolist()}"
-        )
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    use_closed = method == "closed" or (method == "auto" and model.n_states == 2)
-    if method not in ("auto", "closed", "generic"):
-        raise ValueError(f"method must be auto/closed/generic, got {method!r}")
-    if use_closed:
-        p = TwoStateParams.from_model(model)
-        return lambda omegas: two_state_transform(p, x, omegas, kind="startup")
-
-    def evaluate(omegas):
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=complex))
-        return np.stack([transform_matrix(model, x, w, "prefetch") for w in omegas])
-
-    return evaluate
+from .spectral import evaluator
 
 
 def startup_transform(model: FluidModel, x: float, omega, method: str = "auto") -> np.ndarray:
@@ -65,7 +37,7 @@ def startup_transform(model: FluidModel, x: float, omega, method: str = "auto") 
     """
     if x == 0:
         return np.eye(model.n_states, dtype=complex)
-    return startup_evaluator(model, x, method)(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
+    return evaluator(model, x, "prefetch", method)(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
 
 
 def startup_atoms(model: FluidModel, x: float):
@@ -93,7 +65,7 @@ def startup_delay_cdf(model: FluidModel, x: float, t: float,
     """
     if not (t > 0):
         raise DomainError(f"t must be > 0, got {t}")
-    ev = startup_evaluator(model, x, method)
+    ev = evaluator(model, x, "prefetch", method)
     if t < x / float(np.max(model.lam)):
         return np.zeros((model.n_states, model.n_states))
     times, masses = startup_atoms(model, x)
@@ -115,7 +87,7 @@ def expected_startup_delay(model: FluidModel, x: float,
         if entry.shape != (model.n_states,) or np.any(entry < 0):
             raise DomainError("entry_distribution must be a nonnegative length-L vector")
         entry = entry / entry.sum()
-    ev = startup_evaluator(model, x, method)
+    ev = evaluator(model, x, "prefetch", method)
 
     def contracted(omegas):
         return np.einsum("i,kij->k", entry, np.asarray(ev(omegas)))

@@ -23,33 +23,13 @@ from .errors import DomainError, NumericError, Unstable
 from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps,
                         invert_cdf, subtract_atoms)
 from .model import FluidModel, SessionParams, mean_drift, stationary_distribution
-from .spectral import TwoStateParams, transform_matrix, two_state_transform
+from .spectral import evaluator
 from .startup import prefetch_end_distribution
-
-
-def starvation_evaluator(model: FluidModel, x: float, method: str = "auto"):
-    """Frequency-array evaluator for the starvation transform matrix.
-
-    Two-state models use the closed form unless ``method='generic'``.
-    """
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    if method not in ("auto", "closed", "generic"):
-        raise ValueError(f"method must be auto/closed/generic, got {method!r}")
-    if method == "closed" or (method == "auto" and model.n_states == 2):
-        p = TwoStateParams.from_model(model)
-        return lambda omegas: two_state_transform(p, x, omegas, kind="starvation")
-
-    def evaluate(omegas):
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=complex))
-        return np.stack([transform_matrix(model, x, w, "playback") for w in omegas])
-
-    return evaluate
 
 
 def starvation_transform(model: FluidModel, x: float, omega, method: str = "auto") -> np.ndarray:
     """Starvation transform matrix ``H~[i, j](x, w)`` at one frequency."""
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
     return ev(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
 
 
@@ -91,7 +71,7 @@ def starvation_cdf(model: FluidModel, x: float, t: float,
     L = model.n_states
     if x > 0 and t < earliest_starvation_time(model, x):
         return np.zeros((L, L))
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
     times, masses = starvation_atoms(model, x)
     cont = invert_cdf(subtract_atoms(ev, times, masses), t, params)
     return np.clip(cont + atom_steps(times, masses, t), 0.0, 1.0)
@@ -147,7 +127,7 @@ def mean_playback_time(model: FluidModel, x: float,
         raise Unstable(
             f"mean drift {report.drift:g} >= 0: restricted mean may diverge"
         )
-    ev = starvation_evaluator(model, x, method)
+    ev = evaluator(model, x, "playback", method)
     scale = float(np.max(np.abs(np.diag(model.Q))))
     D, check = derivative_at_zero(ev, scale)
     warn_if_inconsistent(D, check, "mean playback time")

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluidqoe import (
     BoundaryRootWarning,
+    DefectivePencil,
     DimensionMismatch,
+    IllConditionedWarning,
     TwoStateParams,
     ZeroArrivalState,
     boundary_coefficients,
@@ -12,6 +17,9 @@ from fluidqoe import (
     two_state_transform,
     validate_model,
 )
+from fluidqoe import spectral
+from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
+from fluidqoe.spectral import OMEGA_FLOOR, SpectralSolution, evaluator
 from conftest import omega_grid
 
 
@@ -102,12 +110,13 @@ class TestCharacteristicRoots:
         from fluidqoe import DefectivePencil
         from fluidqoe.spectral import _check_defective
 
-        roots = np.array([-1.0 + 0j, -1.0 + 1e-12j])
-        parallel = np.array([[1.0, 1.0], [0.5, 0.5]], dtype=complex)
+        roots = np.array([[-1.0 + 0j, -1.0 + 1e-12j]])
+        om = np.array([1.0 + 0j])
+        parallel = np.array([[[1.0, 1.0], [0.5, 0.5]]], dtype=complex)
         with pytest.raises(DefectivePencil):
-            _check_defective(roots, parallel, 1.0 + 0j)
-        independent = np.array([[1.0, 1.0], [0.5, -0.5]], dtype=complex)
-        _check_defective(roots, independent, 1.0 + 0j)  # eigenspace is full
+            _check_defective(roots, parallel, om)
+        independent = np.array([[[1.0, 1.0], [0.5, -0.5]]], dtype=complex)
+        _check_defective(roots, independent, om)  # eigenspace is full
 
     def test_prefetch_roots_all_negative(self, reference_model):
         sol = characteristic_roots(reference_model, 0.7, "prefetch")
@@ -188,7 +197,7 @@ class TestBoundaryCoefficients:
             omega=1.0 + 0j, mode="prefetch",
             rates=-reference_model.lam,
             roots=np.array([-0.5 + 0j, -0.9 + 0j]),
-            eigvecs=vecs, negative_set=np.array([0, 1]),
+            eigvecs=vecs,
         )
         with pytest.warns(IllConditionedWarning):
             co = boundary_coefficients(sol, reference_model, "prefetch")
@@ -248,3 +257,145 @@ class TestTwoStateTransform:
         m = validate_model([[0.0]], [1.0], 2.0)
         with pytest.raises(DimensionMismatch):
             TwoStateParams.from_model(m)
+
+
+def _reference_transform(model, x, omega, mode):
+    """The per-frequency generic transform that the stacked path replaced:
+    one clip, Schur complement, ``scipy.linalg.eig``, sort, lift,
+    normalization and boundary solve per frequency."""
+    om = complex(omega)
+    if om.imag == 0.0 and 0.0 <= om.real < OMEGA_FLOOR:
+        om = complex(OMEGA_FLOOR)
+    rates = model.lam - model.mu if mode == "playback" else -model.lam
+    L = model.n_states
+    M = model.Q - om * np.eye(L)
+    nz = np.nonzero(rates != 0.0)[0]
+    zero = np.nonzero(rates == 0.0)[0]
+    reduced = M[np.ix_(nz, nz)]
+    if zero.size:
+        lifted = np.linalg.solve(M[np.ix_(zero, zero)], M[np.ix_(zero, nz)])
+        reduced = reduced - M[np.ix_(nz, zero)] @ lifted
+    s_vals, vecs = scipy.linalg.eig(reduced / -rates[nz, None].astype(complex))
+    order = np.lexsort((s_vals.imag, s_vals.real))
+    s_vals = s_vals[order]
+    vecs = vecs[:, order]
+    full = np.zeros((L, nz.size), dtype=complex)
+    full[nz, :] = vecs
+    if zero.size:
+        full[zero, :] = -lifted @ vecs
+    peak = np.argmax(np.abs(full), axis=0)
+    full = full / full[peak, np.arange(full.shape[1])]
+    if mode == "playback":
+        rows = np.nonzero(rates < 0.0)[0]
+        sel = np.nonzero(s_vals.real < -spectral.SIGN_TOL)[0]
+    else:
+        rows = np.arange(L)
+        sel = np.arange(s_vals.size)
+    assert rows.size == sel.size
+    if sel.size == 0:
+        return np.zeros((L, L), dtype=complex)
+    a = np.linalg.solve(full[np.ix_(rows, sel)], np.eye(L, dtype=complex)[rows, :])
+    growth = np.exp(s_vals[sel] * x)
+    return full[:, sel] @ (growth[:, None] * a)
+
+
+def _inversion_block():
+    """The frequencies of one full evaluator call of the inverter; the last
+    time is so long that its real abscissa falls below the evaluation floor."""
+    times = np.r_[np.geomspace(0.05, 60.0, _TIMES_PER_CALL - 1), 1e9]
+    scaled_idx = _euler_constants(DEFAULT_PARAMS)[0]
+    l = DEFAULT_PARAMS.l
+    omegas = DEFAULT_PARAMS.A / (2 * l * times)[:, None] + scaled_idx / (l * times)[:, None]
+    return omegas.reshape(-1)
+
+
+Q3 = [[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]]
+STACK_SOURCES = {
+    "three_state": (Q3, [5.0, 20.0, 40.0]),
+    "four_state": ([[-4.0, 1.0, 2.0, 1.0], [1.0, -3.0, 1.0, 1.0],
+                    [2.0, 2.0, -5.0, 1.0], [0.5, 0.5, 1.0, -2.0]], [3.0, 12.0, 30.0, 45.0]),
+    "zero_rate": (Q3, [5.0, 25.0, 40.0]),
+    "two_state": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0]),
+}
+
+
+class TestStackedPencil:
+    @pytest.mark.parametrize("mode", ["playback", "prefetch"])
+    @pytest.mark.parametrize("source", sorted(STACK_SOURCES))
+    def test_block_matches_per_frequency_reference(self, source, mode):
+        Q, lam = STACK_SOURCES[source]
+        m = validate_model(Q, lam, 25.0)
+        omegas = _inversion_block()
+        assert omegas.size == _TIMES_PER_CALL * DEFAULT_PARAMS.n_evaluations
+        assert np.any((omegas.imag == 0.0) & (omegas.real < OMEGA_FLOOR))
+        stacked = evaluator(m, 20.0, mode, "generic")(omegas)
+        reference = np.stack([_reference_transform(m, 20.0, w, mode) for w in omegas])
+        np.testing.assert_array_equal(stacked, reference)
+
+    def test_defective_frequency_named(self):
+        from fluidqoe.spectral import _check_defective
+
+        om = np.array([0.5, 1.0, 1.5, 2.0], dtype=complex)
+        roots = np.tile(np.array([-2.0 + 0j, -1.0 + 0j]), (4, 1))
+        vecs = np.tile(np.array([[1.0, 1.0], [0.5, -0.5]], dtype=complex), (4, 1, 1))
+        roots[1, 1] = roots[1, 0] + 1e-12j  # repeated, eigenspace full
+        roots[2, 1] = roots[2, 0] + 1e-12j  # repeated, eigenvectors parallel
+        vecs[2, 1, 1] = vecs[2, 1, 0]
+        _check_defective(np.delete(roots, 2, axis=0), np.delete(vecs, 2, axis=0), om[[0, 1, 3]])
+        with pytest.raises(DefectivePencil, match=r"omega=\(1\.5\+0j\)"):
+            _check_defective(roots, vecs, om)
+
+    def test_stack_warns_boundary_roots_where_scalar_did(self, reference_model):
+        omegas = np.array([0.5, 2.0 + 1.0j, 1e-31 + 1e-30j, 3.0], dtype=complex)
+        scalar_warned = []
+        for w in omegas:
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                characteristic_roots(reference_model, w, "playback")
+            scalar_warned.append(any(e.category is BoundaryRootWarning for e in log))
+        assert scalar_warned == [False, False, True, False]
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            sol = characteristic_roots(reference_model, omegas, "playback")
+        hits = [e for e in log if e.category is BoundaryRootWarning]
+        assert len(hits) == 1
+        assert f"omega={complex(omegas[2])}" in str(hits[0].message)
+        assert sol.roots.shape == (4, 2)
+
+    def test_stack_warns_ill_conditioned_where_scalar_did(self, reference_model):
+        good = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
+        stack = SpectralSolution(
+            omega=np.array([1.0, 2.0, 3.0], dtype=complex), mode="prefetch",
+            rates=-reference_model.lam,
+            roots=np.tile(np.array([-0.9 + 0j, -0.5 + 0j]), (3, 1)),
+            eigvecs=np.stack([good, near, good]),
+        )
+        for k, expect in enumerate([False, True, False]):
+            one = SpectralSolution(omega=complex(stack.omega[k]), mode="prefetch",
+                                   rates=stack.rates, roots=stack.roots[k],
+                                   eigvecs=stack.eigvecs[k])
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                assert boundary_coefficients(one, reference_model).ill_conditioned == expect
+            assert any(e.category is IllConditionedWarning for e in log) == expect
+        with pytest.warns(IllConditionedWarning, match=r"omega=\(2\+0j\)") as log:
+            co = boundary_coefficients(stack, reference_model)
+        assert len([e for e in log if e.category is IllConditionedWarning]) == 1
+        assert co.ill_conditioned.tolist() == [False, True, False]
+        assert co.a.shape == (3, 2, 2)
+
+    def test_generic_block_solves_pencil_once(self, monkeypatch):
+        calls = []
+        solve = spectral.characteristic_roots
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "characteristic_roots", counted)
+        m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
+        omegas = _inversion_block()
+        H = evaluator(m, 20.0, "playback")(omegas)
+        assert H.shape == (omegas.size, 3, 3)
+        assert calls == [omegas.size]
