@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib.metadata import version as _pkg_version
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .qoe import (
 )
 from .simulator import SimConfig, monte_carlo
 from .startup import expected_startup_delay, startup_delay_cdf
-from .starvation import starvation_cdf, starvation_probability
+from .starvation import starvation_cdf, starvation_probability_from_cdf
 
 MODEL_KEYS = {"states", "Q", "lambda", "mu", "x", "Z", "units"}
 SCENARIO_KEYS = {"throughput", "frame_sizes", "alpha", "beta", "mu",
@@ -209,13 +208,13 @@ def _run_starvation(snapshot: dict, args: dict) -> str:
     horizon = Z / model.mu
     grid = (parse_grid(args["t_grid"]) if args.get("t_grid")
             else np.linspace(horizon / 50, horizon, 50))
-    p_s = starvation_probability(model, params, inv)
+    # the horizon goes first, so an inversion failure there is reported
+    # before any on the grid, as when P_s was computed on its own
+    H = starvation_cdf(model, x, np.append(horizon, grid), inv)
+    p_s = starvation_probability_from_cdf(model, params, H[0])
     L = model.n_states
     header = ["t"] + [f"H_{i+1}{j+1}" for i in range(L) for j in range(L)] + ["P_s"]
-    rows = []
-    for t in grid:
-        H = starvation_cdf(model, x, float(t), inv)
-        rows.append([t, *H.ravel(), p_s])
+    rows = [[t, *H_t.ravel(), p_s] for t, H_t in zip(grid, H[1:])]
     return _csv_text(header, rows)
 
 
@@ -228,10 +227,8 @@ def _run_startup(snapshot: dict, args: dict) -> str:
             else np.linspace(mean / 10, 5 * mean, 50))
     L = model.n_states
     header = ["t"] + [f"U_{i+1}{j+1}" for i in range(L) for j in range(L)] + ["mean"]
-    rows = []
-    for t in grid:
-        U = startup_delay_cdf(model, x, float(t), inv)
-        rows.append([t, *U.ravel(), mean])
+    U = startup_delay_cdf(model, x, grid, inv)
+    rows = [[t, *U_t.ravel(), mean] for t, U_t in zip(grid, U)]
     return _csv_text(header, rows)
 
 
@@ -325,8 +322,11 @@ _RUNNERS = {
 
 
 def _tool_version() -> str:
+    # imported here: only --out manifests need it, and it slows every start
+    from importlib.metadata import version
+
     try:
-        return _pkg_version("fluidqoe")
+        return version("fluidqoe")
     except Exception:
         return "unknown"
 
@@ -456,52 +456,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_initial_state(text: str | None):
+    if text is None or text == "stationary":
+        return "stationary"
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"--initial-state must be 'stationary' or a "
+                          f"state index, got {text!r}") from None
+
+
+# How each subcommand resolves its arguments: the config flag it loads (or
+# None), then the manifest args after "params", in the order they resolve.
+_ARGUMENTS = {
+    "validate": ("config", ()),
+    "starvation": ("config", ("x", "Z", "t_grid")),
+    "startup": ("config", ("x", "t_grid")),
+    "events": ("config", ("x", "Z", "jmax", "grid")),
+    "simulate": ("config", ("x", "Z", "reps", "seed", "cap", "initial_state")),
+    "optimize": ("scenario", ("weights", "jmax", "x_grid", "Z", "mode")),
+    "compare": ("scenario", ("weights", "jmax", "z_grid", "x")),
+    "invert-selftest": (None, ()),
+}
+
+_LOADERS = {"config": load_model_config, "scenario": load_scenario_config}
+
+# Args that are not copied from the command line as given; x and Z fall
+# back to the config file.
+_CONVERTERS = {
+    "x": lambda value, snapshot: _resolve(value, snapshot, "x", "prefetch threshold"),
+    "Z": lambda value, snapshot: _resolve(value, snapshot, "Z", "file size"),
+    "cap": lambda value, snapshot: bool(value),
+    "initial_state": lambda value, snapshot: _parse_initial_state(value),
+}
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     sub = ns.subcommand
-
-    if sub == "invert-selftest":
-        snapshot, args = {}, {"params": ns.params}
-    elif sub in ("optimize", "compare"):
-        snapshot = load_scenario_config(ns.scenario)
-        args = {"params": ns.params, "weights": ns.weights}
-        args["jmax"] = ns.jmax
-        if sub == "optimize":
-            args["x_grid"] = ns.x_grid
-            args["Z"] = _resolve(ns.Z, snapshot, "Z", "file size")
-            args["mode"] = ns.mode
-        else:
-            args["z_grid"] = ns.z_grid
-            args["x"] = _resolve(ns.x, snapshot, "x", "prefetch threshold")
-    else:
-        snapshot = load_model_config(ns.config)
-        args = {"params": ns.params}
-        if sub in ("starvation", "events", "simulate"):
-            args["x"] = _resolve(ns.x, snapshot, "x", "prefetch threshold")
-            args["Z"] = _resolve(ns.Z, snapshot, "Z", "file size")
-        elif sub == "startup":
-            args["x"] = _resolve(ns.x, snapshot, "x", "prefetch threshold")
-            args["t_grid"] = getattr(ns, "t_grid", None)
-        if sub == "starvation":
-            args["t_grid"] = ns.t_grid
-        elif sub == "events":
-            args["jmax"] = ns.jmax
-            args["grid"] = ns.grid
-        elif sub == "simulate":
-            args["reps"] = ns.reps
-            args["seed"] = ns.seed
-            args["cap"] = bool(ns.cap)
-            init = ns.initial_state
-            if init is not None and init != "stationary":
-                try:
-                    init = int(init)
-                except ValueError:
-                    raise ConfigError(f"--initial-state must be 'stationary' or a "
-                                      f"state index, got {init!r}") from None
-            args["initial_state"] = init if init is not None else "stationary"
-
+    source, names = _ARGUMENTS[sub]
+    snapshot = _LOADERS[source](getattr(ns, source)) if source else {}
+    args = {"params": ns.params}
+    for name in names:
+        value = getattr(ns, name)
+        convert = _CONVERTERS.get(name)
+        args[name] = convert(value, snapshot) if convert else value
     payload = _RUNNERS[sub](snapshot, args)
     return _write_outputs(sub, snapshot, args, payload, ns.out)
 

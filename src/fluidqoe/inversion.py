@@ -137,6 +137,21 @@ def _euler_constants(params: InversionParams) -> tuple:
     return arrays + (math.exp(params.A / (2 * l)),)
 
 
+def time_array(t) -> np.ndarray:
+    """``t`` as a float array of shape ``()`` or ``(T,)`` with every time > 0;
+    a :class:`DomainError` names the first time that is not."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DomainError(f"t must be a float or a 1-D array, got shape {times.shape}")
+    if times.size == 0:
+        raise DomainError("t must hold at least one time")
+    flat = times.reshape(-1)
+    bad = ~(flat > 0)
+    if bad.any():
+        raise DomainError(f"t must be > 0, got {flat[bad][0]}")
+    return times
+
+
 def invert(f: Callable, t, params: InversionParams = DEFAULT_PARAMS):
     """Invert an ordinary Laplace transform at a time ``t > 0`` or at each
     time of a 1-D array ``t``.
@@ -154,13 +169,7 @@ def invert(f: Callable, t, params: InversionParams = DEFAULT_PARAMS):
     inverted within a batch may differ from the same time inverted alone in
     the last bits, where the matrix products sum in another order.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise DomainError(f"t must be a float or a 1-D array, got shape {times.shape}")
-    if times.size == 0:
-        raise DomainError("t must hold at least one time")
-    if not (times > 0).all():
-        raise DomainError(f"t must be > 0, got {times.min()}")
+    times = time_array(t)
     params.check_precision()
     flat = times.reshape(-1)
     blocks = [_invert_block(f, flat[i:i + _TIMES_PER_CALL], params)
@@ -212,17 +221,21 @@ def invert_cdf_value(lst: Callable, t,
 
     The ordinary transform of the CDF is ``lst(w)/w``.  ``t`` is a time or a
     1-D array of times, as for :func:`invert`.  Raw inverted values outside
-    ``[-1e-3, 1 + 1e-3]`` at any time raise :class:`OutOfRange` (a broken
-    transform or unsuitable parameters, not ordinary ripple); anything closer
-    is clamped to [0, 1].
+    ``[-1e-3, 1 + 1e-3]`` raise :class:`OutOfRange` (a broken transform or
+    unsuitable parameters, not ordinary ripple), naming the worst value at
+    the first such time in the order of ``t``; anything closer is clamped to
+    [0, 1].
     """
     raw = invert(_cdf_evaluator(lst), t, params)
     arr = np.asarray(raw, dtype=float)
-    if np.any(arr < -CDF_ERROR_TOL) or np.any(arr > 1.0 + CDF_ERROR_TOL):
-        at = np.unravel_index(int(np.argmax(np.abs(arr - 0.5))), arr.shape)
-        when = float(np.asarray(t, dtype=float)[at[:np.ndim(t)]])
+    per_time = arr.reshape(np.size(t), -1)
+    outside = ((per_time < -CDF_ERROR_TOL) | (per_time > 1.0 + CDF_ERROR_TOL)).any(axis=1)
+    if outside.any():
+        first = int(np.argmax(outside))
+        worst = per_time[first, int(np.argmax(np.abs(per_time[first] - 0.5)))]
+        when = float(np.reshape(t, -1)[first])
         raise OutOfRange(
-            f"inverted CDF value {float(arr[at]):g} at t={when:g} is outside "
+            f"inverted CDF value {float(worst):g} at t={when:g} is outside "
             f"[-{CDF_ERROR_TOL:g}, 1+{CDF_ERROR_TOL:g}]"
         )
     clamped = np.clip(arr, 0.0, 1.0)
@@ -260,13 +273,37 @@ def subtract_atoms(evaluator: Callable, times: np.ndarray, masses: np.ndarray) -
     return continuous
 
 
-def atom_steps(times: np.ndarray, masses: np.ndarray, t: float) -> np.ndarray:
-    """Diagonal matrix of the atom masses that have arrived by time ``t``."""
+def atom_steps(times: np.ndarray, masses: np.ndarray, t) -> np.ndarray:
+    """Diagonal matrices of the atom masses that have arrived by time ``t``:
+    shape ``(L, L)`` for one time, ``(T, L, L)`` for a 1-D array of times."""
     times = np.asarray(times, dtype=float)
     finite = np.isfinite(times)
     threshold = np.full(times.shape, np.inf)
     threshold[finite] = times[finite] - 1e-12 * np.maximum(np.abs(times[finite]), 1.0)
-    return np.diag(np.where(t >= threshold, masses, 0.0))
+    arrived = np.asarray(t, dtype=float)[..., None] >= threshold
+    return np.where(arrived, masses, 0.0)[..., None] * np.eye(times.size)
+
+
+def invert_cdf_with_atoms(evaluator: Callable, atoms: tuple, t: np.ndarray,
+                          support: float,
+                          params: InversionParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Clamped CDF matrices of a law whose point masses are the diagonal
+    atoms ``atoms = (times, masses)`` (see :func:`subtract_atoms`).
+
+    ``t`` comes from :func:`time_array`; the result has shape ``(L, L)`` for
+    one time and ``(T, L, L)`` for ``T``.  Times below the support bound
+    ``support`` get exact zeros and are never inverted.  The others go to
+    one :func:`invert_cdf` call on the continuous remainder, and the atom
+    steps are added back exactly.
+    """
+    flat = t.reshape(-1)
+    L = len(atoms[0])
+    cdf = np.zeros((flat.size, L, L))
+    live = flat >= support
+    if live.any():
+        cont = invert_cdf(subtract_atoms(evaluator, *atoms), flat[live], params)
+        cdf[live] = np.clip(cont + atom_steps(*atoms, flat[live]), 0.0, 1.0)
+    return cdf.reshape(t.shape + (L, L))
 
 
 @dataclass(frozen=True)

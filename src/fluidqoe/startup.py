@@ -4,8 +4,9 @@ The time to accumulate ``x`` frames from an empty buffer is analyzed through
 its dual: a buffer that starts at level ``x`` and is depleted at the arrival
 rates.  The dual's first-passage transform over the prefetch pencil gives the
 start-up delay transform ``U~[i, j](x, w)`` (reach the threshold in state
-``j`` starting from state ``i``); inverting it yields the delay CDF, and its
-slope at the origin the expected delay.
+``j`` starting from state ``i``); inverting it yields the delay CDF, at one
+time or at a whole array of times in one inversion, and its slope at the
+origin the expected delay.
 
 The fill-completion state distribution ``V[i, j](q, x)`` (state when the
 buffer first reaches ``x`` from level ``q``) follows the level-indexed chain
@@ -14,17 +15,19 @@ level advances at ``lam_i``, so state sojourns measured in delivered frames
 are exponential with rate ``-q_ii / lam_i``.  States with ``lam_i = 0`` make
 no level progress and are censored out of the level chain (completion can
 never happen inside one); they only contribute their exit distribution.
+The matrix exponential of that chain is the package's own scaling-and-
+squaring Pade ``expm`` (Higham 2005), so the module needs only numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
+from ._expm import expm
 from ._fdiff import derivative_at_zero, warn_if_inconsistent
 from .errors import DomainError, InfeasiblePlayout
-from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps,
-                        invert_cdf, subtract_atoms)
+from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
+                        time_array)
 from .model import FluidModel, stationary_distribution
 from .spectral import evaluator
 
@@ -53,24 +56,22 @@ def startup_atoms(model: FluidModel, x: float):
     return times, masses
 
 
-def startup_delay_cdf(model: FluidModel, x: float, t: float,
+def startup_delay_cdf(model: FluidModel, x: float, t,
                       params: InversionParams = DEFAULT_PARAMS,
                       method: str = "auto") -> np.ndarray:
     """CDF matrix ``U[i, j](x, t)`` of the start-up delay.
 
-    The delay cannot beat the fastest fill rate, so the value is exactly zero
-    for ``t < x / max(lam)``.  Elsewhere the deterministic-path atoms are
-    accounted exactly and the continuous remainder is inverted numerically,
-    so the CDF is accurate even at its jump points.
+    ``t`` is a time or a 1-D array of times, giving an ``(L, L)`` or a
+    ``(T, L, L)`` array.  The delay cannot beat the fastest fill rate, so the
+    value is exactly zero for ``t < x / max(lam)``.  Elsewhere the
+    deterministic-path atoms are accounted exactly and the continuous
+    remainder is inverted numerically, in one inversion over all those
+    times, so the CDF is accurate even at its jump points.
     """
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
+    times = time_array(t)
     ev = evaluator(model, x, "prefetch", method)
-    if t < x / float(np.max(model.lam)):
-        return np.zeros((model.n_states, model.n_states))
-    times, masses = startup_atoms(model, x)
-    cont = invert_cdf(subtract_atoms(ev, times, masses), t, params)
-    return np.clip(cont + atom_steps(times, masses, t), 0.0, 1.0)
+    return invert_cdf_with_atoms(ev, startup_atoms(model, x), times,
+                                 x / float(np.max(model.lam)), params)
 
 
 def expected_startup_delay(model: FluidModel, x: float,
@@ -101,7 +102,8 @@ def expected_startup_delay(model: FluidModel, x: float,
 def prefetch_end_distribution(model: FluidModel, q: float, x: float) -> np.ndarray:
     """Row-stochastic matrix ``V[i, j](q, x)``: state when the fill completes.
 
-    ``V(q, x) = expm(diag(1/lam) Q (x - q))`` on the positive-rate states;
+    ``V(q, x) = expm(diag(1/lam) Q (x - q))`` on the positive-rate states,
+    by scaling and squaring with a Pade approximant (:mod:`fluidqoe._expm`);
     zero-rate states are censored (they cannot host a completion, so their
     columns are zero) and enter only through the distribution of the state in
     which they are eventually left.  ``V(x, x)`` is the identity: a buffer
@@ -128,7 +130,7 @@ def prefetch_end_distribution(model: FluidModel, q: float, x: float) -> np.ndarr
         lift = None
         level_gen = Qpp / model.lam[pos, None]
 
-    W = scipy.linalg.expm(level_gen * (x - q))
+    W = expm(level_gen * (x - q))
     V = np.zeros((L, L))
     V[np.ix_(pos, pos)] = W
     if zero.size:

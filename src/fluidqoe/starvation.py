@@ -20,8 +20,8 @@ import numpy as np
 
 from ._fdiff import derivative_at_zero, warn_if_inconsistent
 from .errors import DomainError, NumericError, Unstable
-from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps,
-                        invert_cdf, subtract_atoms)
+from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
+                        time_array)
 from .model import FluidModel, SessionParams, mean_drift, stationary_distribution
 from .spectral import evaluator
 from .startup import prefetch_end_distribution
@@ -58,23 +58,20 @@ def earliest_starvation_time(model: FluidModel, x: float) -> float:
     return x / fastest
 
 
-def starvation_cdf(model: FluidModel, x: float, t: float,
+def starvation_cdf(model: FluidModel, x: float, t,
                    params: InversionParams = DEFAULT_PARAMS,
                    method: str = "auto") -> np.ndarray:
     """CDF matrix ``H[i, j](x, t)``, clamped to [0, 1].
 
-    Exactly zero below the drain-speed support bound; elsewhere obtained by
-    numerical inversion of the transform.
+    ``t`` is a time or a 1-D array of times, giving an ``(L, L)`` or a
+    ``(T, L, L)`` array.  Exactly zero below the drain-speed support bound;
+    elsewhere obtained by one numerical inversion of the transform over all
+    those times, with the deterministic-path atoms accounted exactly.
     """
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
-    L = model.n_states
-    if x > 0 and t < earliest_starvation_time(model, x):
-        return np.zeros((L, L))
-    ev = evaluator(model, x, "playback", method)
-    times, masses = starvation_atoms(model, x)
-    cont = invert_cdf(subtract_atoms(ev, times, masses), t, params)
-    return np.clip(cont + atom_steps(times, masses, t), 0.0, 1.0)
+    times = time_array(t)
+    support = earliest_starvation_time(model, x) if x > 0 else 0.0
+    return invert_cdf_with_atoms(evaluator(model, x, "playback", method),
+                                 starvation_atoms(model, x), times, support, params)
 
 
 def starvation_probability(model: FluidModel, session: SessionParams,
@@ -87,14 +84,21 @@ def starvation_probability(model: FluidModel, session: SessionParams,
     occur before the playback clock exhausts the file at ``Z/mu``.  A session
     whose threshold covers the whole file cannot starve.
     """
-    if session.x >= session.Z:
+    if session.x >= session.Z or np.all(model.lam >= model.mu):
         return 0.0
-    if np.all(model.lam >= model.mu):
+    horizon = session.Z / model.mu
+    cdf = starvation_cdf(model, session.x, horizon, params, method)
+    return starvation_probability_from_cdf(model, session, cdf)
+
+
+def starvation_probability_from_cdf(model: FluidModel, session: SessionParams,
+                                    cdf: np.ndarray) -> float:
+    """:func:`starvation_probability` from the CDF matrix ``H(x, Z/mu)`` at
+    the horizon, for callers that invert it together with other times."""
+    if session.x >= session.Z:
         return 0.0
     pi = stationary_distribution(model)
     fill = prefetch_end_distribution(model, 0.0, session.x)
-    horizon = session.Z / model.mu
-    cdf = starvation_cdf(model, session.x, horizon, params, method)
     value = float(pi @ fill @ cdf.sum(axis=1))
     return float(np.clip(value, 0.0, 1.0))
 

@@ -144,6 +144,11 @@ class TestInvertCdf:
         assert value.raw.shape == value.clamped.shape == (2,)
         with pytest.raises(OutOfRange, match="t=3"):
             invert_cdf_value(lst, np.array([0.5, 1.0, 3.0, 1.5]))
+        # the first failing time in the order given is named with its worst
+        # entry, as a loop over the times would, though t = 10 is worse
+        pair = lambda w: np.stack([1.005 * 2.0 / (2.0 + w), lst(w)], axis=-1)
+        with pytest.raises(OutOfRange, match=r"value 1\.0075 at t=3 "):
+            invert_cdf_value(pair, np.array([0.5, 3.0, 10.0]))
 
 
 class TestInversionParams:
