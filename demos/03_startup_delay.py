@@ -37,9 +37,7 @@ for x in (20.0, 50.0, 100.0):
 t_grid = np.round(np.arange(0.25, 12.01, 0.25), 10)
 curves = {}
 for x in (20.0, 50.0, 100.0):
-    curves[x] = [
-        float(pi @ startup_delay_cdf(model, x, float(t)).sum(axis=1)) for t in t_grid
-    ]
+    curves[x] = [float(pi @ cdf.sum(axis=1)) for cdf in startup_delay_cdf(model, x, t_grid)]
 
 with open(OUT / "startup_delay_cdf.csv", "w", newline="") as fh:
     w = csv.writer(fh)

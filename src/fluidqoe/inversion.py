@@ -348,13 +348,12 @@ def self_test(params: InversionParams = DEFAULT_PARAMS,
         t_grid = tuple(np.round(np.arange(1, 51) * 0.1, 10))
     else:
         t_grid = tuple(float(t) for t in t_grid)
-    worst = 0.0
+    times = np.array(t_grid)
     try:
-        for t in t_grid:
-            approx = invert(reference_transform, t, params)
-            worst = max(worst, abs(approx - float(reference_original(t))))
+        approx = invert(reference_transform, times, params)
     except OverflowRisk as exc:
         return SelfTestReport(params=params, max_abs_error=float("inf"),
                               t_grid=t_grid, passed=False, failure=str(exc))
+    worst = float(np.max(np.abs(approx - reference_original(times))))
     return SelfTestReport(params=params, max_abs_error=worst, t_grid=t_grid,
                           passed=worst < tolerance)

@@ -17,7 +17,35 @@ no matter how replications are batched.
 One lockstep engine serves full sessions, fill-only runs (the start-up
 oracle) and drain-only runs (the first-passage oracle).  Replications are
 simulated as numpy arrays, one event per iteration per live replication;
-finished replications leave the arrays.
+finished replications leave the arrays (the last rows move into their
+places).
+
+Per-code tables.  Each row carries one code, ``state + L * playing``.  Its
+arrival rate, buffer drift, playback flag and the denominators and pads of
+its candidate columns are read from small tables indexed by that code, with
+no per-row masks.  A pad is -0.0 (an exact no-op when added) where a column
+applies and inf where it does not.  In a ``capped_at_Z`` session the columns
+are read at ``code + 2L`` once the source has delivered ``Z`` frames; its
+rate there is 0.
+
+The event pick.  The candidate columns are the end of playback (the drain
+horizon), a starvation, a prefetch crossing and, when capped, the source
+reaching ``Z``.  End and starvation apply to playing rows only and crossings
+to prefetching rows only.  A starvation at the end of playback, or in a
+session within ``end_grace`` of it, is dropped and left to the end event.
+So at most one of the first three columns attains a row's next event time
+``dt``, and the event is the column equal to ``dt``.  A row jumps only when
+its sojourn ends strictly first; a tie goes to the event.  The cap loses
+ties to every other event.
+
+The counter layout.  A stationary start reads counter 0 for the initial
+state, and every run then reads its first sojourn at the next counter.  A
+jump reads the pair ``(c, c + 1)``: the jump uniform at ``c`` and the next
+sojourn at ``c + 1``.  The jump uniform is not computed when every state has
+one successor, as in every two-state chain.  Each iteration every live row
+draws, and the counter advances by 2 only for rows that jumped; rows with an
+event discard their draw.  So a stationary two-state run reads its sojourns
+at counters 1, 3, 5, ...
 """
 
 from __future__ import annotations
@@ -36,13 +64,21 @@ _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 _INV53 = float(2.0**-53)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: bijective avalanche mix of 64-bit words."""
-    z = (z ^ (z >> _SHIFT30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _SHIFT27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> _SHIFT31)
+    """splitmix64 finalizer: bijective avalanche mix of 64-bit words.
+
+    Mixes an array in place (a scalar by rebinding) and returns it.
+    """
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
 
 
 def counter_uniform(seed: int, stream, counter) -> np.ndarray:
@@ -54,9 +90,14 @@ def counter_uniform(seed: int, stream, counter) -> np.ndarray:
     s = np.asarray(stream, dtype=np.uint64)
     c = np.asarray(counter, dtype=np.uint64)
     sd = np.asarray(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    key = _mix64(sd * _GOLDEN ^ _mix64(s * _STREAM_SALT + _GOLDEN))
-    word = _mix64(key + c * _GOLDEN)
-    return ((word >> _SHIFT11).astype(np.float64)) * _INV53
+    key = _mix64(s * _STREAM_SALT + _GOLDEN)
+    key ^= sd * _GOLDEN
+    word = _mix64(c * _GOLDEN + _mix64(key))
+    word >>= _SHIFT11
+    # below 2**53, so the signed view converts exactly (and faster)
+    u = word.view(np.int64).astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def _is_integer(value) -> bool:
@@ -147,6 +188,9 @@ class SimStats:
 
 
 _MAX_EVENTS = 20_000_000
+_U_MAX = 1.0 - 2.0**-53  # the largest value counter_uniform returns
+_JUMP_DRAWS = np.array([[0], [1]], dtype=np.uint64)
+_TWO = np.uint64(2)
 
 
 def _jump_tables(model: FluidModel):
@@ -163,28 +207,92 @@ def _jump_tables(model: FluidModel):
     return exit_rates, cum
 
 
+def _jump_targets(u, cum_jump, states) -> np.ndarray:
+    # each row of cum_jump is nondecreasing and ends at >= 1 > u, so the
+    # first entry above u comes after every entry at or below it
+    target = np.zeros(np.shape(states), dtype=np.int64)
+    for column in cum_jump[:, :-1].T:
+        target += column[states] <= u
+    return target
+
+
+# Masked selects branch on every element.  Over 100 000 rows with a random
+# half-true mask, np.where took 670 us and a boolean-mask assignment 940 us.
+# The comparison that builds the mask took 38 us, and dividing by the mask
+# in place 165 us (numpy 2.4.6, Python 3.11, 2-vCPU x86 VM).  So the engine
+# masks its columns with arithmetic: a per-code denominator and pad (see
+# _masked), and a division by a boolean for the starvations that the end
+# event pre-empts.  np.where remains only where its mask is nearly all true
+# (committing jumps: 180 us at 95 % true) or rarely built (a buffer within
+# grace of its target).
+def _masked(den, ok):
+    """Denominator and pad of a masked quotient: ``num / den + pad`` is
+    ``num / den`` where ``ok`` (the pad -0.0 is an exact no-op) and inf
+    elsewhere, for finite ``num``."""
+    return np.where(ok, den, 1.0), np.where(ok, -0.0, np.inf)
+
+
+class _CodeTables:
+    """Per-code constants of the event loop (see the module docstring)."""
+
+    def __init__(self, model: FluidModel, capped: bool):
+        L, lam, mu = model.n_states, model.lam, model.mu
+        code = np.arange((4 if capped else 2) * L)
+        state, playing, cut = code % L, code // L % 2 == 1, code >= 2 * L
+        self.rate = lam[state] * ~cut
+        self.drift = self.rate - mu * playing
+        self.on = playing.astype(float)
+        self.cross_den, self.cross_pad = _masked(self.rate, ~playing & (self.rate > 0))
+        net = self.rate - mu
+        self.starve_den, self.starve_pad = _masked(-net, playing & (net < 0))
+        self.cap_den, self.cap_pad = _masked(self.rate, self.rate > 0)
+
+        # jump tables: stored codes 0 .. 2L - 1, and a jump keeps the
+        # playing bit
+        exit_rates, cum = _jump_tables(model)
+        state = state[:2 * L]
+        self.neg_exit = -exit_rates[state]
+        self.base = code[:2 * L] - state
+        first = _jump_targets(0.0, cum, np.arange(L))
+        if np.array_equal(first, _jump_targets(_U_MAX, cum, np.arange(L))):
+            # every state has one successor: the jump uniform is never read
+            self.next, self.cum = self.base + first[state], None
+        else:
+            self.next, self.cum = None, cum[state][:, :-1].T.copy()
+
+
 class _Batch:
     """Per-replication arrays of the replications still running.
 
     ``streams`` and ``counters`` address each replication's draws from
-    :func:`counter_uniform`; :meth:`keep` drops finished replications from
+    :func:`counter_uniform`; :meth:`drop` removes finished replications from
     every array at once.
     """
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
-    def draw(self, seed: int, idx, k: int = 1) -> np.ndarray:
-        """``k`` uniforms per selected replication, shape ``(k, len)``."""
-        counters = self.counters[idx]
-        u = counter_uniform(seed, self.streams[idx],
-                            counters + np.arange(k, dtype=np.uint64)[:, None])
-        self.counters[idx] = counters + np.uint64(k)
+    def draw(self, seed: int) -> np.ndarray:
+        """One uniform per replication, at its counter."""
+        u = counter_uniform(seed, self.streams, self.counters)
+        self.counters += np.uint64(1)
         return u
 
-    def keep(self, live) -> None:
+    def drop(self, stop) -> None:
+        """Remove the replications at the sorted positions ``stop``.
+
+        The last replications move into the freed positions and every array
+        shrinks to a view of its head, so the cost grows with the
+        replications removed, not with those that stay.
+        """
+        size = self.rows.size - stop.size
+        holes = stop[:np.searchsorted(stop, size)]
+        stays = np.ones(stop.size, dtype=bool)
+        stays[stop[holes.size:] - size] = False
+        movers = size + np.flatnonzero(stays)
         for name, a in list(vars(self).items()):
-            setattr(self, name, a.take(live))
+            a[holes] = a[movers]
+            setattr(self, name, a[:size])
 
 
 def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
@@ -192,45 +300,20 @@ def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndar
     if cfg.initial_state_mode == "stationary":
         cum_pi = np.cumsum(stationary_distribution(model))
         cum_pi[-1] = max(cum_pi[-1], 1.0)
-        u = batch.draw(cfg.seed, slice(None))[0]
-        return np.searchsorted(cum_pi, u, side="right").astype(np.int64)
+        return np.searchsorted(cum_pi, batch.draw(cfg.seed), side="right").astype(np.int64)
     state0 = int(cfg.initial_state_mode)
     if not (0 <= state0 < model.n_states):
         raise DomainError(f"initial state {state0} outside 0..{model.n_states - 1}")
     return np.full(n, state0, dtype=np.int64)
 
 
-def _sojourns(u, exit_rates, states) -> np.ndarray:
-    if exit_rates.size == 1:
-        return np.full(u.size, np.inf)  # a one-state chain never leaves
-    # an irreducible chain of two or more states leaves every state
-    return -np.log1p(-u) / exit_rates[states]
-
-
-def _jump_targets(u, cum_jump, states) -> np.ndarray:
-    # each row of cum_jump is nondecreasing and ends at >= 1 > u, so the
-    # first entry above u comes after every entry at or below it
-    target = np.zeros(states.size, dtype=np.int64)
-    for column in cum_jump[:, :-1].T:
-        target += column[states] <= u
-    return target
-
-
-# On the unsorted masks the engine produces, masked numpy selects (np.where,
-# boolean-mask assignment, ``where=``) ran 5-15x slower than plain arithmetic
-# (numpy 2.4, 2-vCPU x86 VM, 20 000 rows), so candidate columns are masked by
-# adding -0.0 (an exact no-op) or inf.
-_PAD = np.array([np.inf, -0.0])
-
-
-def _unless(ok) -> np.ndarray:
-    """-0.0 where ``ok``, inf elsewhere: adding it masks a finite column."""
-    return _PAD[ok.view(np.int8)]
-
-
-def _quotient(num, den, ok) -> np.ndarray:
-    """``num / den`` where ``ok``, else inf (``num`` and ``den`` finite)."""
-    return num / (den * ok + ~ok) + _unless(ok)
+def _sojourns(u, neg_exit_rates) -> np.ndarray:
+    """Exponential sojourns ``-log(1 - u) / rate``, computed in ``u``'s place
+    (``log1p(-u) / -rate`` equals ``-log1p(-u) / rate`` bit for bit)."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= neg_exit_rates
+    return u
 
 
 def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimConfig,
@@ -254,25 +337,27 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     """
     rep_hi = cfg.replications if rep_hi is None else rep_hi
     n = rep_hi - rep_lo
-    lam, mu = model.lam, model.mu
+    L, mu = model.n_states, model.mu
     session, drain = phase == "session", phase == "drain"
     capped = session and cfg.arrival_cap_mode == "capped_at_Z"
-    final = {"session": None, "fill": "cross", "drain": "starve"}[phase]
-    exit_rates, cum_jump = _jump_tables(model)
+    tab = _CodeTables(model, capped)
 
     b = _Batch(streams=np.arange(rep_lo, rep_hi, dtype=np.uint64),
                counters=np.zeros(n, dtype=np.uint64), rows=np.arange(n))
-    b.state = _initial_states(model, cfg, b)
-    b.tau = _sojourns(b.draw(cfg.seed, slice(None))[0], exit_rates, b.state)
+    b.code = _initial_states(model, cfg, b) + (L if drain else 0)
+    u = b.draw(cfg.seed)
+    # a one-state chain never leaves; an irreducible chain of two or more
+    # states leaves every state
+    b.tau = np.full(n, np.inf) if L == 1 else _sojourns(u, tab.neg_exit[b.code])
     b.buf = np.full(n, float(x) if drain else 0.0)
     b.clock = np.zeros(n)  # wall clock; the playback clock of a drain run
     if session:
-        b.playing = np.zeros(n, dtype=bool)
         b.target = np.full(n, float(min(x, limit)))
         b.played = np.zeros(n)
         b.play_time = np.zeros(n)
         if capped:
             b.arrived = np.zeros(n)
+    n_play = n if drain else 0  # live rows with code >= L
 
     startup = np.full(n, np.nan)
     first_starv = np.full(n, np.nan)
@@ -280,124 +365,153 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     end_state = np.full(n, -1, dtype=np.int64)
     play_time = np.zeros(n)
     times = [[] for _ in range(n)] if record_times else None
+    none = np.zeros(0, dtype=np.int64)
 
     # a session buffer within float noise of its target has reached it, and
     # one that runs empty at the very moment the file ends has not starved
     grace = 1e-9 * max(1.0, x)
     end_grace = 1e-9 * max(1.0, limit / mu)
-    for _ in range(_MAX_EVENTS):
-        m = b.rows.size
-        if m == 0:
-            break
-        if session:
-            playing = b.playing
-            any_play, all_play = bool(playing.any()), bool(playing.all())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_EVENTS):
+            m = b.rows.size
+            if m == 0:
+                break
+            code = b.code
+            if capped:
+                code = code + (2 * L) * (b.arrived >= limit)
+
+            # candidate event times, of which at most one of end, starvation
+            # and crossing can equal a row's dt (see the module docstring);
+            # columns no live row can use are left out
+            soonest = None
+            if n_play:
+                end = limit - b.played if session else limit - b.clock
+                if session:
+                    end /= mu
+                starve = b.buf / tab.starve_den[code]
+                starve += tab.starve_pad[code]
+                # dividing by False drops a starvation that the end event
+                # pre-empts: it becomes inf, or nan for 0/0, which np.fmin
+                # and == skip as they skip inf
+                starve /= starve < (end - end_grace if session else end)
+                soonest = np.fmin(end, starve)
+            if n_play < m:
+                # once sessions play, prefetching rows are few: solve their
+                # crossings at their positions only
+                filling = slice(None) if soonest is None else np.flatnonzero(b.code < L)
+                need = (b.target[filling] if session else x) - b.buf[filling]
+                fill_code = code[filling]
+                cross = need / tab.cross_den[fill_code]
+                cross += tab.cross_pad[fill_code]
+                if session:
+                    full = need <= grace
+                    if full.any():
+                        cross = np.where(full, 0.0, cross)
+                if soonest is None:
+                    soonest = cross
+                else:
+                    end[filling] = np.inf
+                    soonest[filling] = cross
+            event = soonest
+            if capped:
+                cap = (limit - b.arrived) / tab.cap_den[code] + tab.cap_pad[code]
+                soonest = np.fmin(event, cap)
+            jumped = b.tau < soonest  # ties go to the event
+            dt = np.fmin(b.tau, soonest)
+            if not dt.max() < np.inf:
+                raise NonConvergence(
+                    "simulation deadlocked: no finite next event (does any state "
+                    "deliver content?)"
+                )
+
+            b.clock += dt
+            b.tau -= dt
+            step = tab.drift[code]
+            step *= dt
+            b.buf += step
+            if session:
+                step = tab.on[code]
+                step *= dt  # dt while playing, else 0
+                b.play_time += step
+                step *= mu
+                b.played += step
+                if capped:
+                    b.arrived += tab.rate[code] * dt
+
+            ends = np.flatnonzero(end == dt) if n_play else none
+            starves = np.flatnonzero(starve == dt) if n_play else none
+            crosses = none
+            if n_play < m:
+                crosses = np.flatnonzero(cross == dt[filling])
+                if n_play:
+                    crosses = filling[crosses]
+            n_event = ends.size + starves.size + crosses.size
+            if crosses.size:
+                r = b.rows[crosses]
+                fresh = np.isnan(startup[r])
+                startup[r[fresh]] = b.clock[crosses[fresh]]
+                if session:
+                    b.buf[crosses] = b.target[crosses]
+                    b.code[crosses] += L
+                    n_play += crosses.size
+
+            if starves.size:
+                r = b.rows[starves]
+                nstarv[r] += 1
+                t_play = b.played[starves] / mu if session else b.clock[starves]
+                fresh = np.isnan(first_starv[r])
+                first_starv[r[fresh]] = t_play[fresh]
+                if record_times:
+                    for i, t in zip(r, t_play):
+                        times[i].append(float(t))
+                if session:
+                    b.buf[starves] = 0.0
+                    b.code[starves] -= L
+                    b.target[starves] = np.minimum(x, limit - b.played[starves])
+                    n_play -= starves.size
+
+            if capped:
+                # the cap loses ties; from here on the buffer is exactly the
+                # unplayed remainder, re-synced so the final drain ties with
+                # the end event
+                caps = np.flatnonzero((cap == dt) & (event != dt))
+                b.arrived[caps] = limit
+                b.buf[caps] = limit - b.played[caps]
+                n_event += caps.size
+
+            if session:
+                stop = ends
+            elif drain:
+                end_state[b.rows[starves]] = b.code[starves] - L
+                stop = np.sort(np.concatenate([ends, starves]))
+            else:
+                end_state[b.rows[crosses]] = b.code[crosses]
+                stop = crosses
+
+            # the rest reach the end of their sojourn: they jump and draw the
+            # next one; every row draws, and rows with an event discard theirs
+            if L > 1 and n_event < m:
+                if tab.cum is None:
+                    u_stay = counter_uniform(cfg.seed, b.streams, b.counters + np.uint64(1))
+                    new_code = tab.next[b.code]
+                else:
+                    u_next, u_stay = counter_uniform(cfg.seed, b.streams,
+                                                     b.counters + _JUMP_DRAWS)
+                    new_code = tab.base[b.code]
+                    for column in tab.cum:
+                        new_code += column[b.code] <= u_next
+                b.code = np.where(jumped, new_code, b.code)
+                b.tau = np.where(jumped, _sojourns(u_stay, tab.neg_exit[new_code]), b.tau)
+                b.counters += jumped * _TWO
+
+            if stop.size:
+                if session:
+                    play_time[b.rows[stop]] = b.play_time[stop]
+                b.drop(stop)
+                if session or drain:  # rows stop there only while playing
+                    n_play -= stop.size
         else:
-            playing, any_play, all_play = np.bool_(drain), drain, drain
-        rate = lam[b.state]
-        if capped:
-            rate = rate * (b.arrived < limit)
-
-        # candidate event times in priority order: ties go to the earlier
-        # column, so exhausting the file (or reaching the drain horizon)
-        # beats an exactly simultaneous starvation, and every event beats a
-        # jump; columns no live row can use are left out
-        cols = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if any_play:
-                end = (limit - b.played) / mu if session else limit - b.clock
-                if not all_play:
-                    end = end + _unless(playing)
-                cols.append(("end", end))
-            if not all_play:
-                need = (b.target if session else x) - b.buf
-                cross = _quotient(need, rate, ~playing & (rate > 0))
-                if session:
-                    cross[~playing & (need <= grace)] = 0.0
-                cols.append(("cross", cross))
-            if any_play:
-                net = rate - mu
-                starve = _quotient(b.buf, -net, playing & (net < 0))
-                if session:
-                    starve[playing & (starve >= end - end_grace)] = np.inf
-                cols.append(("starve", starve))
-            if capped:
-                cols.append(("cap", _quotient(limit - b.arrived, rate, rate > 0)))
-
-        dt = b.tau
-        for _, when in cols:
-            dt = np.minimum(dt, when)
-        if not np.all(np.isfinite(dt)):
-            raise NonConvergence(
-                "simulation deadlocked: no finite next event (does any state "
-                "deliver content?)"
-            )
-        # each replication takes the first column that attains its minimum
-        hit, earlier = {}, np.zeros(m, dtype=bool)
-        for event, when in cols:
-            hit[event] = (when == dt) & ~earlier
-            earlier |= hit[event]
-
-        b.clock += dt
-        b.tau -= dt
-        b.buf += (rate - mu * playing) * dt
-        if session:
-            b.played += mu * dt * playing
-            b.play_time += dt * playing
-            if capped:
-                b.arrived += rate * dt
-
-        stop = hit.get("end", False)
-        if "cross" in hit:
-            idx = np.flatnonzero(hit["cross"])
-            r = b.rows[idx]
-            fresh = np.isnan(startup[r])
-            startup[r[fresh]] = b.clock[idx[fresh]]
-            if session:
-                b.buf[idx] = b.target[idx]
-                b.playing[idx] = True
-
-        if "starve" in hit:
-            idx = np.flatnonzero(hit["starve"])
-            r = b.rows[idx]
-            nstarv[r] += 1
-            t_play = b.played[idx] / mu if session else b.clock[idx]
-            fresh = np.isnan(first_starv[r])
-            first_starv[r[fresh]] = t_play[fresh]
-            if record_times:
-                for i, t in zip(r, t_play):
-                    times[i].append(float(t))
-            if session:
-                b.buf[idx] = 0.0
-                b.playing[idx] = False
-                b.target[idx] = np.minimum(x, limit - b.played[idx])
-
-        if capped:
-            # from here on the buffer is exactly the unplayed remainder;
-            # re-sync it so the final drain ties with the end event
-            idx = np.flatnonzero(hit["cap"])
-            b.arrived[idx] = limit
-            b.buf[idx] = limit - b.played[idx]
-
-        if final is not None:
-            idx = np.flatnonzero(hit[final])
-            end_state[b.rows[idx]] = b.state[idx]
-            stop = stop | hit[final]
-
-        # the rest reach the end of their sojourn: jump, draw the next one
-        idx = np.flatnonzero(~earlier)
-        if idx.size:
-            u_next, u_stay = b.draw(cfg.seed, idx, 2)
-            state = _jump_targets(u_next, cum_jump, b.state[idx])
-            b.state[idx] = state
-            b.tau[idx] = _sojourns(u_stay, exit_rates, state)
-
-        if np.any(stop):
-            if session:
-                play_time[b.rows[stop]] = b.play_time[stop]
-            b.keep(np.flatnonzero(~stop))
-    else:
-        raise NonConvergence(f"{phase} simulation exceeded {_MAX_EVENTS} events")
+            raise NonConvergence(f"{phase} simulation exceeded {_MAX_EVENTS} events")
 
     return {
         "startup": startup,
@@ -409,12 +523,20 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     }
 
 
+def _require_content(model: FluidModel) -> None:
+    # no prefetch could ever complete: refuse instead of running to the
+    # event limit
+    if np.all(model.lam == 0):
+        raise DomainError("no state delivers content")
+
+
 def simulate_session(model: FluidModel, params: SessionParams, cfg: SimConfig,
                      replication: int = 0) -> SessionOutcome:
     """Simulate one session (the replication index selects the random stream).
 
     Bit-identical to the same replication inside a :func:`monte_carlo` batch.
     """
+    _require_content(model)
     out = _lockstep(model, "session", params.x, params.Z, cfg,
                     replication, replication + 1, record_times=True)
     return SessionOutcome(
@@ -439,6 +561,7 @@ def monte_carlo(model: FluidModel, params: SessionParams, cfg: SimConfig,
     Every replication owns a counter-addressed random stream, so each
     session is bit-identical to :func:`simulate_session` with its index.
     """
+    _require_content(model)
     n = cfg.replications
     out = _lockstep(model, "session", params.x, params.Z, cfg)
     startup, counts, first = out["startup"], out["count"], out["first_starvation"]
@@ -468,8 +591,7 @@ def prefetch_times(model: FluidModel, x: float, cfg: SimConfig):
     """
     if not (x > 0):
         raise DomainError(f"x must be > 0, got {x}")
-    if np.all(model.lam == 0):
-        raise DomainError("no state delivers content")
+    _require_content(model)
     out = _lockstep(model, "fill", x, np.inf, cfg)
     return out["startup"], out["end_state"]
 

@@ -119,6 +119,15 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("ConfigError:") and err.count("\n") == 1
 
+    def test_simulate_silent_source_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps({"Q": [[-1, 1], [2, -2]], "lambda": [0, 0],
+                                    "mu": 25, "x": 40, "Z": 500}))
+        code = main(["simulate", "--config", str(path), "--reps", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "DomainError: no state delivers content\n"
+
     def test_selftest_passes(self, capsys):
         assert main(["invert-selftest"]) == 0
         report = json.loads(capsys.readouterr().out)
