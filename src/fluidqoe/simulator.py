@@ -43,9 +43,14 @@ state, and every run then reads its first sojourn at the next counter.  A
 jump reads the pair ``(c, c + 1)``: the jump uniform at ``c`` and the next
 sojourn at ``c + 1``.  The jump uniform is not computed when every state has
 one successor, as in every two-state chain.  Each iteration every live row
-draws, and the counter advances by 2 only for rows that jumped; rows with an
-event discard their draw.  So a stationary two-state run reads its sojourns
-at counters 1, 3, 5, ...
+draws and takes the jump; the rows with an event then get their code,
+sojourn and counter back, so the counter advances by 2 only for rows that
+jumped.  So a stationary two-state run reads its sojourns at counters 1, 3,
+5, ...  The engine reads replication ``s``'s counter ``c`` as counter
+``f(s) + c`` of stream 0, with ``f`` computed once per run (see
+``_fold_streams``).  The hashed word is ``c * gamma + k(s)`` modulo 2**64
+for an odd ``gamma``, so this is the same address and the same value bit for
+bit, and a draw hashes one stream key per call instead of one per row.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ from .errors import DomainError, NonConvergence
 from .model import FluidModel, SessionParams, stationary_distribution
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INV = np.uint64(0xF1DE83E19937733D)  # _GOLDEN * _GOLDEN_INV == 1 mod 2**64
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_STREAM0 = np.zeros(1, dtype=np.uint64)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
@@ -81,23 +89,47 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _stream_key(seed: int, stream: np.ndarray) -> np.ndarray:
+    """The key ``k(s)`` that :func:`counter_uniform` adds to ``c * gamma``."""
+    key = _mix64(stream * _STREAM_SALT + _GOLDEN)
+    key ^= np.asarray(int(seed) & _MASK64, dtype=np.uint64) * _GOLDEN
+    return _mix64(key)
+
+
 def counter_uniform(seed: int, stream, counter) -> np.ndarray:
     """Uniform(0, 1) values addressed by ``(seed, stream, counter)``.
 
     ``stream`` and ``counter`` broadcast together; identical addresses give
-    identical values on every platform and in any execution order.
+    identical values on every platform and in any execution order.  The
+    value hashes the word ``c * gamma + k(s)``, with ``gamma`` the odd
+    golden-ratio constant and ``k(s)`` a splitmix64 key of the seed and the
+    stream, so an address depends on its stream only through that word.
+    Scalar addresses give a scalar.
     """
-    s = np.asarray(stream, dtype=np.uint64)
-    c = np.asarray(counter, dtype=np.uint64)
-    sd = np.asarray(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    key = _mix64(s * _STREAM_SALT + _GOLDEN)
-    key ^= sd * _GOLDEN
-    word = _mix64(c * _GOLDEN + _mix64(key))
+    # 0-d operands would take numpy's scalar arithmetic, which warns on the
+    # intended wrap modulo 2**64; 1-d operands broadcast to the same shape
+    s = np.atleast_1d(np.asarray(stream, dtype=np.uint64))
+    c = np.atleast_1d(np.asarray(counter, dtype=np.uint64))
+    word = _mix64(c * _GOLDEN + _stream_key(seed, s))
     word >>= _SHIFT11
     # below 2**53, so the signed view converts exactly (and faster)
     u = word.view(np.int64).astype(np.float64)
     u *= _INV53
-    return u
+    return u[0] if np.ndim(stream) == np.ndim(counter) == 0 else u
+
+
+def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
+    """Counters on stream 0 that address each stream's counter 0.
+
+    ``counter_uniform(seed, s, c)`` equals ``counter_uniform(seed, 0,
+    _fold_streams(seed, s) + c)`` bit for bit, for every ``c``: the hashed
+    word ``c * gamma + k(s)`` is ``(c + f) * gamma + k(0)`` modulo 2**64
+    with ``f = (k(s) - k(0)) * gamma**-1``, and ``gamma`` is odd, so
+    invertible modulo 2**64.
+    """
+    shift = _stream_key(seed, streams) - _stream_key(seed, _STREAM0)
+    shift *= _GOLDEN_INV
+    return shift
 
 
 def _is_integer(value) -> bool:
@@ -222,9 +254,9 @@ def _jump_targets(u, cum_jump, states) -> np.ndarray:
 # in place 165 us (numpy 2.4.6, Python 3.11, 2-vCPU x86 VM).  So the engine
 # masks its columns with arithmetic: a per-code denominator and pad (see
 # _masked), and a division by a boolean for the starvations that the end
-# event pre-empts.  np.where remains only where its mask is nearly all true
-# (committing jumps: 180 us at 95 % true) or rarely built (a buffer within
-# grace of its target).
+# event pre-empts.  Jumps are committed by writing every row and restoring the
+# rows with an event.  np.where remains only where its mask is rarely
+# built (a buffer within grace of its target).
 def _masked(den, ok):
     """Denominator and pad of a masked quotient: ``num / den + pad`` is
     ``num / den`` where ``ok`` (the pad -0.0 is an exact no-op) and inf
@@ -264,9 +296,11 @@ class _CodeTables:
 class _Batch:
     """Per-replication arrays of the replications still running.
 
-    ``streams`` and ``counters`` address each replication's draws from
-    :func:`counter_uniform`; :meth:`drop` removes finished replications from
-    every array at once.
+    ``counters`` address each replication's draws on stream 0 of
+    :func:`counter_uniform`: each replication's own stream is folded into
+    its counter once, at the start (see :func:`_fold_streams`), so a draw
+    hashes one key per call instead of one per replication.
+    :meth:`drop` removes finished replications from every array at once.
     """
 
     def __init__(self, **arrays):
@@ -274,7 +308,7 @@ class _Batch:
 
     def draw(self, seed: int) -> np.ndarray:
         """One uniform per replication, at its counter."""
-        u = counter_uniform(seed, self.streams, self.counters)
+        u = counter_uniform(seed, _STREAM0, self.counters)
         self.counters += np.uint64(1)
         return u
 
@@ -296,7 +330,7 @@ class _Batch:
 
 
 def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
-    n = batch.streams.size
+    n = batch.rows.size
     if cfg.initial_state_mode == "stationary":
         cum_pi = np.cumsum(stationary_distribution(model))
         cum_pi[-1] = max(cum_pi[-1], 1.0)
@@ -342,8 +376,8 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     capped = session and cfg.arrival_cap_mode == "capped_at_Z"
     tab = _CodeTables(model, capped)
 
-    b = _Batch(streams=np.arange(rep_lo, rep_hi, dtype=np.uint64),
-               counters=np.zeros(n, dtype=np.uint64), rows=np.arange(n))
+    streams = np.arange(rep_lo, rep_hi, dtype=np.uint64)
+    b = _Batch(counters=_fold_streams(cfg.seed, streams), rows=np.arange(n))
     b.code = _initial_states(model, cfg, b) + (L if drain else 0)
     u = b.draw(cfg.seed)
     # a one-state chain never leaves; an irreducible chain of two or more
@@ -416,16 +450,19 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
             if capped:
                 cap = (limit - b.arrived) / tab.cap_den[code] + tab.cap_pad[code]
                 soonest = np.fmin(event, cap)
-            jumped = b.tau < soonest  # ties go to the event
+            # ties go to the event; a row that jumps has dt = tau < every
+            # candidate, so events, and a deadlock, are sought at hit only
+            hit = np.flatnonzero(~(b.tau < soonest))
             dt = np.fmin(b.tau, soonest)
-            if not dt.max() < np.inf:
+            dt_hit = dt[hit]
+            if hit.size and not dt_hit.max() < np.inf:
                 raise NonConvergence(
                     "simulation deadlocked: no finite next event (does any state "
                     "deliver content?)"
                 )
 
             b.clock += dt
-            b.tau -= dt
+            b.tau[hit] -= dt_hit
             step = tab.drift[code]
             step *= dt
             b.buf += step
@@ -438,14 +475,14 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 if capped:
                     b.arrived += tab.rate[code] * dt
 
-            ends = np.flatnonzero(end == dt) if n_play else none
-            starves = np.flatnonzero(starve == dt) if n_play else none
+            ends = hit[end[hit] == dt_hit] if n_play else none
+            starves = hit[starve[hit] == dt_hit] if n_play else none
             crosses = none
             if n_play < m:
-                crosses = np.flatnonzero(cross == dt[filling])
-                if n_play:
-                    crosses = filling[crosses]
-            n_event = ends.size + starves.size + crosses.size
+                if n_play:  # few rows fill: compare at their positions
+                    crosses = filling[cross == dt[filling]]
+                else:
+                    crosses = hit[cross[hit] == dt_hit]
             if crosses.size:
                 r = b.rows[crosses]
                 fresh = np.isnan(startup[r])
@@ -474,10 +511,9 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 # the cap loses ties; from here on the buffer is exactly the
                 # unplayed remainder, re-synced so the final drain ties with
                 # the end event
-                caps = np.flatnonzero((cap == dt) & (event != dt))
+                caps = hit[(cap[hit] == dt_hit) & (event[hit] != dt_hit)]
                 b.arrived[caps] = limit
                 b.buf[caps] = limit - b.played[caps]
-                n_event += caps.size
 
             if session:
                 stop = ends
@@ -489,20 +525,24 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 stop = crosses
 
             # the rest reach the end of their sojourn: they jump and draw the
-            # next one; every row draws, and rows with an event discard theirs
-            if L > 1 and n_event < m:
+            # next one; every row draws and takes the jump, and the rows with
+            # an event then get their own code, sojourn and counter back
+            if L > 1 and hit.size < m:
                 if tab.cum is None:
-                    u_stay = counter_uniform(cfg.seed, b.streams, b.counters + np.uint64(1))
+                    u_stay = counter_uniform(cfg.seed, _STREAM0, b.counters + np.uint64(1))
                     new_code = tab.next[b.code]
                 else:
-                    u_next, u_stay = counter_uniform(cfg.seed, b.streams,
+                    u_next, u_stay = counter_uniform(cfg.seed, _STREAM0,
                                                      b.counters + _JUMP_DRAWS)
                     new_code = tab.base[b.code]
                     for column in tab.cum:
                         new_code += column[b.code] <= u_next
-                b.code = np.where(jumped, new_code, b.code)
-                b.tau = np.where(jumped, _sojourns(u_stay, tab.neg_exit[new_code]), b.tau)
-                b.counters += jumped * _TWO
+                tau = _sojourns(u_stay, tab.neg_exit[new_code])
+                new_code[hit] = b.code[hit]
+                tau[hit] = b.tau[hit]
+                b.code, b.tau = new_code, tau
+                b.counters += _TWO
+                b.counters[hit] -= _TWO
 
             if stop.size:
                 if session:

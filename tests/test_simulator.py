@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fluidqoe import (
     stationary_distribution,
     validate_model,
 )
-from fluidqoe.simulator import _lockstep
+from fluidqoe.simulator import _GOLDEN, _GOLDEN_INV, _fold_streams, _lockstep
 
 
 # Reference engine: the lockstep loop with per-column masks and jumps drawn
@@ -320,6 +322,75 @@ class TestCounterRng:
         u = counter_uniform(seed, np.array([stream], dtype=np.uint64),
                             np.array([counter], dtype=np.uint64))
         assert u.tolist() == [value]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, -1, 2**64 - 1, np.uint32(4),
+                                      np.int64(-1)])
+    def test_scalar_addresses_match_array_form(self, seed):
+        # 0-d addresses must not take numpy's scalar arithmetic, which warns
+        # on the mod-2**64 wrap; a scalar address still gives a scalar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stream, counter in ((0, 0), (7, 3), (2**40, 2**64 - 1)):
+                got = counter_uniform(seed, stream, counter)
+                want = counter_uniform(int(seed), np.array([stream], dtype=np.uint64),
+                                       np.array([counter], dtype=np.uint64))
+                assert type(got) is np.float64 and np.shape(got) == ()
+                assert got == want[0]
+            mixed = counter_uniform(seed, 5, np.arange(4))
+            assert mixed.shape == (4,)
+            np.testing.assert_array_equal(
+                mixed, counter_uniform(int(seed), np.full(4, 5, dtype=np.uint64),
+                                       np.arange(4, dtype=np.uint64)))
+
+    def test_numpy_integer_seed_matches_python_int(self, reference_model,
+                                                   reference_session):
+        a = monte_carlo(reference_model, reference_session,
+                        SimConfig(replications=50, seed=np.int64(7)))
+        b = monte_carlo(reference_model, reference_session,
+                        SimConfig(replications=50, seed=7))
+        assert a.starvation_count == b.starvation_count
+        np.testing.assert_array_equal(a.count_histogram, b.count_histogram)
+
+    def test_golden_inverse(self):
+        assert int(_GOLDEN) * int(_GOLDEN_INV) % 2**64 == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**63 + 5, -1])
+    def test_folded_stream_is_the_same_address(self, seed):
+        # counter c of stream s is counter fold(s) + c of stream 0, bit for
+        # bit, also where fold(s) + c wraps past 2**64 - 1
+        rng = np.random.default_rng(seed % 2**32)
+        streams = np.concatenate([np.arange(5), rng.integers(5, 10**6, 40),
+                                  [10**6]]).astype(np.uint64)
+        stream0 = np.zeros(1, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fold = _fold_streams(seed, streams)
+            assert fold[0] == 0
+            top = np.iinfo(np.uint64).max
+            counters = np.stack([
+                np.zeros_like(fold), np.full_like(fold, 12345), np.full_like(fold, top),
+                top - fold, top - fold + np.uint64(1), top - fold + np.uint64(3),
+            ])
+            want = counter_uniform(seed, streams, counters)
+            got = counter_uniform(seed, stream0, fold + counters)
+        np.testing.assert_array_equal(got, want)
+        # the rows above 2**64 - 1 - fold really wrap
+        assert np.all((fold + counters[4:])[:, 1:] < fold[1:])
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_engine_raises_no_warning_in_any_phase(self, L):
+        model = {1: validate_model([[0.0]], [20.0], 25.0),
+                 2: validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0),
+                 3: validate_model([[-3, 2, 1], [1, -2, 1], [2, 2, -4]],
+                                   [5.0, 20.0, 40.0], 25.0)}[L]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phase, limit in (("session", 300.0), ("fill", np.inf), ("drain", 6.0)):
+                for initial in ("stationary", L - 1):
+                    for cap in ("unbounded", "capped_at_Z"):
+                        cfg = SimConfig(replications=60, seed=2**63 + 5, arrival_cap_mode=cap,
+                                        initial_state_mode=initial)
+                        _assert_matches_reference(model, phase, 20.0, limit, cfg)
 
     def test_fill_reads_sojourns_at_odd_counters(self):
         # a stationary two-state run reads its initial state at counter 0
