@@ -32,7 +32,6 @@ from .errors import (
     TailTooLarge,
     Unstable,
     ValidationError,
-    ZeroArrivalState,
 )
 from .events import (
     PathGrid,

@@ -8,6 +8,10 @@ covers the matrix, or degree 13 after scaling the matrix by ``2^-s`` into
 backward error below the unit round-off of double precision.  The number of
 matrix products is bounded by the degree and ``s``, not by the norm, unlike
 a truncated power or uniformization series.
+
+A stack of matrices is exponentiated in one pass at degree 13, each matrix
+scaled by its own power of two.  Stacks of 2x2 matrices have a closed form,
+:func:`expm2`, which is several times cheaper.
 """
 
 from __future__ import annotations
@@ -28,13 +32,34 @@ _PADE = {m: [float(math.factorial(2 * m - k) // (math.factorial(k) * math.factor
 
 
 def expm(A) -> np.ndarray:
-    """``exp(A)`` of a real square matrix."""
-    A = np.asarray(A, dtype=float)
-    ident = np.eye(A.shape[0])
-    norm = float(np.abs(A).sum(axis=0).max())
-    m = next(m for m in _THETA if norm <= _THETA[m] or m == 13)
-    s = max(0, math.ceil(math.log2(norm / _THETA[13]))) if m == 13 else 0
-    A = A / 2.0**s
+    """``exp(A)`` of a real or complex square matrix, or of each matrix of a
+    ``(K, n, n)`` stack."""
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A.dtype, float))
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    if A.ndim == 2:
+        m = next(m for m in _THETA if norm <= _THETA[m] or m == 13)
+        s = max(0, math.ceil(math.log2(norm / _THETA[13]))) if m == 13 else 0
+        R = _pade(A / 2.0**s, m)
+        for _ in range(s):
+            R = R @ R
+        return R
+    # a stack takes degree 13 throughout, each matrix scaled on its own; the
+    # most squarings first, so that each squaring step runs on a leading slice
+    s = np.ceil(np.log2(np.maximum(norm, _THETA[13]) / _THETA[13])).astype(int)
+    order = np.argsort(-s)
+    s = s[order]
+    R = _pade(A[order] / (2.0**s)[:, None, None], 13)
+    for live in (s[:, None] > np.arange(s[0])).sum(axis=0).tolist():
+        R[:live] = R[:live] @ R[:live]
+    out = np.empty_like(R)
+    out[order] = R
+    return out
+
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """Degree-``m`` Pade approximant of ``exp`` on a matrix or a stack."""
+    ident = np.eye(A.shape[-1])
     b = _PADE[m]
     A2 = A @ A
     if m == 13:
@@ -52,7 +77,26 @@ def expm(A) -> np.ndarray:
             even = even + b[k] * power
     U = A @ odd
     # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the identity part is exact
-    R = ident + 2.0 * np.linalg.solve(even - U, U)
-    for _ in range(s):
-        R = R @ R
-    return R
+    return ident + 2.0 * np.linalg.solve(even - U, U)
+
+
+def expm2(A) -> np.ndarray:
+    """``exp(A)`` of each matrix of a ``(K, 2, 2)`` stack, in closed form.
+
+    With ``m`` the half trace, ``A - m I`` squares to ``d^2 I``, so
+    ``exp(A) = e^m (cosh(d) I + sinh(d)/d (A - m I))``.  Both coefficients
+    are even in ``d``; they are formed from ``e^(m + d)`` with ``Re d >= 0``
+    and ``expm1(-2d)``, which neither overflows nor cancels, and stay
+    accurate where the two eigenvalues ``m -+ d`` coincide.
+    """
+    A = np.asarray(A, dtype=complex)
+    a, b, c, e = A.reshape(-1, 4).T
+    m = (a + e) / 2
+    h = (a - e) / 2
+    d = np.sqrt(h * h + b * c)
+    top = np.exp(m + d)
+    gap = np.expm1(-2.0 * d)
+    cosh = top * (1.0 + gap / 2)
+    sinhc = top * np.divide(-gap, 2.0 * d, out=np.ones_like(d), where=d != 0.0)
+    return np.stack([cosh + sinhc * h, sinhc * b, sinhc * c, cosh - sinhc * h],
+                    axis=-1).reshape(A.shape)

@@ -48,10 +48,6 @@ class ConfigError(ValidationError):
     """Malformed configuration file (unknown key, wrong type, missing field)."""
 
 
-class ZeroArrivalState(ValidationError):
-    """An operation requiring strictly positive arrival rates saw a zero-rate state."""
-
-
 class InfeasiblePlayout(ValidationError):
     """No state can ever deliver content (all arrival rates zero)."""
 

@@ -122,7 +122,7 @@ def first_starvation_density(model: FluidModel, params: SessionParams, t: float,
     if mu * t < x or mu * t >= Z or t < earliest_starvation_time(model, x):
         return 0.0
     rho0, _ = _playback_start(model, x)
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
 
     def contracted(omegas):
         return np.einsum("i,kij->k", rho0, np.asarray(ev(omegas)))
@@ -150,7 +150,7 @@ def terminal_probability(model: FluidModel, params: SessionParams, t: float,
     if mu * t >= Z - x:
         return np.ones(L)
     _, fill = _playback_start(model, x)
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
     survive = _refetch_survival(model, x, fill, ev, inv)
     return survive(Z / mu - t)
 
@@ -180,7 +180,7 @@ def continuation_kernel(model: FluidModel, params: SessionParams, delta_t: float
     if delta_t < earliest_starvation_time(model, x):
         return np.zeros(L)
     _, fill = _playback_start(model, x)
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
 
     def refetch_density(omegas):
         return np.einsum("jn,knm->kj", fill, np.asarray(ev(omegas)))
@@ -257,7 +257,7 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     t = np.arange(n_t) * step
 
     rho0, fill = _playback_start(model, x)
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
     L = model.n_states
 
     def stacked_density(omegas):

@@ -173,15 +173,7 @@ def mean_drift(model: FluidModel) -> DriftReport:
     return DriftReport(pi=pi, drift=drift, stable=drift < 0)
 
 
-def effective_rates(model: FluidModel, mode: str = "playback") -> np.ndarray:
-    """Per-state net buffer rates.
-
-    ``playback`` mode returns ``lam_i - mu`` (arrivals minus playout);
-    ``prefetch`` mode returns ``-lam_i``, the drain rates of the dual process
-    used for start-up delay analysis.
-    """
-    if mode == "playback":
-        return model.lam - model.mu
-    if mode == "prefetch":
-        return -model.lam
-    raise ValueError(f"mode must be 'playback' or 'prefetch', got {mode!r}")
+def effective_rates(model: FluidModel) -> np.ndarray:
+    """Per-state net buffer rates while playing: ``lam_i - mu`` (arrivals
+    minus playout)."""
+    return model.lam - model.mu

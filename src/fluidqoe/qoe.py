@@ -158,7 +158,7 @@ def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
         starv = pmf.expected_count
     delay = 0.0
     if weights.c2 != 0.0:
-        delay = expected_startup_delay(model, params.x, method=method)
+        delay = expected_startup_delay(model, params.x)
     total = weights.c1 * starv + weights.c2 * delay + weights.c3 * quality_term
     return CostBreakdown(expected_starvations=starv, expected_startup=delay,
                          quality_term=quality_term, total=total)

@@ -1,13 +1,13 @@
-"""Characteristic analysis of the fluid buffer over stacks of complex frequencies.
+"""Characteristic analysis of the playing buffer over stacks of complex frequencies.
 
-At frequency ``w`` the buffer transforms are built from the pencil
+At frequency ``w`` the starvation transform (first passage of the buffer to
+empty while it plays) is built from the pencil
 
-    (Q + s R - w I) phi = 0,     R = diag(effective rates)
+    (Q + s R - w I) phi = 0,     R = diag(lam - mu)
 
 whose finite eigenvalues ``s_k(w)`` and eigenvectors ``phi^k(w)`` drive the
-exponential solution modes ``exp(s_k x) phi^k``.  ``playback`` mode uses
-``R = diag(lam - mu)`` (first passage of the draining buffer), ``prefetch``
-mode ``R = diag(-lam)`` (fill-to-threshold recast as depletion).
+exponential solution modes ``exp(s_k x) phi^k``.  The start-up delay, where
+the buffer only fills, needs no pencil: see :mod:`fluidqoe.startup`.
 
 Every function here takes one frequency or a 1-D stack of ``K`` of them, and
 a stack is solved in one pass of batched linear algebra:
@@ -27,7 +27,7 @@ of a call, names the first frequency at fault.
 For two-state models a closed-form path (:func:`two_state_transform`)
 evaluates the same quantities from the explicit quadratic; the generic
 pencil path serves every state count and cross-checks it.  :func:`evaluator`
-picks between them for the starvation and start-up analyses.
+picks between them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
     DomainError,
     IllConditionedWarning,
     NonConvergence,
-    ZeroArrivalState,
 )
 from .model import FluidModel, effective_rates
 
@@ -89,7 +88,6 @@ class SpectralSolution:
     """
 
     omega: complex | np.ndarray
-    mode: str
     rates: np.ndarray
     roots: np.ndarray
     eigvecs: np.ndarray
@@ -129,7 +127,7 @@ class BoundaryCoefficients:
     ill_conditioned: bool | np.ndarray
 
 
-def characteristic_roots(model: FluidModel, omega, mode: str = "playback") -> SpectralSolution:
+def characteristic_roots(model: FluidModel, omega) -> SpectralSolution:
     """All finite roots ``s_k`` of ``det(Q + s R - w I) = 0`` with eigenvectors.
 
     ``omega`` is a scalar or a 1-D stack of frequencies; a stack is solved by
@@ -142,7 +140,7 @@ def characteristic_roots(model: FluidModel, omega, mode: str = "playback") -> Sp
     ``|Re s| <= 1e-12`` trigger one :class:`BoundaryRootWarning` per call.
     """
     om, scalar = _frequency_stack(omega)
-    rates = effective_rates(model, mode)
+    rates = effective_rates(model)
     L = model.n_states
     K = om.shape[0]
     M = model.Q - om[:, None, None] * np.eye(L)
@@ -150,7 +148,7 @@ def characteristic_roots(model: FluidModel, omega, mode: str = "playback") -> Sp
     nz = np.flatnonzero(rates != 0.0)
     zero = np.flatnonzero(rates == 0.0)
     if nz.size == 0:
-        return _solution(om, mode, rates, np.zeros((K, 0), dtype=complex),
+        return _solution(om, rates, np.zeros((K, 0), dtype=complex),
                          np.zeros((K, L, 0), dtype=complex), scalar)
 
     reduced = M[:, nz[:, None], nz]
@@ -218,14 +216,14 @@ def characteristic_roots(model: FluidModel, omega, mode: str = "playback") -> Sp
             BoundaryRootWarning,
             stacklevel=2,
         )
-    return _solution(om, mode, rates, s_vals, full, scalar)
+    return _solution(om, rates, s_vals, full, scalar)
 
 
-def _solution(om, mode, rates, roots, eigvecs, scalar) -> SpectralSolution:
+def _solution(om, rates, roots, eigvecs, scalar) -> SpectralSolution:
     if scalar:
-        return SpectralSolution(omega=complex(om[0]), mode=mode, rates=rates,
+        return SpectralSolution(omega=complex(om[0]), rates=rates,
                                 roots=roots[0], eigvecs=eigvecs[0])
-    return SpectralSolution(omega=om, mode=mode, rates=rates, roots=roots, eigvecs=eigvecs)
+    return SpectralSolution(omega=om, rates=rates, roots=roots, eigvecs=eigvecs)
 
 
 def _check_defective(s_vals: np.ndarray, vecs: np.ndarray, om: np.ndarray) -> None:
@@ -251,49 +249,33 @@ def _check_defective(s_vals: np.ndarray, vecs: np.ndarray, om: np.ndarray) -> No
         )
 
 
-def boundary_coefficients(sol: SpectralSolution, model: FluidModel,
-                          mode: str | None = None) -> BoundaryCoefficients:
+def boundary_coefficients(sol: SpectralSolution, model: FluidModel) -> BoundaryCoefficients:
     """Coefficients ``a[k, j]`` matching boundary conditions at level zero.
 
-    ``playback``: conditions ``sum_k a_kj phi_i^k = delta_ij`` are imposed on
-    the strictly draining states ``i`` and only negative-real-part roots
-    enter; target columns outside the draining set come out identically zero.
-    ``prefetch``: all states and all roots (requires every arrival rate
-    positive, which makes every root negative).
+    The conditions ``sum_k a_kj phi_i^k = delta_ij`` are imposed on the
+    strictly draining states ``i`` and only negative-real-part roots enter;
+    target columns outside the draining set come out identically zero.
 
     ``sol`` holds one frequency or a stack; a stack's systems are solved in
     one batched call.  A condition number above 1e12 flags the result (and
     warns once per call) but the coefficients are still returned.
     """
-    mode = mode or sol.mode
     scalar = sol.roots.ndim == 1
     if scalar:
         sol = replace(sol, omega=np.array([sol.omega], dtype=complex),
                       roots=sol.roots[None], eigvecs=sol.eigvecs[None])
     L = model.n_states
     K = sol.roots.shape[0]
-    if mode == "playback":
-        rows = np.flatnonzero(sol.rates < 0.0)
-        applicable = sol.negative_count
-    elif mode == "prefetch":
-        if np.any(model.lam <= 0.0):
-            raise ZeroArrivalState(
-                "prefetch boundary system requires every arrival rate > 0"
-            )
-        rows = np.arange(L)
-        applicable = np.full(K, sol.n_roots)
-    else:
-        raise ValueError(f"mode must be 'playback' or 'prefetch', got {mode!r}")
-
-    # the applicable roots are the leading ones of each sorted row
+    rows = np.flatnonzero(sol.rates < 0.0)
+    # the negative roots are the leading ones of each sorted row
     d = rows.size
     sel = np.arange(d)
-    uneven = applicable != d
+    uneven = sol.negative_count != d
     if uneven.any():
         k, bad, _ = _first(sol.omega, uneven)
         raise NonConvergence(
             f"boundary system is not square at omega={bad}: "
-            f"{applicable[k]} applicable roots vs {d} conditions"
+            f"{sol.negative_count[k]} negative roots vs {d} conditions"
         )
     if d == 0:
         return _coefficients(np.zeros((K, 0, L), dtype=complex), sel, rows,
@@ -330,20 +312,19 @@ def _coefficients(a, sel, rows, condition, ill, scalar) -> BoundaryCoefficients:
                                 condition=condition, ill_conditioned=ill)
 
 
-def transform_matrix(model: FluidModel, x: float, omega, mode: str = "playback") -> np.ndarray:
-    """Generic-path transform matrix at one frequency or a stack of them.
+def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
+    """Generic-path starvation transform matrix at one frequency or a stack.
 
-    Entry ``[i, j]`` is ``sum_k a_kj exp(s_k x) phi_i^k`` over the applicable
-    root set: the playback first-passage transform, or the prefetch-duality
-    transform, depending on ``mode``.  ``omega`` may be a scalar (result
-    ``(L, L)``) or an array of shape ``(K,)`` (result ``(K, L, L)``); the whole
-    stack costs one batched pencil solve.
+    Entry ``[i, j]`` is ``sum_k a_kj exp(s_k x) phi_i^k`` over the negative
+    roots, the first-passage transform of the playing buffer.  ``omega`` may
+    be a scalar (result ``(L, L)``) or an array of shape ``(K,)`` (result
+    ``(K, L, L)``); the whole stack costs one batched pencil solve.
     """
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
-    sol = characteristic_roots(model, om, mode)
-    coeffs = boundary_coefficients(sol, model, mode)
+    sol = characteristic_roots(model, om)
+    coeffs = boundary_coefficients(sol, model)
     sel = coeffs.root_indices
     if sel.size == 0:
         H = np.zeros((om.shape[0], model.n_states, model.n_states), dtype=complex)
@@ -353,35 +334,21 @@ def transform_matrix(model: FluidModel, x: float, omega, mode: str = "playback")
     return H[0] if scalar else H
 
 
-_KINDS = {"playback": "starvation", "prefetch": "startup"}
+def evaluator(model: FluidModel, x: float, method: str = "auto"):
+    """Frequency-stack evaluator of the starvation transform ``H~(x, w)``.
 
-
-def evaluator(model: FluidModel, x: float, mode: str = "playback", method: str = "auto"):
-    """Frequency-stack evaluator of the starvation or start-up transform.
-
-    ``mode='playback'`` gives the starvation transform ``H~(x, w)``,
-    ``mode='prefetch'`` the start-up transform ``U~(x, w)``; the latter
-    requires every arrival rate positive, since a source that can stall at
-    rate zero breaks the duality's boundary system.  Two-state models use the
-    closed form unless ``method='generic'`` forces the pencil path.  The
-    returned callable maps a ``(K,)`` frequency array to ``(K, L, L)``, and
-    a scalar frequency to ``(L, L)``.
+    Two-state models use the closed form unless ``method='generic'`` forces
+    the pencil path.  The returned callable maps a ``(K,)`` frequency array
+    to ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
-    if mode == "prefetch" and np.any(model.lam <= 0.0):
-        raise ZeroArrivalState(
-            "start-up analysis requires every arrival rate > 0; "
-            f"lambda = {model.lam.tolist()}"
-        )
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if method not in ("auto", "closed", "generic"):
         raise ValueError(f"method must be auto/closed/generic, got {method!r}")
-    if mode not in _KINDS:
-        raise ValueError(f"mode must be 'playback' or 'prefetch', got {mode!r}")
     if method == "closed" or (method == "auto" and model.n_states == 2):
         p = TwoStateParams.from_model(model)
-        return lambda omegas: two_state_transform(p, x, omegas, kind=_KINDS[mode])
-    return lambda omegas: transform_matrix(model, x, omegas, mode)
+        return lambda omegas: two_state_transform(p, x, omegas)
+    return lambda omegas: transform_matrix(model, x, omegas)
 
 
 # --- closed-form two-state path ---------------------------------------------
@@ -440,53 +407,23 @@ def _stable_quadratic(a, b, c):
     return r1, r2
 
 
-def two_state_transform(p: TwoStateParams, x: float, omega, kind: str = "starvation") -> np.ndarray:
-    """Closed-form 2x2 transform matrix; vectorized over frequencies.
+def two_state_transform(p: TwoStateParams, x: float, omega) -> np.ndarray:
+    """Closed-form 2x2 starvation transform matrix; vectorized over frequencies.
 
-    ``kind='starvation'`` evaluates the playback first-passage transform,
-    ``kind='startup'`` the prefetch-duality transform (both arrival rates
-    must then be positive).  ``omega`` may be a scalar or an array of shape
-    ``(K,)``; the result has shape ``(2, 2)`` or ``(K, 2, 2)`` and matches
-    the generic pencil path to near machine precision.
+    ``omega`` may be a scalar or an array of shape ``(K,)``; the result has
+    shape ``(2, 2)`` or ``(K, 2, 2)`` and matches the generic pencil path to
+    near machine precision.
     """
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
-
-    al, be, mu = p.alpha, p.beta, p.mu
-    if kind == "starvation":
-        r1, r2 = p.lambda1 - mu, p.lambda2 - mu
-        H = _two_state_starvation(al, be, r1, r2, x, om)
-    elif kind == "startup":
-        if p.lambda1 <= 0 or p.lambda2 <= 0:
-            raise ZeroArrivalState(
-                "start-up transform requires both arrival rates > 0"
-            )
-        H = _two_state_startup(al, be, p.lambda1, p.lambda2, x, om)
-    else:
-        raise ValueError(f"kind must be 'starvation' or 'startup', got {kind!r}")
+    H = _two_state_starvation(p.alpha, p.beta, p.lambda1 - p.mu, p.lambda2 - p.mu, x, om)
     return H[0] if scalar else H
 
 
 def _phi(beta, omega, rate, s):
     """Eigenvector second component for first-component normalization 1."""
     return (beta + omega - rate * s) / beta
-
-
-def _two_root_matrix(g_a, g_b, s_a, s_b, x):
-    """2x2 transform from two roots ``s_a``, ``s_b`` with eigenvectors
-    ``(1, g_a)`` and ``(1, g_b)``, both entering the boundary system."""
-    gap = g_b - g_a
-    ea = np.exp(s_a * x)
-    eb = np.exp(s_b * x)
-    H = np.empty((gap.shape[0], 2, 2), dtype=complex)
-    # column 0: coefficients sum to 1 and annihilate the second component
-    H[:, 0, 0] = (ea * g_b - eb * g_a) / gap
-    H[:, 1, 0] = g_a * g_b * (ea - eb) / gap
-    # column 1: coefficients sum to 0 and give 1 on the second component
-    H[:, 0, 1] = (eb - ea) / gap
-    H[:, 1, 1] = (eb * g_b - ea * g_a) / gap
-    return H
 
 
 def _two_state_starvation(al, be, r1, r2, x, om):
@@ -513,16 +450,17 @@ def _two_state_starvation(al, be, r1, r2, x, om):
         H[:, :, j] = phi * weight[:, None]
         return H
 
-    # both states drain: two negative roots, full 2x2 boundary system
-    return _two_root_matrix(_phi(be, om, r1, s_a), _phi(be, om, r1, s_b), s_a, s_b, x)
-
-
-def _two_state_startup(al, be, lam1, lam2, x, om):
-    a_coef = lam1 * lam2
-    b_coef = -(lam1 * (om + al) + lam2 * (om + be))
-    c_coef = om * (om + al + be)
-    s_a, s_b = _stable_quadratic(a_coef, b_coef, c_coef)
-
-    g_a = (be + om + lam1 * s_a) / be
-    g_b = (be + om + lam1 * s_b) / be
-    return _two_root_matrix(g_a, g_b, s_a, s_b, x)
+    # both states drain: two negative roots with eigenvectors (1, g_a) and
+    # (1, g_b), both entering the full 2x2 boundary system
+    g_a, g_b = _phi(be, om, r1, s_a), _phi(be, om, r1, s_b)
+    gap = g_b - g_a
+    ea = np.exp(s_a * x)
+    eb = np.exp(s_b * x)
+    H = np.empty((K, 2, 2), dtype=complex)
+    # column 0: coefficients sum to 1 and annihilate the second component
+    H[:, 0, 0] = (ea * g_b - eb * g_a) / gap
+    H[:, 1, 0] = g_a * g_b * (ea - eb) / gap
+    # column 1: coefficients sum to 0 and give 1 on the second component
+    H[:, 0, 1] = (eb - ea) / gap
+    H[:, 1, 1] = (eb * g_b - ea * g_a) / gap
+    return H

@@ -29,7 +29,7 @@ from .startup import prefetch_end_distribution
 
 def starvation_transform(model: FluidModel, x: float, omega, method: str = "auto") -> np.ndarray:
     """Starvation transform matrix ``H~[i, j](x, w)`` at one frequency."""
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
     return ev(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
 
 
@@ -70,7 +70,7 @@ def starvation_cdf(model: FluidModel, x: float, t,
     """
     times = time_array(t)
     support = earliest_starvation_time(model, x) if x > 0 else 0.0
-    return invert_cdf_with_atoms(evaluator(model, x, "playback", method),
+    return invert_cdf_with_atoms(evaluator(model, x, method),
                                  starvation_atoms(model, x), times, support, params)
 
 
@@ -131,7 +131,7 @@ def mean_playback_time(model: FluidModel, x: float,
         raise Unstable(
             f"mean drift {report.drift:g} >= 0: restricted mean may diverge"
         )
-    ev = evaluator(model, x, "playback", method)
+    ev = evaluator(model, x, method)
     scale = float(np.max(np.abs(np.diag(model.Q))))
     D, check = derivative_at_zero(ev, scale)
     warn_if_inconsistent(D, check, "mean playback time")

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluidqoe import (
     SessionParams,
@@ -19,6 +20,7 @@ from fluidqoe import (
     starvation_count_pmf,
     starvation_probability,
     startup_delay_cdf,
+    startup_transform,
     stationary_distribution,
     transform_matrix,
     two_state_transform,
@@ -47,7 +49,9 @@ def test_criterion_1_inversion_accuracy():
 
 
 def test_criterion_2_closed_form_generic_equivalence():
-    """Two-state closed form vs pencil path to 1e-10 on real/imaginary rays."""
+    """Two-state closed forms vs generic paths to 1e-10 on real/imaginary rays:
+    the starvation transform vs the rate pencil, the start-up transform vs
+    scipy's matrix exponential of the level generator."""
     start = time.perf_counter()
     cases = [
         TwoStateParams(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
@@ -61,15 +65,15 @@ def test_criterion_2_closed_form_generic_equivalence():
     for p in cases:
         m = p.to_model()
         for x in (0.0, 7.0):
-            closed = two_state_transform(p, x, omegas, "starvation")
+            closed = two_state_transform(p, x, omegas)
             for i, om in enumerate(omegas):
-                gap = np.max(np.abs(closed[i] - transform_matrix(m, x, om, "playback")))
+                gap = np.max(np.abs(closed[i] - transform_matrix(m, x, om)))
                 worst = max(worst, gap)
         if p.lambda1 > 0 and p.lambda2 > 0:
-            closed = two_state_transform(p, 7.0, omegas, "startup")
+            closed = startup_transform(m, 7.0, omegas)
             for i, om in enumerate(omegas):
-                gap = np.max(np.abs(closed[i] - transform_matrix(m, 7.0, om, "prefetch")))
-                worst = max(worst, gap)
+                generic = scipy.linalg.expm(7.0 * (m.Q - om * np.eye(2)) / m.lam[:, None])
+                worst = max(worst, np.max(np.abs(closed[i] - generic)))
     elapsed = time.perf_counter() - start
     report(2, worst < 1e-10 and elapsed < 5.0, elapsed, f"worst_gap={worst:.2e}")
 
@@ -89,7 +93,7 @@ def test_criterion_3_root_sign_placement():
                            lambda1=lam[0], lambda2=lam[1], mu=mu)
         m = p.to_model()
         om = rng.uniform(1e-3, 10.0)
-        sol = characteristic_roots(m, om, "playback")
+        sol = characteristic_roots(m, om)
         rates = m.lam - m.mu
         ok &= sol.n_roots == int(np.sum(rates != 0))
         ok &= sol.negative_set.size == int(np.sum(rates < 0))

@@ -81,7 +81,7 @@ class TestInvert:
     def test_batch_matches_scalar_calls(self, reference_model):
         # more times than one evaluator call takes, on a scalar and a 2x2 transform
         ts = np.linspace(0.05, 12.0, 2 * _TIMES_PER_CALL + 5)
-        for f in (damped_sine, evaluator(reference_model, 40.0, "playback")):
+        for f in (damped_sine, evaluator(reference_model, 40.0)):
             batch = invert(f, ts)
             one_by_one = np.array([invert(f, float(t)) for t in ts])
             assert batch.shape == one_by_one.shape

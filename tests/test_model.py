@@ -133,23 +133,14 @@ class TestMeanDrift:
 class TestEffectiveRates:
     def test_playback(self, reference_model):
         np.testing.assert_array_equal(
-            effective_rates(reference_model, "playback"), [-23.0, 5.0]
-        )
-
-    def test_prefetch(self, reference_model):
-        np.testing.assert_array_equal(
-            effective_rates(reference_model, "prefetch"), [-2.0, -30.0]
+            effective_rates(reference_model), [-23.0, 5.0]
         )
 
     def test_zero_rate_state(self):
         m = validate_model([[-2, 2], [6, -6]], [25.0, 2.0], 25.0)
-        r = effective_rates(m, "playback")
+        r = effective_rates(m)
         assert r[0] == 0.0
 
     def test_rates_plus_playout_recover_arrivals(self, reference_model):
-        r = effective_rates(reference_model, "playback")
+        r = effective_rates(reference_model)
         np.testing.assert_array_equal(r + reference_model.mu, reference_model.lam)
-
-    def test_unknown_mode(self, reference_model):
-        with pytest.raises(ValueError):
-            effective_rates(reference_model, "sideways")

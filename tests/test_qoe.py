@@ -80,6 +80,15 @@ class TestSessionCost:
         assert cost.total == cost.expected_starvations
         assert cost.total > 0
 
+    def test_startup_term_on_silent_source(self, onoff_model):
+        # 40 frames at 30 fps, each second ON broken by 1/4 s of silence on
+        # average, plus 1/4 s more when the session opens silent (p = 0.2)
+        params = SessionParams(x=40, Z=1000)
+        cost = session_cost(onoff_model, params, CostWeights(1, 0.5, 0), j_max=4)
+        assert cost.expected_startup == pytest.approx(40 / 30 * 1.25 + 0.2 * 0.25, rel=1e-14)
+        assert cost.expected_starvations > 0
+        assert cost.total == cost.expected_starvations + 0.5 * cost.expected_startup
+
     def test_linearity_in_weights(self, reference_model, reference_session):
         kw = dict(quality_term=0.3, j_max=6)
         unit = [session_cost(reference_model, reference_session, w, **kw)

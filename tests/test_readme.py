@@ -1,0 +1,42 @@
+"""Every command in the README's command-line block exits 0, run in process
+through ``fluidqoe.cli.main`` from the repository root."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from fluidqoe.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# At the default --jmax 3 the count distribution leaves too much residual
+# mass (TailTooLarge, exit 2); the truncation should size itself (ROADMAP
+# item 1).  optimize also warns of negative densities on the way, which
+# test_cli's test_optimize_and_compare already reports.
+KNOWN_FAILING = pytest.mark.xfail(
+    strict=True, reason="exits 2 with TailTooLarge at --jmax 3 (ROADMAP item 1)")
+NEGATIVE_DENSITY = pytest.mark.filterwarnings(
+    "ignore::fluidqoe.errors.NegativeDensityWarning")
+
+
+def readme_commands() -> list:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+def _param(argv: list):
+    sub = argv[1]
+    config = next((Path(a).stem for a in argv if a.endswith(".json")), None)
+    marks = {"optimize": [KNOWN_FAILING, NEGATIVE_DENSITY],
+             "compare": [KNOWN_FAILING]}.get(sub, [])
+    return pytest.param(argv[1:], id=f"{sub}-{config}" if config else sub, marks=marks)
+
+
+@pytest.mark.parametrize("argv", [_param(argv) for argv in readme_commands()])
+def test_readme_command_exits_zero(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0

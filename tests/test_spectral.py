@@ -10,9 +10,9 @@ from fluidqoe import (
     DimensionMismatch,
     IllConditionedWarning,
     TwoStateParams,
-    ZeroArrivalState,
     boundary_coefficients,
     characteristic_roots,
+    startup_transform,
     transform_matrix,
     two_state_transform,
     validate_model,
@@ -48,20 +48,20 @@ def random_two_state(rng):
 class TestCharacteristicRoots:
     def test_reference_matches_quadratic_oracle(self, theorem_cases):
         p = theorem_cases["one_drains"]
-        sol = characteristic_roots(p.to_model(), 1.0, "playback")
+        sol = characteristic_roots(p.to_model(), 1.0)
         expected = np.sort_complex(quadratic_oracle(p, 1.0))
         np.testing.assert_allclose(np.sort_complex(sol.roots), expected, atol=1e-12)
 
     def test_both_draining_both_negative(self, theorem_cases):
         p = theorem_cases["both_drain"]
         for om in np.geomspace(0.05, 8.0, 7):
-            sol = characteristic_roots(p.to_model(), om, "playback")
+            sol = characteristic_roots(p.to_model(), om)
             assert sol.negative_set.size == 2
 
     def test_zero_rate_state_reduces_degree(self, theorem_cases):
         p = theorem_cases["zero_rate"]  # lambda1 = mu
         om = 0.8
-        sol = characteristic_roots(p.to_model(), om, "playback")
+        sol = characteristic_roots(p.to_model(), om)
         assert sol.n_roots == 1
         expected = om * (om + p.alpha + p.beta) / ((p.lambda2 - p.mu) * (om + p.beta))
         assert sol.roots[0] == pytest.approx(expected, abs=1e-12)
@@ -72,7 +72,7 @@ class TestCharacteristicRoots:
             m = p.to_model()
             scale = np.max(np.abs(m.Q))
             for om in (0.3, 2.0 + 1.5j, 5.0 - 0.7j):
-                sol = characteristic_roots(m, om, "playback")
+                sol = characteristic_roots(m, om)
                 R = np.diag(sol.rates)
                 for k in range(sol.n_roots):
                     res = (m.Q + sol.roots[k] * R - sol.omega * np.eye(2)) @ sol.eigvecs[:, k]
@@ -80,8 +80,8 @@ class TestCharacteristicRoots:
 
     def test_conjugate_symmetry(self, reference_model):
         om = 1.3 + 0.8j
-        sol = characteristic_roots(reference_model, om, "playback")
-        conj = characteristic_roots(reference_model, np.conj(om), "playback")
+        sol = characteristic_roots(reference_model, om)
+        conj = characteristic_roots(reference_model, np.conj(om))
         np.testing.assert_allclose(
             np.sort_complex(conj.roots), np.sort_complex(np.conj(sol.roots)), atol=1e-10
         )
@@ -91,12 +91,12 @@ class TestCharacteristicRoots:
         for _ in range(30):
             p = random_two_state(rng)
             m = p.to_model()
-            sol = characteristic_roots(m, rng.uniform(0.05, 5.0), "playback")
+            sol = characteristic_roots(m, rng.uniform(0.05, 5.0))
             degree = int(np.sum(m.lam != m.mu))
             assert sol.n_roots == degree
 
     def test_eigvec_normalization(self, reference_model):
-        sol = characteristic_roots(reference_model, 0.9, "playback")
+        sol = characteristic_roots(reference_model, 0.9)
         for k in range(sol.n_roots):
             mags = np.abs(sol.eigvecs[:, k])
             peak = np.argmax(mags)
@@ -104,7 +104,7 @@ class TestCharacteristicRoots:
 
     def test_near_zero_complex_frequency_warns(self, reference_model):
         with pytest.warns(BoundaryRootWarning):
-            characteristic_roots(reference_model, 1e-30j + 1e-31, "playback")
+            characteristic_roots(reference_model, 1e-30j + 1e-31)
 
     def test_defective_pencil_detection(self):
         from fluidqoe import DefectivePencil
@@ -118,11 +118,6 @@ class TestCharacteristicRoots:
         independent = np.array([[[1.0, 1.0], [0.5, -0.5]]], dtype=complex)
         _check_defective(roots, independent, om)  # eigenspace is full
 
-    def test_prefetch_roots_all_negative(self, reference_model):
-        sol = characteristic_roots(reference_model, 0.7, "prefetch")
-        assert sol.n_roots == 2
-        assert sol.negative_set.size == 2
-
 
 class TestSignPlacement:
     """Root signs must follow the draining/filling pattern for real w > 0."""
@@ -134,7 +129,7 @@ class TestSignPlacement:
             p = random_two_state(rng)
             m = p.to_model()
             om = rng.uniform(1e-3, 10.0)
-            sol = characteristic_roots(m, om, "playback")
+            sol = characteristic_roots(m, om)
             rates = m.lam - m.mu
             n_drain = int(np.sum(rates < 0))
             n_fill = int(np.sum(rates > 0))
@@ -144,12 +139,12 @@ class TestSignPlacement:
 
     def test_equal_rates_below_playout(self):
         p = TwoStateParams(alpha=1.5, beta=2.5, lambda1=10, lambda2=10, mu=25)
-        sol = characteristic_roots(p.to_model(), 0.4, "playback")
+        sol = characteristic_roots(p.to_model(), 0.4)
         assert sol.negative_set.size == 2
 
     def test_equal_rates_above_playout_no_starvation(self):
         p = TwoStateParams(alpha=1.5, beta=2.5, lambda1=30, lambda2=30, mu=25)
-        sol = characteristic_roots(p.to_model(), 0.4, "playback")
+        sol = characteristic_roots(p.to_model(), 0.4)
         assert sol.negative_set.size == 0
 
 
@@ -163,8 +158,8 @@ class TestBoundaryCoefficients:
             np.fill_diagonal(Q, -Q.sum(axis=1))
             m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
             om = rng.uniform(0.1, 4.0) + 1j * rng.uniform(-2, 2)
-            sol = characteristic_roots(m, om, "playback")
-            co = boundary_coefficients(sol, m, "playback")
+            sol = characteristic_roots(m, om)
+            co = boundary_coefficients(sol, m)
             if co.rows.size == 0:
                 continue
             system = sol.eigvecs[np.ix_(co.rows, co.root_indices)]
@@ -176,31 +171,27 @@ class TestBoundaryCoefficients:
     def test_single_draining_state_coefficient_is_one(self, theorem_cases):
         p = theorem_cases["one_drains"]
         m = p.to_model()
-        sol = characteristic_roots(m, 1.0, "playback")
-        co = boundary_coefficients(sol, m, "playback")
+        sol = characteristic_roots(m, 1.0)
+        co = boundary_coefficients(sol, m)
         assert co.a.shape == (1, 2)
         assert co.a[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert co.a[0, 1] == 0.0
 
-    def test_prefetch_requires_positive_rates(self, onoff_model):
-        sol = characteristic_roots(onoff_model, 1.0, "prefetch")
-        with pytest.raises(ZeroArrivalState):
-            boundary_coefficients(sol, onoff_model, "prefetch")
-
-    def test_ill_conditioned_system_warns_and_flags(self, reference_model):
+    def test_ill_conditioned_system_warns_and_flags(self, theorem_cases):
         # synthetic near-parallel eigenvectors exercise the safety net
         from fluidqoe import IllConditionedWarning
         from fluidqoe.spectral import SpectralSolution
 
+        both_drain = theorem_cases["both_drain"].to_model()
         vecs = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
         sol = SpectralSolution(
-            omega=1.0 + 0j, mode="prefetch",
-            rates=-reference_model.lam,
+            omega=1.0 + 0j,
+            rates=both_drain.lam - both_drain.mu,
             roots=np.array([-0.5 + 0j, -0.9 + 0j]),
             eigvecs=vecs,
         )
         with pytest.warns(IllConditionedWarning):
-            co = boundary_coefficients(sol, reference_model, "prefetch")
+            co = boundary_coefficients(sol, both_drain)
         assert co.ill_conditioned
         assert co.condition > 1e12
 
@@ -210,41 +201,39 @@ class TestTwoStateTransform:
         omegas = omega_grid(9)
         for name, p in theorem_cases.items():
             m = p.to_model()
-            closed = two_state_transform(p, 7.0, omegas, "starvation")
+            closed = two_state_transform(p, 7.0, omegas)
             for i, om in enumerate(omegas):
-                generic = transform_matrix(m, 7.0, om, "playback")
+                generic = transform_matrix(m, 7.0, om)
                 assert np.max(np.abs(closed[i] - generic)) < 1e-10, (name, om)
 
     def test_startup_agrees_with_generic_path(self, theorem_cases):
+        # the start-up transform of a source with two delivering states takes
+        # the closed-form 2x2 exponential; scipy's expm is the generic path
         omegas = omega_grid(7)
         for name, p in theorem_cases.items():
             if p.lambda1 <= 0 or p.lambda2 <= 0:
                 continue
             m = p.to_model()
-            closed = two_state_transform(p, 5.0, omegas, "startup")
+            closed = startup_transform(m, 5.0, omegas)
             for i, om in enumerate(omegas):
-                generic = transform_matrix(m, 5.0, om, "prefetch")
+                generic = scipy.linalg.expm(5.0 * (m.Q - om * np.eye(2)) / m.lam[:, None])
                 assert np.max(np.abs(closed[i] - generic)) < 1e-10, (name, om)
 
     def test_zero_threshold_identity_on_draining(self, theorem_cases):
-        H = two_state_transform(theorem_cases["both_drain"], 0.0, 1.0, "starvation")
+        H = two_state_transform(theorem_cases["both_drain"], 0.0, 1.0)
         np.testing.assert_allclose(H, np.eye(2), atol=1e-12)
 
     def test_zero_threshold_single_draining(self, theorem_cases):
-        H = two_state_transform(theorem_cases["one_drains"], 0.0, 1.0, "starvation")
+        H = two_state_transform(theorem_cases["one_drains"], 0.0, 1.0)
         assert H[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(H[:, 1], 0.0)
 
     def test_onoff_transform_finite(self, theorem_cases):
-        H = two_state_transform(theorem_cases["onoff"], 10.0, 0.5, "starvation")
+        H = two_state_transform(theorem_cases["onoff"], 10.0, 0.5)
         assert np.all(np.isfinite(H))
         # starvation only in the silent state (index 1)
         assert np.allclose(H[:, 0], 0.0)
         assert np.all(np.abs(H[:, 1]) > 0)
-
-    def test_startup_rejects_silent_state(self, theorem_cases):
-        with pytest.raises(ZeroArrivalState):
-            two_state_transform(theorem_cases["onoff"], 5.0, 1.0, "startup")
 
     def test_from_model_round_trip(self, reference_model):
         p = TwoStateParams.from_model(reference_model)
@@ -259,14 +248,14 @@ class TestTwoStateTransform:
             TwoStateParams.from_model(m)
 
 
-def _reference_transform(model, x, omega, mode):
+def _reference_transform(model, x, omega):
     """The per-frequency generic transform that the stacked path replaced:
     one clip, Schur complement, ``scipy.linalg.eig``, sort, lift,
     normalization and boundary solve per frequency."""
     om = complex(omega)
     if om.imag == 0.0 and 0.0 <= om.real < OMEGA_FLOOR:
         om = complex(OMEGA_FLOOR)
-    rates = model.lam - model.mu if mode == "playback" else -model.lam
+    rates = model.lam - model.mu
     L = model.n_states
     M = model.Q - om * np.eye(L)
     nz = np.nonzero(rates != 0.0)[0]
@@ -285,12 +274,8 @@ def _reference_transform(model, x, omega, mode):
         full[zero, :] = -lifted @ vecs
     peak = np.argmax(np.abs(full), axis=0)
     full = full / full[peak, np.arange(full.shape[1])]
-    if mode == "playback":
-        rows = np.nonzero(rates < 0.0)[0]
-        sel = np.nonzero(s_vals.real < -spectral.SIGN_TOL)[0]
-    else:
-        rows = np.arange(L)
-        sel = np.arange(s_vals.size)
+    rows = np.nonzero(rates < 0.0)[0]
+    sel = np.nonzero(s_vals.real < -spectral.SIGN_TOL)[0]
     assert rows.size == sel.size
     if sel.size == 0:
         return np.zeros((L, L), dtype=complex)
@@ -328,9 +313,17 @@ class TestStackedPencil:
         omegas = _inversion_block()
         assert omegas.size == _TIMES_PER_CALL * DEFAULT_PARAMS.n_evaluations
         assert np.any((omegas.imag == 0.0) & (omegas.real < OMEGA_FLOOR))
-        stacked = evaluator(m, 20.0, mode, "generic")(omegas)
-        reference = np.stack([_reference_transform(m, 20.0, w, mode) for w in omegas])
-        np.testing.assert_array_equal(stacked, reference)
+        if mode == "playback":
+            stacked = evaluator(m, 20.0, "generic")(omegas)
+            reference = np.stack([_reference_transform(m, 20.0, w) for w in omegas])
+            np.testing.assert_array_equal(stacked, reference)
+            return
+        # the start-up transform, one matrix exponential of the level
+        # generator per frequency; no frequency is lifted onto a floor
+        stacked = startup_transform(m, 20.0, omegas)
+        reference = np.stack([scipy.linalg.expm(20.0 * (m.Q - w * np.eye(m.n_states))
+                                                / m.lam[:, None]) for w in omegas])
+        np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-13)
 
     def test_defective_frequency_named(self):
         from fluidqoe.spectral import _check_defective
@@ -351,36 +344,37 @@ class TestStackedPencil:
         for w in omegas:
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
-                characteristic_roots(reference_model, w, "playback")
+                characteristic_roots(reference_model, w)
             scalar_warned.append(any(e.category is BoundaryRootWarning for e in log))
         assert scalar_warned == [False, False, True, False]
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            sol = characteristic_roots(reference_model, omegas, "playback")
+            sol = characteristic_roots(reference_model, omegas)
         hits = [e for e in log if e.category is BoundaryRootWarning]
         assert len(hits) == 1
         assert f"omega={complex(omegas[2])}" in str(hits[0].message)
         assert sol.roots.shape == (4, 2)
 
-    def test_stack_warns_ill_conditioned_where_scalar_did(self, reference_model):
+    def test_stack_warns_ill_conditioned_where_scalar_did(self, theorem_cases):
+        both_drain = theorem_cases["both_drain"].to_model()
         good = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
         stack = SpectralSolution(
-            omega=np.array([1.0, 2.0, 3.0], dtype=complex), mode="prefetch",
-            rates=-reference_model.lam,
+            omega=np.array([1.0, 2.0, 3.0], dtype=complex),
+            rates=both_drain.lam - both_drain.mu,
             roots=np.tile(np.array([-0.9 + 0j, -0.5 + 0j]), (3, 1)),
             eigvecs=np.stack([good, near, good]),
         )
         for k, expect in enumerate([False, True, False]):
-            one = SpectralSolution(omega=complex(stack.omega[k]), mode="prefetch",
+            one = SpectralSolution(omega=complex(stack.omega[k]),
                                    rates=stack.rates, roots=stack.roots[k],
                                    eigvecs=stack.eigvecs[k])
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
-                assert boundary_coefficients(one, reference_model).ill_conditioned == expect
+                assert boundary_coefficients(one, both_drain).ill_conditioned == expect
             assert any(e.category is IllConditionedWarning for e in log) == expect
         with pytest.warns(IllConditionedWarning, match=r"omega=\(2\+0j\)") as log:
-            co = boundary_coefficients(stack, reference_model)
+            co = boundary_coefficients(stack, both_drain)
         assert len([e for e in log if e.category is IllConditionedWarning]) == 1
         assert co.ill_conditioned.tolist() == [False, True, False]
         assert co.a.shape == (3, 2, 2)
@@ -396,6 +390,6 @@ class TestStackedPencil:
         monkeypatch.setattr(spectral, "characteristic_roots", counted)
         m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
         omegas = _inversion_block()
-        H = evaluator(m, 20.0, "playback")(omegas)
+        H = evaluator(m, 20.0)(omegas)
         assert H.shape == (omegas.size, 3, 3)
         assert calls == [omegas.size]

@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,14 +8,54 @@ from fluidqoe import (
     DomainError,
     InfeasiblePlayout,
     SimConfig,
-    ZeroArrivalState,
     expected_startup_delay,
     prefetch_end_distribution,
     prefetch_times,
     startup_delay_cdf,
     startup_transform,
+    stationary_distribution,
     validate_model,
 )
+from fluidqoe.startup import startup_atoms
+
+SILENT3 = ([[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]], [0.0, 20.0, 40.0])
+MEAN_SOURCES = {
+    "two_state": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0]),
+    "three_state": ([[-6.48, 4.05, 2.43], [2.13, -3.44, 1.31], [2.67, 4.11, -6.78]],
+                    [2.12, 25.48, 26.43]),
+    "onoff": ([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0]),
+    "silent_three_state": SILENT3,
+}
+
+
+def mpmath_mean(Q, lam, x, entry):
+    """Mean fill time to 40 digits: minus the slope at w = 0 of
+    ``entry . U~(x, w) . 1``, with ``U~`` built from its Feynman-Kac form in
+    mpmath arithmetic and differentiated by mpmath."""
+    with mpmath.workdps(40):
+        pos = [i for i, v in enumerate(lam) if v > 0]
+        zero = [i for i, v in enumerate(lam) if v == 0]
+
+        def block(rows, cols, shift=0):
+            return mpmath.matrix([[Q[i][j] - (shift if i == j else 0) for j in cols]
+                                  for i in rows])
+
+        def contracted(w):
+            gen = block(pos, pos, w)
+            lift = None
+            if zero:
+                lift = (-block(zero, zero, w)) ** -1 * block(zero, pos)
+                gen = gen + block(pos, zero) * lift
+            for a, i in enumerate(pos):
+                gen[a, :] = gen[a, :] / lam[i]
+            fill = mpmath.expm(gen * x) * mpmath.matrix([1] * len(pos))
+            value = sum(entry[i] * fill[a] for a, i in enumerate(pos))
+            if zero:
+                exits = lift * fill
+                value += sum(entry[i] * exits[a] for a, i in enumerate(zero))
+            return value
+
+        return float(-mpmath.diff(contracted, 0))
 
 
 class TestStartupTransform:
@@ -36,9 +79,23 @@ class TestStartupTransform:
                 U.sum(axis=1), np.exp(-om * 3.0) * np.ones(2), atol=1e-10
             )
 
-    def test_silent_state_rejected(self, onoff_model):
-        with pytest.raises(ZeroArrivalState):
-            startup_transform(onoff_model, 10.0, 1.0)
+    def test_silent_state_closed_form(self, onoff_model):
+        # one delivering state: G(w) = (-1 - w + 4 / (w + 4)) / 30, and the
+        # silent state first waits out its exit at rate 4
+        for om in (0.3, 2.0, 1.0 + 1.0j):
+            fill = np.exp(10.0 * (-1.0 - om + 4.0 / (om + 4.0)) / 30.0)
+            np.testing.assert_allclose(startup_transform(onoff_model, 10.0, om),
+                                       [[fill, 0.0], [4.0 / (om + 4.0) * fill, 0.0]],
+                                       rtol=0, atol=1e-15)
+
+
+class TestStartupAtoms:
+    def test_silent_state_has_no_atom(self, onoff_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, masses = startup_atoms(onoff_model, 40.0)
+        np.testing.assert_array_equal(times, [40.0 / 30.0, np.inf])
+        np.testing.assert_array_equal(masses, [np.exp(-40.0 / 30.0), 0.0])
 
 
 class TestStartupDelayCdf:
@@ -108,6 +165,21 @@ class TestExpectedStartupDelay:
         mean = expected_startup_delay(reference_model, 40.0)
         assert mean == pytest.approx(float(delays.mean()), rel=0.01)
 
+    @pytest.mark.parametrize("x", [5.0, 40.0, 160.0])
+    @pytest.mark.parametrize("source", sorted(MEAN_SOURCES))
+    def test_exact_against_mpmath(self, source, x):
+        Q, lam = MEAN_SOURCES[source]
+        m = validate_model(Q, lam, 25.0)
+        entry = stationary_distribution(m)
+        exact = mpmath_mean(Q, lam, x, [mpmath.mpf(float(p)) for p in entry])
+        assert expected_startup_delay(m, x) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_silent_entry_waits_out_its_excursion(self, onoff_model):
+        # from the silent state: a mean 1/4 s of silence, then a fill from ON
+        from_on = expected_startup_delay(onoff_model, 40.0, [1.0, 0.0])
+        from_off = expected_startup_delay(onoff_model, 40.0, [0.0, 1.0])
+        assert from_off == pytest.approx(from_on + 0.25, rel=1e-14)
+
     def test_explicit_entry_distribution(self, reference_model):
         fast = expected_startup_delay(reference_model, 40.0, [0.0, 1.0])
         slow = expected_startup_delay(reference_model, 40.0, [1.0, 0.0])
@@ -159,3 +231,24 @@ class TestPrefetchEndDistribution:
         m = validate_model([[-1, 1], [2, -2]], [0.0, 0.0], 1.0)
         with pytest.raises(InfeasiblePlayout):
             prefetch_end_distribution(m, 0.0, 10.0)
+
+
+class TestSilentSource:
+    """The on-off demo source against the fill simulator at 100 000
+    replications: the mean and the CDF lie within the 95 % intervals."""
+
+    @pytest.fixture(scope="class")
+    def delays(self, onoff_model):
+        return prefetch_times(onoff_model, 40.0, SimConfig(replications=100_000, seed=47))[0]
+
+    def test_mean_within_simulated_ci(self, onoff_model, delays):
+        half = 1.96 * delays.std(ddof=1) / np.sqrt(delays.size)
+        assert abs(expected_startup_delay(onoff_model, 40.0) - delays.mean()) <= half
+
+    def test_cdf_within_simulated_ci(self, onoff_model, delays):
+        pi = stationary_distribution(onoff_model)
+        times = np.array([1.5, 2.0, 3.0, 5.0])
+        analytic = startup_delay_cdf(onoff_model, 40.0, times).sum(axis=2) @ pi
+        empirical = (delays[:, None] <= times).mean(axis=0)
+        half = 1.96 * np.sqrt(empirical * (1.0 - empirical) / delays.size)
+        assert np.all(np.abs(analytic - empirical) <= half)

@@ -77,7 +77,7 @@ class TestStarvationCdf:
     def test_density_quadrature_matches_cdf(self, reference_model):
         # integrate the inverted density and compare with the CDF inversion
         x, t = 40.0, 18.0
-        ev = evaluator(reference_model, x, "playback")
+        ev = evaluator(reference_model, x)
         grid = np.linspace(earliest_starvation_time(reference_model, x) * 0.99, t, 400)
         dens = np.array([invert(ev, float(u))[1, 0] for u in grid])
         integral = np.trapezoid(np.clip(dens, 0, None), grid)
@@ -126,7 +126,7 @@ class TestMeanPlaybackTime:
         assert np.all(D26[:, 0] <= D25[:, 0] + 1e-8)
 
     def test_step_size_consistency(self, reference_model):
-        ev = evaluator(reference_model, 40.0, "playback")
+        ev = evaluator(reference_model, 40.0)
         scale = float(np.max(np.abs(np.diag(reference_model.Q))))
         value, check = derivative_at_zero(ev, scale)
         spread = np.max(np.abs(value - check))
