@@ -37,10 +37,7 @@ from .events import (
     PathGrid,
     StarvationPmf,
     build_path_grid,
-    continuation_kernel,
-    first_starvation_density,
     starvation_count_pmf,
-    terminal_probability,
 )
 from .inversion import (
     DEFAULT_PARAMS,
@@ -86,7 +83,6 @@ from .simulator import (
 from .spectral import (
     BoundaryCoefficients,
     SpectralSolution,
-    TwoStateParams,
     boundary_coefficients,
     characteristic_roots,
     transform_matrix,

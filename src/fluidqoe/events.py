@@ -43,8 +43,9 @@ from .errors import (
     NumericError,
     TailTooLarge,
 )
-from .inversion import DEFAULT_PARAMS, InversionParams, invert, invert_cdf
-from .model import FluidModel, SessionParams, stationary_distribution
+from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps, invert,
+                        invert_cdf, subtract_atoms)
+from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
 from .spectral import evaluator
 from .starvation import (
     earliest_starvation_time,
@@ -69,124 +70,23 @@ def _clamp_density(values: np.ndarray, what: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _playback_start(model: FluidModel, x: float):
-    """Entry distribution at playback start and the re-prefetch matrix."""
-    pi = stationary_distribution(model)
-    fill = prefetch_end_distribution(model, 0.0, x)
-    return pi @ fill, fill
+def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray, ev,
+                      h: np.ndarray, inv: InversionParams) -> np.ndarray:
+    """Per-state no-starvation probability over each remaining horizon.
 
-
-def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray,
-                      ev, inv: InversionParams):
-    """Per-state no-starvation probability over a remaining horizon.
-
-    Returns a callable ``survive(h)``: re-prefetch from the given state, then
-    avoid the first passage for ``h`` seconds.  ``h`` is a horizon (result
-    ``(L,)``) or a 1-D array of horizons (result ``(len(h), L)``, one
-    inversion call).  Deterministic drain atoms of the passage law are
-    stepped in exactly; only the continuous remainder is inverted.
+    Row ``k`` re-prefetches from each state, then avoids the first passage
+    for ``h[k]`` seconds; one inversion call serves every horizon.
+    Deterministic drain atoms of the passage law are stepped in exactly; only
+    the continuous remainder is inverted.
     """
-    times, masses = starvation_atoms(model, x)
-    live = np.nonzero(masses > 0.0)[0]
-    weights = fill[:, live] * masses[live]  # (L, n_atoms)
+    atoms = starvation_atoms(model, x)
+    continuous = subtract_atoms(ev, *atoms)
 
-    def continuous(omegas):
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=complex))
-        vals = np.einsum("jn,knm->kj", fill, np.asarray(ev(omegas)))
-        if live.size:
-            vals = vals - np.exp(-np.outer(omegas, times[live])) @ weights.T
-        return vals
+    def refetch_cdf(omegas):
+        return np.einsum("jn,knm->kj", fill, np.asarray(continuous(omegas)))
 
-    def survive(h) -> np.ndarray:
-        cdf = np.asarray(invert_cdf(continuous, h, inv))
-        if live.size:
-            arrived = np.asarray(h)[..., None] >= (
-                times[live] - 1e-12 * np.maximum(times[live], 1.0))
-            cdf = cdf + arrived @ weights.T
-        return 1.0 - np.clip(cdf, 0.0, 1.0)
-
-    return survive
-
-
-def first_starvation_density(model: FluidModel, params: SessionParams, t: float,
-                             inv: InversionParams = DEFAULT_PARAMS,
-                             method: str = "auto") -> float:
-    """Density (1/seconds) of the first starvation at playback time ``t``.
-
-    Zero outside ``x <= mu t < Z``: the prefetched frames must have played
-    out first, and an empty buffer after the last frame is not a starvation.
-    """
-    x, Z, mu = params.x, params.Z, model.mu
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if mu * t < x or mu * t >= Z or t < earliest_starvation_time(model, x):
-        return 0.0
-    rho0, _ = _playback_start(model, x)
-    ev = evaluator(model, x, method)
-
-    def contracted(omegas):
-        return np.einsum("i,kij->k", rho0, np.asarray(ev(omegas)))
-
-    value = invert(contracted, t, inv)
-    return float(_clamp_density(np.asarray(value), "first starvation density"))
-
-
-def terminal_probability(model: FluidModel, params: SessionParams, t: float,
-                         j: int, inv: InversionParams = DEFAULT_PARAMS,
-                         method: str = "auto") -> np.ndarray:
-    """No-further-starvation probability after the ``j``-th starvation at ``t``.
-
-    Returned per starvation state (length-L vector): the closure re-prefetches
-    and must then survive the remaining ``Z/mu - t`` of playback.  Identically
-    0 when ``j`` starvations cannot have happened by ``t`` (or the file is
-    over), identically 1 when fewer than ``x`` frames remain.
-    """
-    x, Z, mu = params.x, params.Z, model.mu
-    L = model.n_states
-    if j < 1:
-        raise DomainError(f"j must be >= 1, got {j}")
-    if mu * t < j * x or mu * t >= Z:
-        return np.zeros(L)
-    if mu * t >= Z - x:
-        return np.ones(L)
-    _, fill = _playback_start(model, x)
-    ev = evaluator(model, x, method)
-    survive = _refetch_survival(model, x, fill, ev, inv)
-    return survive(Z / mu - t)
-
-
-def continuation_kernel(model: FluidModel, params: SessionParams, delta_t: float,
-                        t_l: float = 0.0, l: int = 1, j: int | None = None,
-                        inv: InversionParams = DEFAULT_PARAMS,
-                        method: str = "auto") -> np.ndarray:
-    """Density of the next starvation a gap ``delta_t`` after the previous one.
-
-    Per previous-starvation state (length-L vector), contracted over the
-    re-prefetch outcome and the next starvation state.  The gap must cover at
-    least one prefetch worth of playback (``mu delta_t >= x``); when the total
-    count ``j`` is supplied, the next starvation must also leave room for the
-    remaining ``j - l - 1`` (support bound ``mu t_{l+1} < Z - (j-l-1) x``).
-    Depends on the gap only: the playback clock freezes while re-buffering.
-    """
-    x, Z, mu = params.x, params.Z, model.mu
-    L = model.n_states
-    if delta_t < 0:
-        raise DomainError(f"delta_t must be >= 0, got {delta_t}")
-    if mu * t_l < l * x:
-        return np.zeros(L)
-    reserve = 0 if j is None else (j - l - 1) * x
-    if mu * delta_t < x or mu * (t_l + delta_t) >= Z - reserve:
-        return np.zeros(L)
-    if delta_t < earliest_starvation_time(model, x):
-        return np.zeros(L)
-    _, fill = _playback_start(model, x)
-    ev = evaluator(model, x, method)
-
-    def refetch_density(omegas):
-        return np.einsum("jn,knm->kj", fill, np.asarray(ev(omegas)))
-
-    value = invert(refetch_density, delta_t, inv)
-    return _clamp_density(np.asarray(value), "continuation kernel")
+    cdf = invert_cdf(refetch_cdf, h, inv) + (fill @ atom_steps(*atoms, h)).sum(-1)
+    return 1.0 - np.clip(cdf, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -238,8 +138,7 @@ class PathGrid:
 
 def build_path_grid(model: FluidModel, params: SessionParams,
                     inv: InversionParams = DEFAULT_PARAMS,
-                    points_per_prefetch: int = 16,
-                    method: str = "auto") -> PathGrid:
+                    points_per_prefetch: int = 16) -> PathGrid:
     """Evaluate densities, kernels and survivals on an aligned uniform grid.
 
     ``points_per_prefetch`` sets the resolution of the prefetch interval
@@ -256,8 +155,9 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     n_t = int(np.ceil(horizon / step)) + 1
     t = np.arange(n_t) * step
 
-    rho0, fill = _playback_start(model, x)
-    ev = evaluator(model, x, method)
+    fill = prefetch_end_distribution(model, 0.0, x)
+    rho0 = stationary_distribution(model) @ fill
+    ev = evaluator(model, x)
     L = model.n_states
 
     def stacked_density(omegas):
@@ -281,8 +181,8 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     survive = np.ones((n_t, L))
     at_risk = mu * t < Z - x
     if np.any(at_risk):
-        refetch_survival = _refetch_survival(model, x, fill, ev, inv)
-        survive[at_risk] = refetch_survival(horizon - t[at_risk])
+        survive[at_risk] = _refetch_survival(model, x, fill, ev,
+                                             horizon - t[at_risk], inv)
 
     return PathGrid(x=x, Z=Z, mu=mu, step=step, n_t=n_t, t=t, rho0=rho0,
                     fill=fill, first_density=first_density, kernel=kernel,
@@ -366,8 +266,7 @@ def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int) -> np.ndarray:
 def starvation_count_pmf(model: FluidModel, params: SessionParams,
                          j_max: int = 3, grid: PathGrid | None = None,
                          inv: InversionParams = DEFAULT_PARAMS,
-                         points_per_prefetch: int = 16,
-                         method: str = "auto") -> StarvationPmf:
+                         points_per_prefetch: int = 16) -> StarvationPmf:
     """Probability of exactly ``0 .. j_max`` starvations in a session.
 
     ``p[0]`` comes from the overall starvation probability (one code path for
@@ -380,18 +279,18 @@ def starvation_count_pmf(model: FluidModel, params: SessionParams,
     last step that goes on to starve at least once more; if it exceeds 5% the
     truncation is refused.
     """
-    if j_max < 1:
-        raise DomainError(f"j_max must be >= 1, got {j_max}")
+    if not _is_integer(j_max) or j_max < 1:
+        raise DomainError(f"j_max must be an integer >= 1, got {j_max!r}")
     if np.all(model.lam >= model.mu):
         # no state drains the buffer, so it can never empty mid-session
         return StarvationPmf(p=np.eye(j_max + 1)[0], tail=0.0)
     if grid is None:
-        grid = build_path_grid(model, params, inv, points_per_prefetch, method)
+        grid = build_path_grid(model, params, inv, points_per_prefetch)
     ix = grid.nodes_per_prefetch
     iz = grid.Z / (grid.mu * grid.step)  # file end in node units (possibly fractional)
 
     p = np.zeros(j_max + 1)
-    p[0] = 1.0 - starvation_probability(model, params, inv, method)
+    p[0] = 1.0 - starvation_probability(model, params, inv)
 
     node = np.arange(grid.n_t)
     f = grid.first_density.copy()

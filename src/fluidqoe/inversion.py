@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, OutOfRange, OverflowRisk
+from .model import _is_integer
 
 # Largest A/l for which e^(A/2l) * eps still leaves a ~1e-6 error budget.
 PRECISION_CEILING_A = 2.0 * math.log(1e-6 / np.finfo(float).eps)
@@ -54,6 +55,8 @@ class InversionParams:
     discretization-error exponent.  The defaults deliver roughly 1e-8
     accuracy for smooth transforms and are safe in double precision.
     ``m = 0`` (no averaging) is accepted for robustness experiments.
+    ``l``, ``m`` and ``n`` are integers: numpy integers are stored as
+    ``int``, while floats and ``bool`` are refused.
     """
 
     l: int = 1
@@ -62,12 +65,11 @@ class InversionParams:
     A: float = 18.4
 
     def __post_init__(self):
-        if self.l < 1:
-            raise DomainError(f"l must be >= 1, got {self.l}")
-        if self.m < 0:
-            raise DomainError(f"m must be >= 0, got {self.m}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        for name, low in (("l", 1), ("m", 0), ("n", 1)):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (self.A > 0):
             raise DomainError(f"A must be > 0, got {self.A}")
 

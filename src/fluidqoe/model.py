@@ -31,6 +31,11 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; ``bool`` is not a count or an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _communicating_classes(edges: np.ndarray) -> int:
     """Number of communicating classes of the directed graph ``edges[i, j]``.
 

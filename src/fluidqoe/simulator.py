@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .model import FluidModel, SessionParams, stationary_distribution
+from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _GOLDEN_INV = np.uint64(0xF1DE83E19937733D)  # _GOLDEN * _GOLDEN_INV == 1 mod 2**64
@@ -130,11 +130,6 @@ def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
     shift = _stream_key(seed, streams) - _stream_key(seed, _STREAM0)
     shift *= _GOLDEN_INV
     return shift
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; ``bool`` is not a count or an index."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

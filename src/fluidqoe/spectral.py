@@ -24,10 +24,9 @@ A scalar frequency is a stack of one whose leading axis is dropped on
 return.  The checks run over the whole stack; an error, or the one warning
 of a call, names the first frequency at fault.
 
-For two-state models a closed-form path (:func:`two_state_transform`)
-evaluates the same quantities from the explicit quadratic; the generic
-pencil path serves every state count and cross-checks it.  :func:`evaluator`
-picks between them.
+:func:`evaluator` picks the path by state count: two-state models take the
+closed form (:func:`two_state_transform`, from the explicit quadratic), every
+other state count the generic pencil path (:func:`transform_matrix`).
 """
 
 from __future__ import annotations
@@ -334,61 +333,21 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
     return H[0] if scalar else H
 
 
-def evaluator(model: FluidModel, x: float, method: str = "auto"):
+def evaluator(model: FluidModel, x: float):
     """Frequency-stack evaluator of the starvation transform ``H~(x, w)``.
 
-    Two-state models use the closed form unless ``method='generic'`` forces
-    the pencil path.  The returned callable maps a ``(K,)`` frequency array
-    to ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
+    Two-state models take the closed form, all others the generic pencil
+    path.  The returned callable maps a ``(K,)`` frequency array to
+    ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    if method not in ("auto", "closed", "generic"):
-        raise ValueError(f"method must be auto/closed/generic, got {method!r}")
-    if method == "closed" or (method == "auto" and model.n_states == 2):
-        p = TwoStateParams.from_model(model)
-        return lambda omegas: two_state_transform(p, x, omegas)
+    if model.n_states == 2:
+        return lambda omegas: two_state_transform(model, x, omegas)
     return lambda omegas: transform_matrix(model, x, omegas)
 
 
 # --- closed-form two-state path ---------------------------------------------
-
-@dataclass(frozen=True)
-class TwoStateParams:
-    """Two-state source: state 1 (rate ``lambda1``, exit ``beta``) and
-    state 2 (rate ``lambda2``, exit ``alpha``)."""
-
-    alpha: float
-    beta: float
-    lambda1: float
-    lambda2: float
-    mu: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError("transition rates alpha, beta must be > 0")
-        if not (self.mu > 0):
-            raise DomainError("playout rate mu must be > 0")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise DomainError("arrival rates must be >= 0")
-
-    def to_model(self) -> FluidModel:
-        return FluidModel(
-            Q=np.array([[-self.beta, self.beta], [self.alpha, -self.alpha]]),
-            lam=np.array([self.lambda1, self.lambda2]),
-            mu=self.mu,
-        )
-
-    @classmethod
-    def from_model(cls, model: FluidModel) -> "TwoStateParams":
-        if model.n_states != 2:
-            raise DimensionMismatch(
-                f"two-state parameters need a 2-state model, got {model.n_states}"
-            )
-        return cls(alpha=float(model.Q[1, 0]), beta=float(model.Q[0, 1]),
-                   lambda1=float(model.lam[0]), lambda2=float(model.lam[1]),
-                   mu=model.mu)
-
 
 def _stable_quadratic(a, b, c):
     """Both roots of ``a s^2 - b s + c = 0`` for array coefficients.
@@ -407,17 +366,25 @@ def _stable_quadratic(a, b, c):
     return r1, r2
 
 
-def two_state_transform(p: TwoStateParams, x: float, omega) -> np.ndarray:
+def two_state_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     """Closed-form 2x2 starvation transform matrix; vectorized over frequencies.
 
-    ``omega`` may be a scalar or an array of shape ``(K,)``; the result has
-    shape ``(2, 2)`` or ``(K, 2, 2)`` and matches the generic pencil path to
-    near machine precision.
+    State 0 is left at rate ``beta = Q[0, 1]`` and state 1 at rate
+    ``alpha = Q[1, 0]``.  ``omega`` may be a scalar or an array of shape
+    ``(K,)``; the result has shape ``(2, 2)`` or ``(K, 2, 2)`` and matches
+    the generic pencil path to near machine precision.  Raises
+    :class:`DimensionMismatch` unless the model has two states.
     """
+    if model.n_states != 2:
+        raise DimensionMismatch(
+            f"the closed form needs a 2-state model, got {model.n_states}"
+        )
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
-    H = _two_state_starvation(p.alpha, p.beta, p.lambda1 - p.mu, p.lambda2 - p.mu, x, om)
+    r1, r2 = (model.lam - model.mu).tolist()
+    alpha, beta = float(model.Q[1, 0]), float(model.Q[0, 1])
+    H = _two_state_starvation(alpha, beta, r1, r2, x, om)
     return H[0] if scalar else H
 
 

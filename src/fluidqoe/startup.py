@@ -143,9 +143,13 @@ def expected_startup_delay(model: FluidModel, x: float,
         entry = stationary_distribution(model)
     else:
         entry = np.asarray(entry_distribution, dtype=float)
-        if entry.shape != (model.n_states,) or np.any(entry < 0):
-            raise DomainError("entry_distribution must be a nonnegative length-L vector")
-        entry = entry / entry.sum()
+        with np.errstate(over="ignore"):
+            total = entry.sum()
+        if (entry.shape != (model.n_states,) or not np.all(np.isfinite(entry))
+                or np.any(entry < 0) or not 0 < total < np.inf):
+            raise DomainError("entry_distribution must be a finite nonnegative "
+                              "length-L vector with a positive finite sum")
+        entry = entry / total
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0:

@@ -27,9 +27,9 @@ from .spectral import evaluator
 from .startup import prefetch_end_distribution
 
 
-def starvation_transform(model: FluidModel, x: float, omega, method: str = "auto") -> np.ndarray:
+def starvation_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     """Starvation transform matrix ``H~[i, j](x, w)`` at one frequency."""
-    ev = evaluator(model, x, method)
+    ev = evaluator(model, x)
     return ev(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
 
 
@@ -59,8 +59,7 @@ def earliest_starvation_time(model: FluidModel, x: float) -> float:
 
 
 def starvation_cdf(model: FluidModel, x: float, t,
-                   params: InversionParams = DEFAULT_PARAMS,
-                   method: str = "auto") -> np.ndarray:
+                   params: InversionParams = DEFAULT_PARAMS) -> np.ndarray:
     """CDF matrix ``H[i, j](x, t)``, clamped to [0, 1].
 
     ``t`` is a time or a 1-D array of times, giving an ``(L, L)`` or a
@@ -70,13 +69,12 @@ def starvation_cdf(model: FluidModel, x: float, t,
     """
     times = time_array(t)
     support = earliest_starvation_time(model, x) if x > 0 else 0.0
-    return invert_cdf_with_atoms(evaluator(model, x, method),
+    return invert_cdf_with_atoms(evaluator(model, x),
                                  starvation_atoms(model, x), times, support, params)
 
 
 def starvation_probability(model: FluidModel, session: SessionParams,
-                           params: InversionParams = DEFAULT_PARAMS,
-                           method: str = "auto") -> float:
+                           params: InversionParams = DEFAULT_PARAMS) -> float:
     """Overall probability of at least one starvation during the session.
 
     Entry states follow the stationary distribution; the state at playback
@@ -87,7 +85,7 @@ def starvation_probability(model: FluidModel, session: SessionParams,
     if session.x >= session.Z or np.all(model.lam >= model.mu):
         return 0.0
     horizon = session.Z / model.mu
-    cdf = starvation_cdf(model, session.x, horizon, params, method)
+    cdf = starvation_cdf(model, session.x, horizon, params)
     return starvation_probability_from_cdf(model, session, cdf)
 
 
@@ -115,8 +113,7 @@ class SeverityMatrix:
     D: np.ndarray
 
 
-def mean_playback_time(model: FluidModel, x: float,
-                       method: str = "auto") -> SeverityMatrix:
+def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
     """Restricted mean time to starvation from the transform slope at zero.
 
     Requires strictly negative mean drift so the mean exists; raises
@@ -131,7 +128,7 @@ def mean_playback_time(model: FluidModel, x: float,
         raise Unstable(
             f"mean drift {report.drift:g} >= 0: restricted mean may diverge"
         )
-    ev = evaluator(model, x, method)
+    ev = evaluator(model, x)
     scale = float(np.max(np.abs(np.diag(model.Q))))
     D, check = derivative_at_zero(ev, scale)
     warn_if_inconsistent(D, check, "mean playback time")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fluidqoe import SessionParams, TwoStateParams, validate_model
+from fluidqoe import SessionParams, validate_model
+
+
+def two_state(alpha, beta, lambda1, lambda2, mu):
+    """Two-state source: state 1 (rate ``lambda1``, exit ``beta``) and
+    state 2 (rate ``lambda2``, exit ``alpha``)."""
+    return validate_model([[-beta, beta], [alpha, -alpha]], [lambda1, lambda2], mu)
 
 
 @pytest.fixture(scope="session")
@@ -23,13 +29,13 @@ def reference_session():
 
 @pytest.fixture(scope="session")
 def theorem_cases():
-    """Two-state parameter sets covering every draining-state pattern."""
+    """Two-state models covering every draining-state pattern."""
     return {
-        "one_drains": TwoStateParams(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
-        "other_drains": TwoStateParams(alpha=2, beta=6, lambda1=30, lambda2=2, mu=25),
-        "both_drain": TwoStateParams(alpha=2, beta=6, lambda1=2, lambda2=20, mu=25),
-        "onoff": TwoStateParams(alpha=1, beta=4, lambda1=30, lambda2=0, mu=25),
-        "zero_rate": TwoStateParams(alpha=2, beta=6, lambda1=25, lambda2=2, mu=25),
+        "one_drains": two_state(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
+        "other_drains": two_state(alpha=2, beta=6, lambda1=30, lambda2=2, mu=25),
+        "both_drain": two_state(alpha=2, beta=6, lambda1=2, lambda2=20, mu=25),
+        "onoff": two_state(alpha=1, beta=4, lambda1=30, lambda2=0, mu=25),
+        "zero_rate": two_state(alpha=2, beta=6, lambda1=25, lambda2=2, mu=25),
     }
 
 

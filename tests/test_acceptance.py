@@ -12,7 +12,6 @@ import scipy.linalg
 from fluidqoe import (
     SessionParams,
     SimConfig,
-    TwoStateParams,
     characteristic_roots,
     monte_carlo,
     prefetch_times,
@@ -28,6 +27,7 @@ from fluidqoe import (
 )
 from fluidqoe.cli import main as cli_main, rerun_manifest
 from fluidqoe.simulator import _lockstep
+from conftest import two_state
 
 REFERENCE = validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0)
 ONOFF = validate_model([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0], 25.0)
@@ -54,22 +54,21 @@ def test_criterion_2_closed_form_generic_equivalence():
     scipy's matrix exponential of the level generator."""
     start = time.perf_counter()
     cases = [
-        TwoStateParams(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
-        TwoStateParams(alpha=2, beta=6, lambda1=30, lambda2=2, mu=25),
-        TwoStateParams(alpha=2, beta=6, lambda1=2, lambda2=20, mu=25),
-        TwoStateParams(alpha=1, beta=4, lambda1=30, lambda2=0, mu=25),
+        two_state(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
+        two_state(alpha=2, beta=6, lambda1=30, lambda2=2, mu=25),
+        two_state(alpha=2, beta=6, lambda1=2, lambda2=20, mu=25),
+        two_state(alpha=1, beta=4, lambda1=30, lambda2=0, mu=25),
     ]
     mags = np.geomspace(0.01, 10.0, 25)
     omegas = np.concatenate([mags, 1j * mags, -1j * mags])
     worst = 0.0
-    for p in cases:
-        m = p.to_model()
+    for m in cases:
         for x in (0.0, 7.0):
-            closed = two_state_transform(p, x, omegas)
+            closed = two_state_transform(m, x, omegas)
             for i, om in enumerate(omegas):
                 gap = np.max(np.abs(closed[i] - transform_matrix(m, x, om)))
                 worst = max(worst, gap)
-        if p.lambda1 > 0 and p.lambda2 > 0:
+        if np.all(m.lam > 0):
             closed = startup_transform(m, 7.0, omegas)
             for i, om in enumerate(omegas):
                 generic = scipy.linalg.expm(7.0 * (m.Q - om * np.eye(2)) / m.lam[:, None])
@@ -89,9 +88,8 @@ def test_criterion_3_root_sign_placement():
         mu = rng.uniform(5.0, 45.0)
         if rng.random() < 0.1:
             lam[rng.integers(2)] = mu  # exercise the zero-rate reduction
-        p = TwoStateParams(alpha=rng.uniform(0.2, 8.0), beta=rng.uniform(0.2, 8.0),
-                           lambda1=lam[0], lambda2=lam[1], mu=mu)
-        m = p.to_model()
+        m = two_state(alpha=rng.uniform(0.2, 8.0), beta=rng.uniform(0.2, 8.0),
+                      lambda1=lam[0], lambda2=lam[1], mu=mu)
         om = rng.uniform(1e-3, 10.0)
         sol = characteristic_roots(m, om)
         rates = m.lam - m.mu

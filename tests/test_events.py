@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from fluidqoe import (
+    DomainError,
     GridTooCoarse,
     ScenarioSpec,
     SessionParams,
     SimConfig,
     TailTooLarge,
     build_path_grid,
-    continuation_kernel,
-    first_starvation_density,
     monte_carlo,
     simulate_session,
     starvation_count_pmf,
     starvation_probability,
-    terminal_probability,
     validate_model,
 )
 from fluidqoe.qoe import scenario_to_model
@@ -83,50 +81,49 @@ def _reference_pmf(model, params, j_max, grid):
     return p, tail
 
 
-class TestFirstStarvationDensity:
-    def test_support_window(self, reference_model, reference_session):
-        x, Z, mu = 40.0, 500.0, 25.0
-        assert first_starvation_density(reference_model, reference_session, 0.5) == 0.0
-        assert first_starvation_density(reference_model, reference_session, x / mu - 1e-9) == 0.0
-        assert first_starvation_density(reference_model, reference_session, Z / mu) == 0.0
-        assert first_starvation_density(reference_model, reference_session, 10.0) > 0.0
+@pytest.fixture(scope="module")
+def reference_grid(reference_model, reference_session):
+    return build_path_grid(reference_model, reference_session)
 
-    def test_integrates_to_starvation_probability(self, reference_model, reference_session):
-        grid = np.linspace(0.0, 20.0, 1001)
-        dens = [first_starvation_density(reference_model, reference_session, float(t))
-                for t in grid]
-        total = np.trapezoid(dens, grid)
+
+class TestFirstStarvationDensity:
+    def test_support_window(self, reference_model, reference_session, reference_grid):
+        x, mu = reference_session.x, reference_model.mu
+        dens = reference_grid.first_density.sum(axis=1)
+        assert np.all(dens[reference_grid.t < x / mu] == 0.0)
+        assert dens[np.argmin(np.abs(reference_grid.t - 10.0))] > 0.0
+
+    def test_integrates_to_starvation_probability(self, reference_model, reference_session,
+                                                  reference_grid):
+        dens = reference_grid.first_density.sum(axis=1)
+        total = np.trapezoid(dens, reference_grid.t)
         p = starvation_probability(reference_model, reference_session)
         assert total == pytest.approx(p, abs=1e-2)
 
 
 class TestTerminalProbability:
-    def test_piecewise_windows(self, reference_model, reference_session):
-        # before j starvations are feasible: zero
-        np.testing.assert_array_equal(
-            terminal_probability(reference_model, reference_session, 1.0, 2), [0.0, 0.0]
-        )
-        # final prefetch covers the remainder: one
-        np.testing.assert_array_equal(
-            terminal_probability(reference_model, reference_session, 19.0, 1), [1.0, 1.0]
-        )
-        # past the end of the file: zero
-        np.testing.assert_array_equal(
-            terminal_probability(reference_model, reference_session, 20.0, 1), [0.0, 0.0]
-        )
+    def test_piecewise_windows(self, reference_model, reference_session,
+                               reference_grid):
+        # certain once the final re-prefetch swallows the rest of the file
+        g = reference_grid
+        last = reference_model.mu * g.t >= reference_session.Z - reference_session.x
+        assert np.any(last)
+        np.testing.assert_array_equal(g.survive[last], 1.0)
 
-    def test_middle_window_in_unit_interval(self, reference_model, reference_session):
-        u = terminal_probability(reference_model, reference_session, 10.0, 1)
+    def test_middle_window_in_unit_interval(self, reference_grid):
+        u = reference_grid.survive[np.argmin(np.abs(reference_grid.t - 10.0))]
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_middle_window_matches_restarted_sessions(self, reference_model,
-                                                      reference_session):
+                                                      reference_session, reference_grid):
         # closing after a starvation at time t is exactly a fresh session
         # with the remaining frames as its file
         t = 10.0
+        g = int(np.argmin(np.abs(reference_grid.t - t)))
+        assert reference_grid.t[g] == t
         remaining = reference_session.Z - reference_model.mu * t
         mini = SessionParams(x=reference_session.x, Z=remaining)
-        u = terminal_probability(reference_model, reference_session, t, 1)
+        u = reference_grid.survive[g]
         for state in (0, 1):
             stats = monte_carlo(
                 reference_model, mini,
@@ -140,36 +137,17 @@ class TestTerminalProbability:
 
 
 class TestContinuationKernel:
-    def test_gap_must_cover_prefetch(self, reference_model, reference_session):
-        mu, x = 25.0, 40.0
-        short = continuation_kernel(reference_model, reference_session, x / mu - 1e-9,
-                                    t_l=5.0, l=1)
-        np.testing.assert_array_equal(short, [0.0, 0.0])
+    def test_gap_must_cover_prefetch(self, reference_model, reference_session,
+                                     reference_grid):
+        x, mu = reference_session.x, reference_model.mu
+        short = reference_grid.kernel[reference_grid.t < x / mu]
+        np.testing.assert_array_equal(short, 0.0)
 
-    def test_depends_on_gap_only(self, reference_model, reference_session):
-        a = continuation_kernel(reference_model, reference_session, 5.0, t_l=2.0, l=1)
-        b = continuation_kernel(reference_model, reference_session, 5.0, t_l=8.0, l=1)
-        np.testing.assert_array_equal(a, b)
-
-    def test_subprobability_mass(self, reference_model, reference_session):
-        grid = np.linspace(0.0, 18.0, 901)
-        vals = np.array(
-            [continuation_kernel(reference_model, reference_session, float(d), t_l=0.0)
-             for d in grid]
-        )
-        mass = np.trapezoid(vals, grid, axis=0)
+    def test_subprobability_mass(self, reference_grid):
+        within = reference_grid.t <= 18.0
+        vals = reference_grid.kernel[within].sum(axis=-1)
+        mass = np.trapezoid(vals, reference_grid.t[within], axis=0)
         assert np.all(mass <= 1.0 + 1e-6)
-
-    def test_total_count_gate(self, reference_model, reference_session):
-        # with 3 starvations total, the 2nd must land before Z - x frames:
-        # mu (t_l + d) = 462.5 >= 500 - 40, so this gap is impossible ...
-        gated = continuation_kernel(reference_model, reference_session, 10.0,
-                                    t_l=8.5, l=1, j=3)
-        np.testing.assert_array_equal(gated, [0.0, 0.0])
-        # ... but fine when the session may end right after it
-        open_ended = continuation_kernel(reference_model, reference_session, 10.0,
-                                         t_l=8.5, l=1)
-        assert np.all(open_ended > 0.0)
 
 
 class TestStarvationCountPmf:
@@ -220,6 +198,18 @@ class TestStarvationCountPmf:
     def test_grid_too_coarse(self, onoff_model, onoff_session):
         with pytest.raises(GridTooCoarse):
             starvation_count_pmf(onoff_model, onoff_session, points_per_prefetch=4)
+
+    @pytest.mark.parametrize("j_max", [3.0, True, 0], ids=["float", "bool", "zero"])
+    def test_rejects_bad_j_max(self, onoff_model, onoff_session, j_max):
+        with pytest.raises(DomainError, match="j_max must be an integer >= 1"):
+            starvation_count_pmf(onoff_model, onoff_session, j_max=j_max)
+
+    def test_numpy_integer_j_max(self, onoff_model, onoff_session):
+        grid = build_path_grid(onoff_model, onoff_session)
+        a = starvation_count_pmf(onoff_model, onoff_session, j_max=np.int64(3), grid=grid)
+        b = starvation_count_pmf(onoff_model, onoff_session, j_max=3, grid=grid)
+        np.testing.assert_array_equal(a.p, b.p)
+        assert a.tail == b.tail
 
     def test_tail_too_large(self, onoff_model):
         with pytest.raises(TailTooLarge):

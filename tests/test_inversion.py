@@ -157,6 +157,18 @@ class TestInversionParams:
         with pytest.raises(DomainError):
             InversionParams(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(l=2.0), dict(m=11.0), dict(n=38.5), dict(l=True)],
+                             ids=["l_float", "m_float", "n_fraction", "l_bool"])
+    def test_rejects_non_integer_counts(self, kw):
+        with pytest.raises(DomainError, match="must be an integer"):
+            InversionParams(**kw)
+
+    def test_numpy_integer_counts(self):
+        params = InversionParams(l=np.int64(1), m=np.int32(11), n=np.uint8(38))
+        assert params == DEFAULT_PARAMS
+        assert all(type(v) is int for v in (params.l, params.m, params.n))
+        assert invert(damped_sine, 1.0, params) == invert(damped_sine, 1.0)
+
     def test_precision_ceiling(self):
         with pytest.raises(OverflowRisk):
             invert(damped_sine, 1.0, InversionParams(**LEGACY_M64_PARAMS))

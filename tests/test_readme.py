@@ -1,13 +1,15 @@
-"""Every command in the README's command-line block exits 0, run in process
-through ``fluidqoe.cli.main`` from the repository root."""
+"""The README's examples run as written: every command of its command-line
+block exits 0, run in process through ``fluidqoe.cli.main`` from the
+repository root; the library quickstart runs; the model config example loads."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from fluidqoe.cli import main
+from fluidqoe.cli import main, resolve_model_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,9 +23,15 @@ NEGATIVE_DENSITY = pytest.mark.filterwarnings(
     "ignore::fluidqoe.errors.NegativeDensityWarning")
 
 
-def readme_commands() -> list:
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block after the README heading ``heading``."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    pattern = rf"{re.escape(heading)}\s+```{language}\n(.*?)```"
+    return re.search(pattern, text, re.S).group(1)
+
+
+def readme_commands() -> list:
+    block = readme_block("## Command line", "sh")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.strip()]
 
@@ -40,3 +48,14 @@ def _param(argv: list):
 def test_readme_command_exits_zero(argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
+
+
+def test_library_quickstart_runs(capsys):
+    exec(compile(readme_block("## Library quickstart", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_model_config_example_loads():
+    data = json.loads(readme_block("### Model config (strict JSON)", "json"))
+    snapshot = resolve_model_snapshot(data)
+    assert snapshot["states"] == 2 and (snapshot["x"], snapshot["Z"]) == (40.0, 500.0)

@@ -9,7 +9,6 @@ from fluidqoe import (
     DefectivePencil,
     DimensionMismatch,
     IllConditionedWarning,
-    TwoStateParams,
     boundary_coefficients,
     characteristic_roots,
     startup_transform,
@@ -20,26 +19,27 @@ from fluidqoe import (
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
 from fluidqoe.spectral import OMEGA_FLOOR, SpectralSolution, evaluator
-from conftest import omega_grid
+from conftest import omega_grid, two_state
 
 
-def quadratic_oracle(p: TwoStateParams, omega):
+def quadratic_oracle(m, omega):
     """Roots of the characteristic quadratic, found by an independent solver.
 
     det(Q + s R - w I) expands (for state 1 carrying lambda1 and exit rate
     beta) to  a s^2 - b s + c  with a = r1 r2, b = r1 (w+alpha) + r2 (w+beta),
     c = w (w + alpha + beta).
     """
-    r1, r2 = p.lambda1 - p.mu, p.lambda2 - p.mu
+    alpha, beta = m.Q[1, 0], m.Q[0, 1]
+    r1, r2 = m.lam - m.mu
     a = r1 * r2
-    b = r1 * (omega + p.alpha) + r2 * (omega + p.beta)
-    c = omega * (omega + p.alpha + p.beta)
+    b = r1 * (omega + alpha) + r2 * (omega + beta)
+    c = omega * (omega + alpha + beta)
     return np.roots([a, -b, c]) if a != 0 else np.array([c / b])
 
 
 def random_two_state(rng):
     lam = rng.uniform(0.0, 50.0, 2)
-    return TwoStateParams(
+    return two_state(
         alpha=rng.uniform(0.2, 8.0), beta=rng.uniform(0.2, 8.0),
         lambda1=lam[0], lambda2=lam[1], mu=rng.uniform(5.0, 45.0),
     )
@@ -47,29 +47,29 @@ def random_two_state(rng):
 
 class TestCharacteristicRoots:
     def test_reference_matches_quadratic_oracle(self, theorem_cases):
-        p = theorem_cases["one_drains"]
-        sol = characteristic_roots(p.to_model(), 1.0)
-        expected = np.sort_complex(quadratic_oracle(p, 1.0))
+        m = theorem_cases["one_drains"]
+        sol = characteristic_roots(m, 1.0)
+        expected = np.sort_complex(quadratic_oracle(m, 1.0))
         np.testing.assert_allclose(np.sort_complex(sol.roots), expected, atol=1e-12)
 
     def test_both_draining_both_negative(self, theorem_cases):
-        p = theorem_cases["both_drain"]
+        m = theorem_cases["both_drain"]
         for om in np.geomspace(0.05, 8.0, 7):
-            sol = characteristic_roots(p.to_model(), om)
+            sol = characteristic_roots(m, om)
             assert sol.negative_set.size == 2
 
     def test_zero_rate_state_reduces_degree(self, theorem_cases):
-        p = theorem_cases["zero_rate"]  # lambda1 = mu
+        m = theorem_cases["zero_rate"]  # lambda1 = mu
+        alpha, beta = m.Q[1, 0], m.Q[0, 1]
         om = 0.8
-        sol = characteristic_roots(p.to_model(), om)
+        sol = characteristic_roots(m, om)
         assert sol.n_roots == 1
-        expected = om * (om + p.alpha + p.beta) / ((p.lambda2 - p.mu) * (om + p.beta))
+        expected = om * (om + alpha + beta) / ((m.lam[1] - m.mu) * (om + beta))
         assert sol.roots[0] == pytest.approx(expected, abs=1e-12)
         assert sol.roots[0].real < 0
 
     def test_pencil_residual_invariant(self, theorem_cases):
-        for p in theorem_cases.values():
-            m = p.to_model()
+        for m in theorem_cases.values():
             scale = np.max(np.abs(m.Q))
             for om in (0.3, 2.0 + 1.5j, 5.0 - 0.7j):
                 sol = characteristic_roots(m, om)
@@ -89,8 +89,7 @@ class TestCharacteristicRoots:
     def test_root_count_equals_nonzero_rates(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            p = random_two_state(rng)
-            m = p.to_model()
+            m = random_two_state(rng)
             sol = characteristic_roots(m, rng.uniform(0.05, 5.0))
             degree = int(np.sum(m.lam != m.mu))
             assert sol.n_roots == degree
@@ -126,8 +125,7 @@ class TestSignPlacement:
         rng = np.random.default_rng(42)
         checked = 0
         while checked < 200:
-            p = random_two_state(rng)
-            m = p.to_model()
+            m = random_two_state(rng)
             om = rng.uniform(1e-3, 10.0)
             sol = characteristic_roots(m, om)
             rates = m.lam - m.mu
@@ -138,13 +136,13 @@ class TestSignPlacement:
             checked += 1
 
     def test_equal_rates_below_playout(self):
-        p = TwoStateParams(alpha=1.5, beta=2.5, lambda1=10, lambda2=10, mu=25)
-        sol = characteristic_roots(p.to_model(), 0.4)
+        m = two_state(alpha=1.5, beta=2.5, lambda1=10, lambda2=10, mu=25)
+        sol = characteristic_roots(m, 0.4)
         assert sol.negative_set.size == 2
 
     def test_equal_rates_above_playout_no_starvation(self):
-        p = TwoStateParams(alpha=1.5, beta=2.5, lambda1=30, lambda2=30, mu=25)
-        sol = characteristic_roots(p.to_model(), 0.4)
+        m = two_state(alpha=1.5, beta=2.5, lambda1=30, lambda2=30, mu=25)
+        sol = characteristic_roots(m, 0.4)
         assert sol.negative_set.size == 0
 
 
@@ -169,8 +167,7 @@ class TestBoundaryCoefficients:
         assert checked >= 5
 
     def test_single_draining_state_coefficient_is_one(self, theorem_cases):
-        p = theorem_cases["one_drains"]
-        m = p.to_model()
+        m = theorem_cases["one_drains"]
         sol = characteristic_roots(m, 1.0)
         co = boundary_coefficients(sol, m)
         assert co.a.shape == (1, 2)
@@ -182,7 +179,7 @@ class TestBoundaryCoefficients:
         from fluidqoe import IllConditionedWarning
         from fluidqoe.spectral import SpectralSolution
 
-        both_drain = theorem_cases["both_drain"].to_model()
+        both_drain = theorem_cases["both_drain"]
         vecs = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
         sol = SpectralSolution(
             omega=1.0 + 0j,
@@ -199,9 +196,8 @@ class TestBoundaryCoefficients:
 class TestTwoStateTransform:
     def test_agrees_with_generic_path(self, theorem_cases):
         omegas = omega_grid(9)
-        for name, p in theorem_cases.items():
-            m = p.to_model()
-            closed = two_state_transform(p, 7.0, omegas)
+        for name, m in theorem_cases.items():
+            closed = two_state_transform(m, 7.0, omegas)
             for i, om in enumerate(omegas):
                 generic = transform_matrix(m, 7.0, om)
                 assert np.max(np.abs(closed[i] - generic)) < 1e-10, (name, om)
@@ -210,10 +206,9 @@ class TestTwoStateTransform:
         # the start-up transform of a source with two delivering states takes
         # the closed-form 2x2 exponential; scipy's expm is the generic path
         omegas = omega_grid(7)
-        for name, p in theorem_cases.items():
-            if p.lambda1 <= 0 or p.lambda2 <= 0:
+        for name, m in theorem_cases.items():
+            if np.any(m.lam <= 0):
                 continue
-            m = p.to_model()
             closed = startup_transform(m, 5.0, omegas)
             for i, om in enumerate(omegas):
                 generic = scipy.linalg.expm(5.0 * (m.Q - om * np.eye(2)) / m.lam[:, None])
@@ -235,17 +230,10 @@ class TestTwoStateTransform:
         assert np.allclose(H[:, 0], 0.0)
         assert np.all(np.abs(H[:, 1]) > 0)
 
-    def test_from_model_round_trip(self, reference_model):
-        p = TwoStateParams.from_model(reference_model)
-        assert (p.alpha, p.beta) == (2.0, 6.0)
-        assert (p.lambda1, p.lambda2) == (2.0, 30.0)
-        m = p.to_model()
-        np.testing.assert_array_equal(m.Q, reference_model.Q)
-
-    def test_from_model_requires_two_states(self):
+    def test_requires_two_states(self):
         m = validate_model([[0.0]], [1.0], 2.0)
         with pytest.raises(DimensionMismatch):
-            TwoStateParams.from_model(m)
+            two_state_transform(m, 1.0, 1.0)
 
 
 def _reference_transform(model, x, omega):
@@ -314,7 +302,7 @@ class TestStackedPencil:
         assert omegas.size == _TIMES_PER_CALL * DEFAULT_PARAMS.n_evaluations
         assert np.any((omegas.imag == 0.0) & (omegas.real < OMEGA_FLOOR))
         if mode == "playback":
-            stacked = evaluator(m, 20.0, "generic")(omegas)
+            stacked = transform_matrix(m, 20.0, omegas)
             reference = np.stack([_reference_transform(m, 20.0, w) for w in omegas])
             np.testing.assert_array_equal(stacked, reference)
             return
@@ -356,7 +344,7 @@ class TestStackedPencil:
         assert sol.roots.shape == (4, 2)
 
     def test_stack_warns_ill_conditioned_where_scalar_did(self, theorem_cases):
-        both_drain = theorem_cases["both_drain"].to_model()
+        both_drain = theorem_cases["both_drain"]
         good = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
         stack = SpectralSolution(

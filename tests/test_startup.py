@@ -185,6 +185,13 @@ class TestExpectedStartupDelay:
         slow = expected_startup_delay(reference_model, 40.0, [1.0, 0.0])
         assert fast < slow
 
+    @pytest.mark.parametrize("entry", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
+                                       [1e308, 1e308]],
+                             ids=["zero_sum", "nan", "inf", "sum_overflows"])
+    def test_bad_entry_distribution_rejected(self, reference_model, entry):
+        with pytest.raises(DomainError, match="entry_distribution"):
+            expected_startup_delay(reference_model, 40.0, entry)
+
 
 class TestPrefetchEndDistribution:
     def test_boundary_identity(self, reference_model):

@@ -11,11 +11,15 @@ from fluidqoe import (
     starvation_cdf,
     starvation_probability,
     starvation_transform,
+    transform_matrix,
+    two_state_transform,
     validate_model,
 )
 from fluidqoe._fdiff import derivative_at_zero
+from fluidqoe.inversion import invert_cdf_with_atoms
 from fluidqoe.spectral import evaluator
-from fluidqoe.starvation import earliest_starvation_time
+from fluidqoe.starvation import (earliest_starvation_time, starvation_atoms,
+                                 starvation_probability_from_cdf)
 
 
 class TestStarvationTransform:
@@ -39,9 +43,11 @@ class TestStarvationTransform:
         assert fast < slow
 
     def test_generic_method_matches_closed(self, reference_model):
-        a = starvation_transform(reference_model, 12.0, 0.7 + 0.3j, method="closed")
-        b = starvation_transform(reference_model, 12.0, 0.7 + 0.3j, method="generic")
+        a = two_state_transform(reference_model, 12.0, 0.7 + 0.3j)
+        b = transform_matrix(reference_model, 12.0, 0.7 + 0.3j)
         assert np.max(np.abs(a - b)) < 1e-10
+        np.testing.assert_array_equal(
+            starvation_transform(reference_model, 12.0, 0.7 + 0.3j), a)
 
 
 class TestStarvationCdf:
@@ -102,10 +108,20 @@ class TestStarvationProbability:
         assert 0.0 < p < 1.0
 
     def test_methods_agree(self, reference_model):
-        s = SessionParams(x=40, Z=500)
-        a = starvation_probability(reference_model, s, method="closed")
-        b = starvation_probability(reference_model, s, method="generic")
+        # one inversion of each path's transform; a two-state model takes
+        # the closed form
+        m, s = reference_model, SessionParams(x=40, Z=500)
+
+        def probability(transform):
+            cdf = invert_cdf_with_atoms(lambda om: transform(m, s.x, om),
+                                        starvation_atoms(m, s.x), np.asarray(s.Z / m.mu),
+                                        earliest_starvation_time(m, s.x))
+            return starvation_probability_from_cdf(m, s, cdf)
+
+        a = probability(two_state_transform)
+        b = probability(transform_matrix)
         assert a == pytest.approx(b, abs=1e-9)
+        assert starvation_probability(m, s) == a
 
 
 class TestMeanPlaybackTime:
