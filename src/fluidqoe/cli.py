@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Subcommands: validate, starvation, startup, events, simulate, optimize,
-compare, invert-selftest.  Model and scenario descriptions are JSON files
-with strictly validated keys; numeric grids use the inclusive ``a:b:n``
-notation (start, end, count).
+compare, invert-selftest.  ``_SUBCOMMANDS`` is the one place a subcommand and
+its flags are declared: the parser, the argument resolution and manifest
+replay are all built from it.  Model and scenario descriptions are JSON files
+with strictly validated keys and value types; numeric grids use the inclusive
+``a:b:n`` notation (start, end, count).
 
 Every result written with ``--out`` is paired with a run manifest (JSON)
 recording the subcommand, the resolved configuration snapshot, tool version,
 inversion parameters and seed; :func:`rerun_manifest` replays a manifest and
 reproduces the output byte for byte for deterministic subcommands.
 
-Exit codes: 0 success, 1 input/validation error, 2 numerical failure.
-Anticipated errors print a single diagnostic line on stderr, never a stack
-trace.
+Exit codes: 0 success, 1 input/validation error (usage errors and malformed
+flag or config values included), 2 numerical failure.  Anticipated errors
+print a single diagnostic line on stderr, never a stack trace.
 """
 
 from __future__ import annotations
@@ -76,7 +78,38 @@ def parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _check_keys(data: dict, allowed: set, what: str) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The JSON shape of each config value that is not a plain number ("units"
+# is compared literally instead).
+_SHAPES = {
+    "states": ("a whole number",
+               lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
+    "Q": ("a list of equal-length lists of numbers",
+          lambda v: isinstance(v, list) and all(map(_is_numbers, v))
+          and len({len(row) for row in v}) <= 1),
+    "lambda": ("a list of numbers", _is_numbers),
+    "throughput": ("a list of numbers", _is_numbers),
+    "frame_sizes": ("a list of numbers", _is_numbers),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _check_config(data, allowed: set, required: tuple, what: str) -> None:
+    """Keys known, required keys present, units literal, values well typed."""
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(data) - allowed)
@@ -87,37 +120,41 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
         raise ConfigError(
             f"{what} units must be {EXPECTED_UNITS} (content in frames, time in seconds)"
         )
-
-
-def load_model_config(path: str) -> dict:
-    """Parse and validate a model config file into a resolved snapshot."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model config {path}: {exc}") from exc
-    return resolve_model_snapshot(data)
-
-
-def resolve_model_snapshot(data: dict) -> dict:
-    _check_keys(data, MODEL_KEYS, "model config")
-    for key in ("Q", "lambda", "mu"):
+    for key in required:
         if key not in data:
-            raise ConfigError(f"model config is missing required key {key!r}")
-    model = validate_model(data["Q"], data["lambda"], data["mu"])
-    if "states" in data and int(data["states"]) != model.n_states:
-        raise ConfigError(
-            f"states={data['states']} does not match Q of size {model.n_states}"
-        )
-    snapshot = {
-        "states": model.n_states,
-        "Q": model.Q.tolist(),
-        "lambda": model.lam.tolist(),
-        "mu": model.mu,
-    }
+            raise ConfigError(f"{what} is missing required key {key!r}")
+    for key, value in data.items():
+        shape, test = _SHAPES.get(key, ("a number", _is_number))
+        if key != "units" and not test(value):
+            raise ConfigError(f"{what} key {key!r} must be {shape}, got {value!r}")
+
+
+def _with_defaults(snapshot: dict, data: dict) -> dict:
+    """The config's default x and Z, which CLI flags override."""
     for key in ("x", "Z"):
         if key in data:
             snapshot[key] = float(data[key])
     return snapshot
+
+
+def load_model_config(path: str) -> dict:
+    """Parse and validate a model config file into a resolved snapshot."""
+    return resolve_model_snapshot(_read_json(path, "model config"))
+
+
+def resolve_model_snapshot(data: dict) -> dict:
+    _check_config(data, MODEL_KEYS, ("Q", "lambda", "mu"), "model config")
+    model = validate_model(data["Q"], data["lambda"], data["mu"])
+    if "states" in data and data["states"] != model.n_states:
+        raise ConfigError(
+            f"states={data['states']} does not match Q of size {model.n_states}"
+        )
+    return _with_defaults({
+        "states": model.n_states,
+        "Q": model.Q.tolist(),
+        "lambda": model.lam.tolist(),
+        "mu": model.mu,
+    }, data)
 
 
 def _model_from_snapshot(snapshot: dict) -> FluidModel:
@@ -125,16 +162,11 @@ def _model_from_snapshot(snapshot: dict) -> FluidModel:
 
 
 def load_scenario_config(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario config {path}: {exc}") from exc
-    _check_keys(data, SCENARIO_KEYS, "scenario config")
-    for key in ("throughput", "frame_sizes", "alpha", "beta", "mu"):
-        if key not in data:
-            raise ConfigError(f"scenario config is missing required key {key!r}")
+    data = _read_json(path, "scenario config")
+    _check_config(data, SCENARIO_KEYS,
+                  ("throughput", "frame_sizes", "alpha", "beta", "mu"), "scenario config")
     spec = _scenario_from_snapshot(data)
-    snapshot = {
+    return _with_defaults({
         "throughput": list(spec.throughput),
         "frame_sizes": list(spec.frame_sizes),
         "alpha": spec.alpha,
@@ -142,11 +174,7 @@ def load_scenario_config(path: str) -> dict:
         "mu": spec.mu,
         "delta_f": spec.delta_f,
         "mode": spec.mode,
-    }
-    for key in ("x", "Z"):
-        if key in data:
-            snapshot[key] = float(data[key])
-    return snapshot
+    }, data)
 
 
 def _scenario_from_snapshot(data: dict) -> ScenarioSpec:
@@ -169,21 +197,26 @@ def _resolve(value, snapshot: dict, key: str, what: str) -> float:
     raise ConfigError(f"{what} must be given via --{key} or the config file")
 
 
-def _parse_weights(text: str) -> CostWeights:
+def _parse_fields(text: str, name: str, form: str, kinds: tuple) -> list:
+    """The comma-separated fields of flag ``--name``, each converted by its kind."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--weights must be 'c1,c2,c3', got {text!r}")
-    return CostWeights(*(float(p) for p in parts))
+    if len(parts) != len(kinds):
+        raise ConfigError(f"--{name} must be '{form}', got {text!r}")
+    try:
+        return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError as exc:
+        raise ConfigError(f"--{name} must be '{form}' with numeric fields: {exc}") from None
+
+
+def _parse_weights(text: str) -> CostWeights:
+    return CostWeights(*_parse_fields(text, "weights", "c1,c2,c3", (float,) * 3))
 
 
 def _parse_inversion(text: str | None) -> InversionParams:
     if text is None:
         return DEFAULT_PARAMS
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--params must be 'l,m,n,A', got {text!r}")
-    return InversionParams(l=int(parts[0]), m=int(parts[1]),
-                           n=int(parts[2]), A=float(parts[3]))
+    return InversionParams(*_parse_fields(text, "params", "l,m,n,A",
+                                          (int, int, int, float)))
 
 
 # --- subcommand payload builders (pure: snapshot + args -> output text) -----
@@ -236,8 +269,10 @@ def _run_events(snapshot: dict, args: dict) -> str:
     model = _model_from_snapshot(snapshot)
     params = SessionParams(x=args["x"], Z=args["Z"])
     inv = _parse_inversion(args.get("params"))
+    # an unset --grid, recorded as null, means the library's 16 points
+    grid = 16 if args["grid"] is None else int(args["grid"])
     pmf = starvation_count_pmf(model, params, j_max=int(args["jmax"]), inv=inv,
-                               points_per_prefetch=int(args.get("grid") or 16))
+                               points_per_prefetch=grid)
     return _json_text({"pmf": pmf.p.tolist(), "tail": pmf.tail})
 
 
@@ -264,7 +299,7 @@ def _run_optimize(snapshot: dict, args: dict) -> tuple:
     quality = quality_loss_fraction(spec)
     report = optimize_threshold(model, Z, weights, x_grid,
                                 quality_term=quality,
-                                j_max=int(args.get("jmax") or 3), inv=inv)
+                                j_max=int(args["jmax"]), inv=inv)
     rows = [[x, c.expected_starvations, c.expected_startup, c.quality_term, c.total]
             for x, c in zip(report.x_grid, report.costs)]
     csv = _csv_text(["x", "starvations", "startup", "quality", "total"], rows)
@@ -284,7 +319,7 @@ def _run_compare(snapshot: dict, args: dict) -> tuple:
     Z_grid = parse_grid(args["z_grid"])
     inv = _parse_inversion(args.get("params"))
     report = compare_scenarios(spec, weights, Z_grid, x,
-                               j_max=int(args.get("jmax") or 3), inv=inv)
+                               j_max=int(args["jmax"]), inv=inv)
     rows = []
     for Z, p, a in zip(report.Z_grid, report.progressive, report.adaptive):
         rows.append([Z, p.expected_starvations, p.expected_startup,
@@ -309,18 +344,6 @@ def _run_selftest(snapshot: dict, args: dict) -> str:
     return _json_text(report.to_dict())
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "starvation": _run_starvation,
-    "startup": _run_startup,
-    "events": _run_events,
-    "simulate": _run_simulate,
-    "optimize": _run_optimize,
-    "compare": _run_compare,
-    "invert-selftest": _run_selftest,
-}
-
-
 def _tool_version() -> str:
     # imported here: only --out manifests need it, and it slows every start
     from importlib.metadata import version
@@ -334,24 +357,14 @@ def _tool_version() -> str:
 def _write_outputs(subcommand: str, snapshot: dict, args: dict,
                    payload, out: str | None) -> int:
     """Write or print results; files get a sibling run manifest."""
-    two_part = isinstance(payload, tuple)
+    texts = payload if isinstance(payload, tuple) else (payload,)
     if out is None:
-        if two_part:
-            sys.stdout.write(payload[0])
-            sys.stderr.write(payload[1])
-        else:
-            sys.stdout.write(payload)
+        # a summary, the second part of optimize and compare, goes to stderr
+        for stream, text in zip((sys.stdout, sys.stderr), texts):
+            stream.write(text)
         return 0
     out_path = Path(out)
-    outputs = []
-    if two_part:
-        out_path.write_text(payload[0], encoding="utf-8", newline="\n")
-        summary_path = out_path.with_suffix(out_path.suffix + ".summary.json")
-        summary_path.write_text(payload[1], encoding="utf-8", newline="\n")
-        outputs = [str(out_path), str(summary_path)]
-    else:
-        out_path.write_text(payload, encoding="utf-8", newline="\n")
-        outputs = [str(out_path)]
+    paths = [out_path, out_path.with_suffix(out_path.suffix + ".summary.json")][:len(texts)]
     manifest = {
         "subcommand": subcommand,
         "tool_version": _tool_version(),
@@ -359,10 +372,14 @@ def _write_outputs(subcommand: str, snapshot: dict, args: dict,
         "args": args,
         "inversion": vars(_parse_inversion(args.get("params"))),
         "seed": args.get("seed"),
-        "outputs": outputs,
+        "outputs": [str(path) for path in paths],
     }
-    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    manifest_path.write_text(_json_text(manifest), encoding="utf-8", newline="\n")
+    paths.append(out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    try:
+        for path, text in zip(paths, [*texts, _json_text(manifest)]):
+            path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out files: {exc}") from None
     return 0
 
 
@@ -375,90 +392,14 @@ def rerun_manifest(manifest_path: str, out: str | None = None) -> int:
     """
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     sub = manifest["subcommand"]
-    runner = _RUNNERS[sub]
-    payload = runner(manifest["config"], manifest["args"])
+    payload = _SUBCOMMANDS[sub][0](manifest["config"], manifest["args"])
     target = out if out is not None else manifest["outputs"][0]
     return _write_outputs(sub, manifest["config"], manifest["args"], payload, target)
 
 
-# parse_args leaves the parser unchanged, so one parser serves every call
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluidqoe",
-        description="QoE analytics for streaming over a Markov-modulated fluid link",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, needs_model=True):
-        if needs_model:
-            p.add_argument("--config", required=True, help="model config JSON")
-        p.add_argument("--out", help="output file (paired with a run manifest)")
-        p.add_argument("--params", help="inversion parameters l,m,n,A")
-
-    p = sub.add_parser("validate", help="validate a model config")
-    add_common(p)
-
-    p = sub.add_parser("starvation", help="starvation CDF and probability")
-    add_common(p)
-    p.add_argument("--x", type=float, help="prefetch threshold (frames)")
-    p.add_argument("--Z", type=float, help="file size (frames)")
-    p.add_argument("--t-grid", dest="t_grid", help="time grid a:b:n (seconds)")
-
-    p = sub.add_parser("startup", help="start-up delay CDF and mean")
-    add_common(p)
-    p.add_argument("--x", type=float, help="prefetch threshold (frames)")
-    p.add_argument("--t-grid", dest="t_grid", help="time grid a:b:n (seconds)")
-
-    p = sub.add_parser("events", help="starvation-count distribution")
-    add_common(p)
-    p.add_argument("--x", type=float)
-    p.add_argument("--Z", type=float)
-    p.add_argument("--jmax", type=int, default=3)
-    p.add_argument("--grid", type=int, help="grid points per prefetch interval")
-
-    p = sub.add_parser("simulate", help="Monte Carlo session simulation")
-    add_common(p)
-    p.add_argument("--x", type=float)
-    p.add_argument("--Z", type=float)
-    p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", action="store_true",
-                   help="stop arrivals once Z frames have been delivered")
-    p.add_argument("--initial-state", dest="initial_state",
-                   help="'stationary' or a state index")
-
-    p = sub.add_parser("optimize", help="optimize the prefetch threshold")
-    p.add_argument("--scenario", required=True, help="scenario config JSON")
-    p.add_argument("--out", help="output CSV (plus .summary.json)")
-    p.add_argument("--params", help="inversion parameters l,m,n,A")
-    p.add_argument("--weights", required=True, help="c1,c2,c3")
-    p.add_argument("--x-grid", dest="x_grid", required=True, help="a:b:n")
-    p.add_argument("--Z", type=float)
-    p.add_argument("--mode", choices=["progressive", "adaptive"])
-    p.add_argument("--jmax", type=int, default=3,
-                   help="count truncation for the starvation term")
-
-    p = sub.add_parser("compare", help="progressive vs adaptive cost over Z")
-    p.add_argument("--scenario", required=True, help="scenario config JSON")
-    p.add_argument("--out", help="output CSV (plus .summary.json)")
-    p.add_argument("--params", help="inversion parameters l,m,n,A")
-    p.add_argument("--weights", required=True, help="c1,c2,c3")
-    p.add_argument("--Z-grid", dest="z_grid", required=True, help="a:b:n")
-    p.add_argument("--x", type=float)
-    p.add_argument("--jmax", type=int, default=3,
-                   help="count truncation for the starvation term")
-
-    p = sub.add_parser("invert-selftest", help="inversion accuracy report")
-    p.add_argument("--out", help="output file")
-    p.add_argument("--params", help="inversion parameters l,m,n,A")
-
-    return parser
-
-
-def _parse_initial_state(text: str | None):
-    if text is None or text == "stationary":
-        return "stationary"
+def _parse_initial_state(text: str):
+    if text == "stationary":
+        return text
     try:
         return int(text)
     except ValueError:
@@ -466,44 +407,100 @@ def _parse_initial_state(text: str | None):
                           f"state index, got {text!r}") from None
 
 
-# How each subcommand resolves its arguments: the config flag it loads (or
-# None), then the manifest args after "params", in the order they resolve.
-_ARGUMENTS = {
-    "validate": ("config", ()),
-    "starvation": ("config", ("x", "Z", "t_grid")),
-    "startup": ("config", ("x", "t_grid")),
-    "events": ("config", ("x", "Z", "jmax", "grid")),
-    "simulate": ("config", ("x", "Z", "reps", "seed", "cap", "initial_state")),
-    "optimize": ("scenario", ("weights", "jmax", "x_grid", "Z", "mode")),
-    "compare": ("scenario", ("weights", "jmax", "z_grid", "x")),
-    "invert-selftest": (None, ()),
+_LOADERS = {"config": (load_model_config, "model config JSON"),
+            "scenario": (load_scenario_config, "scenario config JSON")}
+
+_X = ("--x", {"type": float, "help": "prefetch threshold (frames)"})
+_Z = ("--Z", {"type": float, "help": "file size (frames)"})
+_T_GRID = ("--t-grid", {"help": "time grid a:b:n (seconds)"})
+_JMAX = ("--jmax", {"type": int, "default": 3, "help": "starvation-count truncation"})
+_WEIGHTS = ("--weights", {"required": True, "help": "cost weights c1,c2,c3"})
+
+# The one place a subcommand and its flags are declared, as
+#   name: (runner, the config flag it loads or None, help line,
+#          (flag, argparse keyword arguments) in the order they resolve);
+# every subcommand also takes --out and --params.
+_SUBCOMMANDS = {
+    "validate": (_run_validate, "config", "validate a model config", ()),
+    "starvation": (_run_starvation, "config", "starvation CDF and probability",
+                   (_X, _Z, _T_GRID)),
+    "startup": (_run_startup, "config", "start-up delay CDF and mean", (_X, _T_GRID)),
+    "events": (_run_events, "config", "starvation-count distribution", (
+        _X, _Z, _JMAX,
+        ("--grid", {"type": int, "help": "grid points per prefetch interval (default 16)"}),
+    )),
+    "simulate": (_run_simulate, "config", "Monte Carlo session simulation", (
+        _X, _Z,
+        ("--reps", {"type": int, "default": 10000}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--cap", {"action": "store_true",
+                   "help": "stop arrivals once Z frames have been delivered"}),
+        ("--initial-state", {"type": _parse_initial_state, "default": "stationary",
+                             "help": "'stationary' or a state index"}),
+    )),
+    "optimize": (_run_optimize, "scenario", "optimize the prefetch threshold", (
+        _WEIGHTS, _JMAX,
+        ("--x-grid", {"required": True, "help": "thresholds a:b:n (frames)"}),
+        _Z,
+        ("--mode", {"choices": ["progressive", "adaptive"]}),
+    )),
+    "compare": (_run_compare, "scenario", "progressive vs adaptive cost over Z", (
+        _WEIGHTS, _JMAX,
+        ("--Z-grid", {"dest": "z_grid", "required": True, "help": "file sizes a:b:n (frames)"}),
+        _X,
+    )),
+    "invert-selftest": (_run_selftest, None, "inversion accuracy report", ()),
 }
 
-_LOADERS = {"config": load_model_config, "scenario": load_scenario_config}
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 with one line, no usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# parse_args leaves the parser unchanged, so one parser serves every call
+@functools.lru_cache(maxsize=1)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="fluidqoe",
+        description="QoE analytics for streaming over a Markov-modulated fluid link",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, source, help_line, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if source:
+            p.add_argument(f"--{source}", required=True, help=_LOADERS[source][1])
+        p.add_argument("--out", help="output file, paired with a run manifest "
+                                     "(optimize and compare add a .summary.json)")
+        p.add_argument("--params", help="inversion parameters l,m,n,A")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+    return parser
+
 
 # Args that are not copied from the command line as given; x and Z fall
 # back to the config file.
 _CONVERTERS = {
     "x": lambda value, snapshot: _resolve(value, snapshot, "x", "prefetch threshold"),
     "Z": lambda value, snapshot: _resolve(value, snapshot, "Z", "file size"),
-    "cap": lambda value, snapshot: bool(value),
-    "initial_state": lambda value, snapshot: _parse_initial_state(value),
 }
 
 
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     ns = _build_parser().parse_args(argv)
-    sub = ns.subcommand
-    source, names = _ARGUMENTS[sub]
-    snapshot = _LOADERS[source](getattr(ns, source)) if source else {}
+    run, source, _, arguments = _SUBCOMMANDS[ns.subcommand]
+    snapshot = _LOADERS[source][0](getattr(ns, source)) if source else {}
     args = {"params": ns.params}
-    for name in names:
+    for flag, kwargs in arguments:
+        name = kwargs.get("dest", flag[2:].replace("-", "_"))  # argparse's dest
         value = getattr(ns, name)
         convert = _CONVERTERS.get(name)
         args[name] = convert(value, snapshot) if convert else value
-    payload = _RUNNERS[sub](snapshot, args)
-    return _write_outputs(sub, snapshot, args, payload, ns.out)
+    payload = run(snapshot, args)
+    return _write_outputs(ns.subcommand, snapshot, args, payload, ns.out)
 
 
 def main(argv=None) -> int:

@@ -139,8 +139,7 @@ class CostBreakdown:
 
 def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
                  quality_term: float = 0.0, j_max: int = 3,
-                 inv: InversionParams = DEFAULT_PARAMS,
-                 points_per_prefetch: int = 16) -> CostBreakdown:
+                 inv: InversionParams = DEFAULT_PARAMS) -> CostBreakdown:
     """Weighted session cost for a concrete fluid model.
 
     The starvation term is the expected count from the truncated count
@@ -151,8 +150,7 @@ def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
     """
     starv = 0.0
     if weights.c1 != 0.0:
-        pmf = starvation_count_pmf(model, params, j_max=j_max, inv=inv,
-                                   points_per_prefetch=points_per_prefetch)
+        pmf = starvation_count_pmf(model, params, j_max=j_max, inv=inv)
         starv = pmf.expected_count
     delay = 0.0
     if weights.c2 != 0.0:
@@ -163,14 +161,13 @@ def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
 
 
 def scenario_cost(spec: ScenarioSpec, params: SessionParams, weights: CostWeights,
-                  j_max: int = 3, inv: InversionParams = DEFAULT_PARAMS,
-                  points_per_prefetch: int = 16) -> CostBreakdown:
+                  j_max: int = 3,
+                  inv: InversionParams = DEFAULT_PARAMS) -> CostBreakdown:
     """Session cost of a scenario: model and quality term derived together."""
     model = scenario_to_model(spec)
     quality = quality_loss_fraction(spec)
     return session_cost(model, params, weights, quality_term=quality,
-                        j_max=j_max, inv=inv,
-                        points_per_prefetch=points_per_prefetch)
+                        j_max=j_max, inv=inv)
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,8 @@ class CrossoverReport:
 
 
 def compare_scenarios(spec: ScenarioSpec, weights: CostWeights, Z_grid, x: float,
-                      j_max: int = 3, inv: InversionParams = DEFAULT_PARAMS,
-                      points_per_prefetch: int = 16) -> CrossoverReport:
+                      j_max: int = 3,
+                      inv: InversionParams = DEFAULT_PARAMS) -> CrossoverReport:
     """Cost both policies over ascending file sizes and locate the crossover."""
     Z_grid = np.asarray(Z_grid, dtype=float)
     if Z_grid.ndim != 1 or Z_grid.size == 0 or np.any(np.diff(Z_grid) <= 0):
@@ -201,10 +198,8 @@ def compare_scenarios(spec: ScenarioSpec, weights: CostWeights, Z_grid, x: float
     crossover = None
     for Z in Z_grid:
         params = SessionParams(x=x, Z=float(Z))
-        p = scenario_cost(prog_spec, params, weights, j_max, inv,
-                          points_per_prefetch)
-        a = scenario_cost(adap_spec, params, weights, j_max, inv,
-                          points_per_prefetch)
+        p = scenario_cost(prog_spec, params, weights, j_max, inv)
+        a = scenario_cost(adap_spec, params, weights, j_max, inv)
         prog.append(p)
         adap.append(a)
         # strictly cheaper: a tie (identical arms) expresses no preference
@@ -226,8 +221,7 @@ class ThresholdReport:
 
 def optimize_threshold(model: FluidModel, Z: float, weights: CostWeights, x_grid,
                        quality_term: float = 0.0, j_max: int = 3,
-                       inv: InversionParams = DEFAULT_PARAMS,
-                       points_per_prefetch: int = 16) -> ThresholdReport:
+                       inv: InversionParams = DEFAULT_PARAMS) -> ThresholdReport:
     """Grid-minimize the session cost over the prefetch threshold.
 
     Ties resolve to the smaller threshold (the grid is ascending and the
@@ -242,7 +236,7 @@ def optimize_threshold(model: FluidModel, Z: float, weights: CostWeights, x_grid
     for x in x_grid:
         params = SessionParams(x=float(x), Z=float(Z))
         costs.append(session_cost(model, params, weights, quality_term,
-                                  j_max, inv, points_per_prefetch))
+                                  j_max, inv))
     totals = np.array([c.total for c in costs])
     best = int(np.argmin(totals))
     return ThresholdReport(x_grid=x_grid, costs=tuple(costs),

@@ -9,37 +9,43 @@ from fluidqoe.cli import (
     main,
     parse_grid,
     rerun_manifest,
+    resolve_model_snapshot,
 )
 from fluidqoe.errors import ConfigError
+
+
+MODEL = {
+    "states": 2,
+    "Q": [[-6, 6], [2, -2]],
+    "lambda": [2, 30],
+    "mu": 25,
+    "x": 40,
+    "Z": 500,
+    "units": {"content": "frames", "time": "seconds"},
+}
+
+SCENARIO = {
+    "throughput": [200000, 400000],
+    "frame_sizes": [10000, 20000],
+    "alpha": 1.0,
+    "beta": 3.0,
+    "mu": 17.75,
+    "x": 20,
+    "Z": 400,
+}
 
 
 @pytest.fixture()
 def model_config(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({
-        "states": 2,
-        "Q": [[-6, 6], [2, -2]],
-        "lambda": [2, 30],
-        "mu": 25,
-        "x": 40,
-        "Z": 500,
-        "units": {"content": "frames", "time": "seconds"},
-    }))
+    path.write_text(json.dumps(MODEL))
     return str(path)
 
 
 @pytest.fixture()
 def scenario_config(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({
-        "throughput": [200000, 400000],
-        "frame_sizes": [10000, 20000],
-        "alpha": 1.0,
-        "beta": 3.0,
-        "mu": 17.75,
-        "x": 20,
-        "Z": 400,
-    }))
+    path.write_text(json.dumps(SCENARIO))
     return str(path)
 
 
@@ -75,6 +81,15 @@ class TestConfigLoading:
         path.write_text(json.dumps({"states": 3, "Q": [[0]], "lambda": [1], "mu": 1}))
         with pytest.raises(ConfigError, match="states"):
             load_model_config(str(path))
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_model_config(str(path))
+
+    def test_whole_float_states_accepted(self):
+        assert resolve_model_snapshot({**MODEL, "states": 2.0}) == resolve_model_snapshot(MODEL)
 
     def test_scenario(self, scenario_config):
         snap = load_scenario_config(scenario_config)
@@ -127,6 +142,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "DomainError: no state delivers content\n"
+
+    @pytest.mark.parametrize("argv, changes, error", [
+        # malformed flag values, an unwritable --out, usage errors
+        pytest.param("starvation --config {model} --params 1.5,11,38,18.4", {},
+                     "ConfigError", id="params-float-l"),
+        pytest.param("starvation --config {model} --params a,b,c,d", {},
+                     "ConfigError", id="params-text"),
+        pytest.param("optimize --scenario {scenario} --weights a,b,c --x-grid 10:40:3", {},
+                     "ConfigError", id="weights-text"),
+        pytest.param("validate --config {model} --out {tmp}/missing/x.json", {},
+                     "ConfigError", id="out-missing-dir"),
+        pytest.param("validate", {}, "ConfigError", id="usage-missing-config"),
+        pytest.param("events --config {model} --jmax abc", {}, "ConfigError",
+                     id="usage-jmax-text"),
+        pytest.param("", {}, "ConfigError", id="usage-no-subcommand"),
+        # values passed through to the library's own checks
+        pytest.param("events --config {model} --grid 0", {}, "GridTooCoarse",
+                     id="events-grid-0"),
+        pytest.param("optimize --scenario {scenario} --weights 1,0.1,0 --x-grid 10:40:3 "
+                     "--jmax 0", {}, "DomainError", id="optimize-jmax-0"),
+        pytest.param("compare --scenario {scenario} --weights 1,0.1,1 --Z-grid 200:800:3 "
+                     "--jmax 0", {}, "DomainError", id="compare-jmax-0"),
+        # wrongly typed config values
+        pytest.param("validate --config {model}", {"mu": "25"}, "ConfigError", id="mu-text"),
+        pytest.param("validate --config {model}", {"Q": "abc"}, "ConfigError", id="Q-text"),
+        pytest.param("validate --config {model}", {"Q": [[-6, 6], [2]]}, "ConfigError",
+                     id="Q-ragged"),
+        pytest.param("validate --config {model}", {"states": "two"}, "ConfigError",
+                     id="states-text"),
+        pytest.param("validate --config {model}", {"states": 2.5}, "ConfigError",
+                     id="states-fraction"),
+        pytest.param("starvation --config {model}", {"x": "forty"}, "ConfigError",
+                     id="x-text"),
+        pytest.param("compare --scenario {scenario} --weights 1,0.1,1 --Z-grid 200:800:3",
+                     {"throughput": 5}, "ConfigError", id="throughput-number"),
+    ])
+    def test_malformed_input_exits_one(self, tmp_path, capsys, argv, changes, error):
+        paths = {"tmp": tmp_path, "model": tmp_path / "model.json",
+                 "scenario": tmp_path / "scenario.json"}
+        paths["model"].write_text(json.dumps({**MODEL, **changes}))
+        paths["scenario"].write_text(json.dumps({**SCENARIO, **changes}))
+        assert main(argv.format(**paths).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_selftest_passes(self, capsys):
         assert main(["invert-selftest"]) == 0

@@ -1,6 +1,8 @@
 """The README's examples run as written: every command of its command-line
 block exits 0, run in process through ``fluidqoe.cli.main`` from the
-repository root; the library quickstart runs; the model config example loads."""
+repository root; the library quickstart runs; the model config example loads;
+the README, the CLI's subcommand table and its docstring name the same
+subcommands."""
 
 import json
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fluidqoe import cli
 from fluidqoe.cli import main, resolve_model_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +62,10 @@ def test_model_config_example_loads():
     data = json.loads(readme_block("### Model config (strict JSON)", "json"))
     snapshot = resolve_model_snapshot(data)
     assert snapshot["states"] == 2 and (snapshot["x"], snapshot["Z"]) == (40.0, 500.0)
+
+
+def test_subcommand_lists_agree():
+    readme = list(dict.fromkeys(argv[1] for argv in readme_commands()))
+    listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.S).group(1)
+    docstring = [name.strip() for name in listed.split(",")]
+    assert readme == list(cli._SUBCOMMANDS) == docstring
