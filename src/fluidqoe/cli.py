@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,7 @@ def _run_compare(snapshot: dict, args: dict) -> tuple:
     summary = _json_text({
         "crossover_Z": report.crossover_Z,
         "x": report.x,
-        "weights": vars(weights),
+        "weights": asdict(weights),
     })
     return csv, summary
 
@@ -370,7 +371,7 @@ def _write_outputs(subcommand: str, snapshot: dict, args: dict,
         "tool_version": _tool_version(),
         "config": snapshot,
         "args": args,
-        "inversion": vars(_parse_inversion(args.get("params"))),
+        "inversion": asdict(_parse_inversion(args.get("params"))),
         "seed": args.get("seed"),
         "outputs": [str(path) for path in paths],
     }
@@ -388,10 +389,19 @@ def rerun_manifest(manifest_path: str, out: str | None = None) -> int:
 
     Deterministic subcommands reproduce their outputs byte for byte; ``out``
     overrides the original output path (the original is overwritten
-    otherwise).
+    otherwise).  A manifest that cannot be read, is not a JSON object of a
+    known subcommand, or lacks a recorded field raises :class:`ConfigError`
+    naming the manifest.
     """
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    sub = manifest["subcommand"]
+    manifest = _read_json(manifest_path, "run manifest")
+    sub = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if not isinstance(sub, str) or sub not in _SUBCOMMANDS:
+        raise ConfigError(f"run manifest {manifest_path} names no known "
+                          f"subcommand: {sub!r}")
+    missing = [key for key in ("config", "args", "outputs") if key not in manifest]
+    if missing:
+        raise ConfigError(f"run manifest {manifest_path} is missing "
+                          f"{', '.join(missing)}")
     payload = _SUBCOMMANDS[sub][0](manifest["config"], manifest["args"])
     target = out if out is not None else manifest["outputs"][0]
     return _write_outputs(sub, manifest["config"], manifest["args"], payload, target)

@@ -18,15 +18,18 @@ density/CDF from buffer level ``x``:
 The count probabilities chain these with composite-trapezoid quadrature on
 a playback-time grid aligned so that ``x/mu`` is a whole number of steps.
 The densities, kernels and survivals of every node come from one inversion
-call each.  One chain serves every count: each step is a windowed discrete
-convolution of the previous starvation density with the continuation
-kernel (the k-th starvation cannot happen before ``k x`` frames have
-played), and the ``j``-th step's density, closed with the survival, gives
-the probability of exactly ``j`` starvations.  The bound that the remaining
-starvations must still fit in the file cuts only nodes the later steps
-never read, so the chain need not be rebuilt per count.  State is carried
-along the chain: densities are resolved per starvation state, because
-re-prefetch outcomes and subsequent passages depend on it.
+call each.  The inversion is linear, so the starvation transform is inverted
+as is and mixed with the entry law and the fill matrix afterwards, on real
+per-node arrays rather than at every complex frequency.  One chain serves
+every count: each step is a windowed discrete convolution of the previous
+starvation density with the continuation kernel (the k-th starvation cannot
+happen before ``k x`` frames have played), and the ``j``-th step's density,
+closed with the survival, gives the probability of exactly ``j``
+starvations.  The bound that the remaining starvations must still fit in
+the file cuts only nodes the later steps never read, so the chain need not
+be rebuilt per count.  State is carried along the chain: densities are
+resolved per starvation state, because re-prefetch outcomes and subsequent
+passages depend on it.
 """
 
 from __future__ import annotations
@@ -77,13 +80,16 @@ def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray, ev,
     Row ``k`` re-prefetches from each state, then avoids the first passage
     for ``h[k]`` seconds; one inversion call serves every horizon.
     Deterministic drain atoms of the passage law are stepped in exactly; only
-    the continuous remainder is inverted.
+    the continuous remainder is inverted.  Its transform is summed over the
+    starvation state and then mixed with the fill, one ``(K, L)`` by
+    ``(L, L)`` product, so the clamp and range check of :func:`invert_cdf`
+    act on the fill-mixed CDF.
     """
     atoms = starvation_atoms(model, x)
     continuous = subtract_atoms(ev, *atoms)
 
     def refetch_cdf(omegas):
-        return np.einsum("jn,knm->kj", fill, np.asarray(continuous(omegas)))
+        return np.asarray(continuous(omegas)).sum(-1) @ fill.T
 
     cdf = invert_cdf(refetch_cdf, h, inv) + (fill @ atom_steps(*atoms, h)).sum(-1)
     return 1.0 - np.clip(cdf, 0.0, 1.0)
@@ -143,7 +149,9 @@ def build_path_grid(model: FluidModel, params: SessionParams,
 
     ``points_per_prefetch`` sets the resolution of the prefetch interval
     ``x/mu``; fewer than 8 points is rejected as too coarse to trust the
-    windowed quadrature.
+    windowed quadrature.  The starvation transform is inverted as is at the
+    feasible nodes; the inversion is linear, so the entry law and the fill
+    matrix mix the inverted densities afterwards.
     """
     if points_per_prefetch < 8:
         raise GridTooCoarse(
@@ -160,20 +168,14 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     ev = evaluator(model, x)
     L = model.n_states
 
-    def stacked_density(omegas):
-        H = np.asarray(ev(omegas))
-        first = np.einsum("i,kij->kj", rho0, H)
-        refetch = np.einsum("jn,knm->kjm", fill, H)
-        return np.concatenate([first[:, None, :], refetch], axis=1)
-
     support = max(earliest_starvation_time(model, x), x / mu)
     first_density = np.zeros((n_t, L))
     kernel = np.zeros((n_t, L, L))
     feasible = ~((t < support) | (t == 0.0))
     if np.any(feasible):
-        block = invert(stacked_density, t[feasible], inv)
-        first_density[feasible] = block[:, 0]
-        kernel[feasible] = block[:, 1:]
+        dens = invert(ev, t[feasible], inv)
+        first_density[feasible] = rho0 @ dens
+        kernel[feasible] = fill @ dens
     first_density = _clamp_density(first_density, "first starvation density")
     kernel = _clamp_density(kernel, "continuation kernel")
 

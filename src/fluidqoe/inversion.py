@@ -46,7 +46,7 @@ PRECISION_CEILING_A = 2.0 * math.log(1e-6 / np.finfo(float).eps)
 CDF_ERROR_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversionParams:
     """Euler-summation operating point ``(l, m, n, A)``.
 

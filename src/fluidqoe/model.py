@@ -41,7 +41,8 @@ def _communicating_classes(edges: np.ndarray) -> int:
 
     States communicate when each reaches the other; reachability is closed
     by repeated boolean squaring, and each class shares one row of mutual
-    reachability.
+    reachability.  A class is counted at its lowest state: the one whose
+    row's first mutually reachable state is itself.
     """
     reach = np.eye(edges.shape[0], dtype=bool) | edges
     while True:
@@ -49,10 +50,11 @@ def _communicating_classes(edges: np.ndarray) -> int:
         if np.array_equal(closed, reach):
             break
         reach = closed
-    return len(np.unique(reach & reach.T, axis=0))
+    mutual = reach & reach.T
+    return int(np.count_nonzero(mutual.argmax(axis=1) == np.arange(len(mutual))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FluidModel:
     """Validated fluid source: generator ``Q``, arrival rates ``lam``, playout ``mu``.
 
@@ -105,12 +107,16 @@ class FluidModel:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", float(self.mu))
 
+    def __reduce__(self):
+        # unpickling runs the checks again, which also make the arrays read-only
+        return FluidModel, (self.Q, self.lam, self.mu)
+
     @property
     def n_states(self) -> int:
         return self.Q.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionParams:
     """Session geometry: prefetch threshold ``x`` and file size ``Z``, both in frames."""
 

@@ -22,18 +22,19 @@ from .model import FluidModel, SessionParams, stationary_distribution
 from .startup import expected_startup_delay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostWeights:
     """User-preference weights: per starvation event, per second of start-up
-    delay, and per unit of quality loss."""
+    delay, and per unit of quality loss; each finite and >= 0."""
 
     c1: float
     c2: float
     c3: float
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0 or self.c3 < 0:
-            raise DomainError("cost weights must be >= 0")
+        weights = (self.c1, self.c2, self.c3)
+        if not all(0 <= c < np.inf for c in weights):  # NaN fails both
+            raise DomainError(f"cost weights must be finite and >= 0, got {weights}")
 
 
 @dataclass(frozen=True)

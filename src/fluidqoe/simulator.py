@@ -132,7 +132,7 @@ def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
     return shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """Replication plan: count, seed, arrival capping, initial-state rule.
 

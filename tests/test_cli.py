@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,10 @@ class TestExitCodes:
                      "--jmax 0", {}, "DomainError", id="optimize-jmax-0"),
         pytest.param("compare --scenario {scenario} --weights 1,0.1,1 --Z-grid 200:800:3 "
                      "--jmax 0", {}, "DomainError", id="compare-jmax-0"),
+        pytest.param("optimize --scenario {scenario} --weights nan,0,0 --x-grid 10:160:3 "
+                     "--jmax 4", {}, "DomainError", id="weights-nan"),
+        pytest.param("compare --scenario {scenario} --weights 1,inf,1 --Z-grid 200:800:3",
+                     {}, "DomainError", id="weights-inf"),
         # wrongly typed config values
         pytest.param("validate --config {model}", {"mu": "25"}, "ConfigError", id="mu-text"),
         pytest.param("validate --config {model}", {"Q": "abc"}, "ConfigError", id="Q-text"),
@@ -268,6 +273,21 @@ class TestManifests:
         assert rerun_manifest(str(tmp_path / "sim.json.manifest.json"),
                               str(replay)) == 0
         assert replay.read_bytes() == original
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(None, id="missing-file"),
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"subcommand": "nope"}', id="unknown-subcommand"),
+        pytest.param('{"subcommand": ["validate"]}', id="subcommand-list"),
+        pytest.param('{"subcommand": "validate", "config": {}}', id="missing-fields"),
+    ])
+    def test_bad_manifest_named(self, tmp_path, content):
+        path = tmp_path / "run.csv.manifest.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=f"run manifest {re.escape(str(path))}"):
+            rerun_manifest(str(path))
 
     def test_manifest_records_seed(self, model_config, tmp_path):
         out = tmp_path / "sim.json"

@@ -15,7 +15,13 @@ from fluidqoe import (
     starvation_probability,
     validate_model,
 )
+from fluidqoe import events
+from fluidqoe.inversion import DEFAULT_PARAMS, atom_steps, invert, invert_cdf, subtract_atoms
+from fluidqoe.model import stationary_distribution
 from fluidqoe.qoe import scenario_to_model
+from fluidqoe.spectral import evaluator
+from fluidqoe.starvation import earliest_starvation_time, starvation_atoms
+from fluidqoe.startup import prefetch_end_distribution
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +283,88 @@ class TestPathGrid:
         assert grid.first_density.shape == grid.survive.shape == (grid.n_t, L)
         assert grid.kernel.shape == (grid.n_t, L, L)
         assert grid.rho0.shape == (L,) and grid.fill.shape == (L, L)
+
+
+THREE_STATE = validate_model(
+    [[-6.48, 4.05, 2.43], [2.13, -3.44, 1.31], [2.67, 4.11, -6.78]],
+    [5.0, 20.0, 40.0], 25.0)
+
+
+def _grid_nodes(model, params, t):
+    """Nodes whose densities are inverted and nodes whose survival is."""
+    support = max(earliest_starvation_time(model, params.x), params.x / model.mu)
+    feasible = (t >= support) & (t > 0.0)
+    at_risk = model.mu * t < params.Z - params.x
+    return feasible, at_risk
+
+
+def _mixed_per_frequency(model, params, t):
+    """First densities, kernels and survivals with the entry law and the fill
+    mixed into the transform at every frequency, before inversion."""
+    x, Z, mu = params.x, params.Z, model.mu
+    fill = prefetch_end_distribution(model, 0.0, x)
+    rho0 = stationary_distribution(model) @ fill
+    ev = evaluator(model, x)
+    L = model.n_states
+
+    def stacked_density(omegas):
+        H = np.asarray(ev(omegas))
+        first = np.einsum("i,kij->kj", rho0, H)
+        refetch = np.einsum("jn,knm->kjm", fill, H)
+        return np.concatenate([first[:, None, :], refetch], axis=1)
+
+    feasible, at_risk = _grid_nodes(model, params, t)
+    first_density = np.zeros((t.size, L))
+    kernel = np.zeros((t.size, L, L))
+    block = invert(stacked_density, t[feasible])
+    first_density[feasible] = block[:, 0]
+    kernel[feasible] = block[:, 1:]
+
+    atoms = starvation_atoms(model, x)
+    continuous = subtract_atoms(ev, *atoms)
+
+    def refetch_cdf(omegas):
+        return np.einsum("jn,knm->kj", fill, np.asarray(continuous(omegas)))
+
+    h = Z / mu - t[at_risk]
+    cdf = invert_cdf(refetch_cdf, h) + (fill @ atom_steps(*atoms, h)).sum(-1)
+    survive = np.ones((t.size, L))
+    survive[at_risk] = 1.0 - np.clip(cdf, 0.0, 1.0)
+    return np.clip(first_density, 0.0, None), np.clip(kernel, 0.0, None), survive
+
+
+@pytest.mark.filterwarnings("ignore::fluidqoe.errors.NegativeDensityWarning")
+class TestInvertThenMix:
+    SOURCES = {"bursty": validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0),
+               "onoff": validate_model([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0], 25.0),
+               "three_state": THREE_STATE,
+               "progressive": PROGRESSIVE}
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("x, Z", [(20.0, 200.0), (40.0, 501.0)])
+    def test_matches_per_frequency_mixing(self, source, x, Z):
+        model, params = self.SOURCES[source], SessionParams(x=x, Z=Z)
+        grid = build_path_grid(model, params)
+        first_density, kernel, survive = _mixed_per_frequency(model, params, grid.t)
+        np.testing.assert_allclose(grid.first_density, first_density, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grid.kernel, kernel, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grid.survive, survive, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_each_frequency_evaluated_once(self, source, monkeypatch):
+        model, params = self.SOURCES[source], SessionParams(x=40.0, Z=501.0)
+        seen = []
+
+        def counting_evaluator(*args):
+            ev = evaluator(*args)
+
+            def counted(omegas):
+                seen.append(np.size(omegas))
+                return ev(omegas)
+            return counted
+
+        monkeypatch.setattr(events, "evaluator", counting_evaluator)
+        grid = build_path_grid(model, params)
+        feasible, at_risk = _grid_nodes(model, params, grid.t)
+        assert DEFAULT_PARAMS.n_evaluations == 51
+        assert sum(seen) == 51 * (feasible.sum() + at_risk.sum())

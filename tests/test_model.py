@@ -1,7 +1,16 @@
+import dataclasses
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fluidqoe import (
+    CostWeights,
     DimensionMismatch,
     NegativeOffDiagonal,
     NonPositivePlayoutRate,
@@ -9,11 +18,14 @@ from fluidqoe import (
     RowSumViolation,
     SessionParams,
     DomainError,
+    InversionParams,
+    SimConfig,
     effective_rates,
     mean_drift,
     stationary_distribution,
     validate_model,
 )
+from fluidqoe.model import _communicating_classes
 
 
 class TestValidateModel:
@@ -64,6 +76,52 @@ class TestValidateModel:
     def test_model_arrays_are_immutable(self, reference_model):
         with pytest.raises(ValueError):
             reference_model.Q[0, 0] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: arrays(bool, (n, n), elements=st.booleans())))
+    def test_class_count_matches_unique_rows(self, edges):
+        reach = np.eye(len(edges), dtype=bool) | edges
+        for _ in range(len(edges)):
+            reach = reach @ reach
+        expected = len(np.unique(reach & reach.T, axis=0))
+        assert _communicating_classes(edges) == expected
+
+    def test_validation_leaves_numpy_ma_unimported(self):
+        code = ("import sys; import fluidqoe; "
+                "fluidqoe.validate_model([[-1, 1], [2, -2]], [1.0, 3.0], 2.0); "
+                "sys.exit('numpy.ma' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+class TestValueClasses:
+    VALUES = [
+        SessionParams(x=40.0, Z=500.0),
+        CostWeights(1.0, 0.5, 0.0),
+        SimConfig(replications=10, seed=3, initial_state_mode=1),
+        InversionParams(l=2, m=11, n=38, A=18.4),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_replace_hash(self, value):
+        assert not hasattr(value, "__dict__")
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
+        field = dataclasses.fields(value)[0].name
+        changed = dataclasses.replace(value, **{field: getattr(value, field) + 1})
+        assert changed != value
+        assert dataclasses.replace(changed, **{field: getattr(value, field)}) == value
+
+    def test_model_pickle_and_replace(self, reference_model):
+        assert not hasattr(reference_model, "__dict__")
+        again = pickle.loads(pickle.dumps(reference_model))
+        np.testing.assert_array_equal(again.Q, reference_model.Q)
+        np.testing.assert_array_equal(again.lam, reference_model.lam)
+        assert again.mu == reference_model.mu and not again.Q.flags.writeable
+        faster = dataclasses.replace(reference_model, mu=30.0)
+        assert faster.mu == 30.0 and faster.Q is not reference_model.Q
+        with pytest.raises(Reducible):
+            dataclasses.replace(reference_model, Q=np.zeros((2, 2)))
 
 
 class TestSessionParams:

@@ -118,6 +118,14 @@ class TestSessionCost:
         with pytest.raises(DomainError):
             CostWeights(-1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nonfinite_weights_rejected(self, bad, slot):
+        weights = [1.0, 0.5, 0.0]
+        weights[slot] = bad
+        with pytest.raises(DomainError, match="finite"):
+            CostWeights(*weights)
+
 
 class TestCompareScenarios:
     def test_no_quality_weight_adaptive_dominates(self, bitrate_scenario):
