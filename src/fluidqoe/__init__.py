@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     FluidQoeError,
     GridTooCoarse,
-    IllConditionedWarning,
     InfeasiblePlayout,
     NegativeDensityWarning,
     NegativeOffDiagonal,
@@ -81,9 +80,7 @@ from .simulator import (
     simulate_session,
 )
 from .spectral import (
-    BoundaryCoefficients,
     SpectralSolution,
-    boundary_coefficients,
     characteristic_roots,
     transform_matrix,
     two_state_transform,

@@ -100,9 +100,5 @@ class BoundaryRootWarning(FluidQoeWarning):
     """A characteristic root sits on the numerical sign boundary |Re s| <= 1e-12."""
 
 
-class IllConditionedWarning(FluidQoeWarning):
-    """Boundary system condition number exceeds 1e12; coefficients may be inaccurate."""
-
-
 class NegativeDensityWarning(FluidQoeWarning):
     """Inverted density dipped below -1e-6 before clamping."""

@@ -76,6 +76,9 @@ class FluidModel:
             raise DimensionMismatch(
                 f"lambda must have length {L} to match Q, got shape {lam.shape}"
             )
+        for name, values in (("Q", Q), ("lambda", lam), ("mu", np.array(self.mu, dtype=float))):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{name} must be finite, got {values.tolist()}")
         scale = max(1.0, float(np.max(np.abs(Q))))
         rowsum = Q.sum(axis=1)
         bad = np.nonzero(np.abs(rowsum) > ROW_SUM_TOL * scale)[0]
@@ -124,10 +127,10 @@ class SessionParams:
     Z: float
 
     def __post_init__(self):
-        if not (self.x > 0):
-            raise DomainError(f"threshold x = {self.x:g} must be > 0")
-        if not (self.Z > 0):
-            raise DomainError(f"file size Z = {self.Z:g} must be > 0")
+        if not (0 < self.x < np.inf):
+            raise DomainError(f"threshold x = {self.x:g} must be finite and > 0")
+        if not (0 < self.Z < np.inf):
+            raise DomainError(f"file size Z = {self.Z:g} must be finite and > 0")
         if self.x > self.Z:
             raise DomainError(f"threshold x = {self.x:g} exceeds file size Z = {self.Z:g}")
 

@@ -60,6 +60,12 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "throughput", tuple(float(v) for v in self.throughput))
         object.__setattr__(self, "frame_sizes", tuple(float(v) for v in self.frame_sizes))
+        numbers = {"throughput": self.throughput, "frame_sizes": self.frame_sizes,
+                   "alpha": self.alpha, "beta": self.beta, "mu": self.mu,
+                   "delta_f": self.delta_f}
+        for name, values in numbers.items():
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{name} must be finite, got {values}")
         if len(self.throughput) != 2:
             raise DimensionMismatch(
                 f"scenario needs one throughput per state of the 2-state chain, "

@@ -1,24 +1,35 @@
-"""Characteristic analysis of the playing buffer over stacks of complex frequencies.
+"""The starvation transform over stacks of complex frequencies.
 
-At frequency ``w`` the starvation transform (first passage of the buffer to
-empty while it plays) is built from the pencil
+The playing buffer moves at the net rate ``r = lam - mu``: it fills in the
+states ``u`` with ``r > 0`` and drains in the states ``d`` with ``r < 0``.
+Indexed by level instead of time, the source is a Markov chain whose
+discounted generator at frequency ``w`` is the level generator
+``A(w) = diag(1/|r|) (Q - w I)`` (Ramaswami, "Matrix analytic methods for
+stochastic fluid flows", ITC 16, 1999), with the zero-drift states
+(``lam = mu``) censored out exactly as start-up censors its silent states
+(:func:`fluidqoe.startup._level_generator`).  Then the first-passage
+transform of the buffer from ``x`` down to empty is
 
-    (Q + s R - w I) phi = 0,     R = diag(lam - mu)
+    H(x, w) = [Psi(w); I] expm(x U(w)),    U(w) = A_dd + A_du Psi(w),
 
-whose finite eigenvalues ``s_k(w)`` and eigenvectors ``phi^k(w)`` drive the
-exponential solution modes ``exp(s_k x) phi^k``.  The start-up delay, where
-the buffer only fills, needs no pencil: see :mod:`fluidqoe.startup`.
+over the (filling; draining) rows and the draining columns, where
+``Psi(w)[i, j]`` is the transform of the first return to the start level,
+in draining state ``j``, from filling state ``i``: the minimal solution of
+the Riccati equation
 
-Every function here takes one frequency or a 1-D stack of ``K`` of them, and
-a stack is solved in one pass of batched linear algebra:
+    A_ud + A_uu Psi + Psi A_dd + Psi A_du Psi = 0
 
-- one batched ``solve`` eliminates the zero-rate states by a Schur
-  complement (the polynomial degree in ``s`` equals the number of states
-  with a nonzero rate; their eigenvector components are lifted back after);
-- one batched ``eig`` finds every root, which are sorted per frequency by
-  (real, imaginary) part, so the negative ones lead each row;
-- one batched ``cond`` and one batched ``solve`` match the boundary
-  conditions on the leading roots.
+(Bean, O'Reilly & Taylor, *Stochastic Models* 21(1), 2005).  It is found by
+Newton's method from ``Psi = 0``, each step one batched Sylvester solve in
+Kronecker form over the whole stack.  The columns of the filling and the
+zero-drift states are zero: the buffer cannot empty while it grows or holds.
+At ``w = 0`` the same engine gives the exact slope ``dH/dw`` behind the
+restricted mean times (:func:`_slope_at_zero`).
+
+The rate pencil ``(Q + s R - w I) phi = 0``, ``R = diag(lam - mu)``, gives
+the same transform through its negative roots.  :func:`characteristic_roots`
+solves it over a stack with one batched ``eig`` and checks what it finds;
+the evaluator does not call it.
 
 A scalar frequency is a stack of one whose leading axis is dropped on
 return.  The checks run over the whole stack; an error, or the one warning
@@ -26,34 +37,38 @@ of a call, names the first frequency at fault.
 
 :func:`evaluator` picks the path by state count: two-state models take the
 closed form (:func:`two_state_transform`, from the explicit quadratic), every
-other state count the generic pencil path (:func:`transform_matrix`).
+other state count the level-generator engine (:func:`transform_matrix`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._expm import expm, expm2
 from .errors import (
     BoundaryRootWarning,
     DefectivePencil,
     DegenerateRank,
     DimensionMismatch,
     DomainError,
-    IllConditionedWarning,
     NonConvergence,
 )
 from .model import FluidModel, effective_rates
+from .startup import _level_generator
 
 # Classification band: Re(s) < -SIGN_TOL is "negative"; |Re(s)| <= SIGN_TOL warns.
 SIGN_TOL = 1e-12
-# Real frequencies below this floor are lifted onto it; the pencil is singular
-# in the limit w -> 0 (s = 0 is always a root there).
+# Real frequencies below this floor are lifted onto it: at w = 0 the pencil has
+# the root s = 0, and at zero mean drift the engine's Newton step is singular.
 OMEGA_FLOOR = 1e-8
 RESIDUAL_TOL = 1e-10
-CONDITION_LIMIT = 1e12
+# Newton stops once a step is at most NEWTON_TOL max(1, |Psi|); steps stall
+# near 1e-14, and 5 to 12 steps get there.
+NEWTON_TOL = 1e-13
+NEWTON_STEPS = 50
 
 
 def _frequency_stack(omega):
@@ -106,24 +121,6 @@ class SpectralSolution:
         if self.roots.ndim != 1:
             raise ValueError("negative_set is per frequency; use negative_count on a stack")
         return np.arange(self.negative_count)
-
-
-@dataclass(frozen=True)
-class BoundaryCoefficients:
-    """Solution ``a[k, j]`` of the boundary system for every target state j.
-
-    ``root_indices`` names the roots (columns of the solution's eigvecs) the
-    rows of ``a`` refer to; ``rows`` the model states the conditions were
-    imposed on.  Columns of targets outside the feasible set are zero.  For a
-    stack, ``a``, ``condition`` and ``ill_conditioned`` gain a leading
-    frequency axis.
-    """
-
-    a: np.ndarray
-    root_indices: np.ndarray
-    rows: np.ndarray
-    condition: float | np.ndarray
-    ill_conditioned: bool | np.ndarray
 
 
 def characteristic_roots(model: FluidModel, omega) -> SpectralSolution:
@@ -248,97 +245,134 @@ def _check_defective(s_vals: np.ndarray, vecs: np.ndarray, om: np.ndarray) -> No
         )
 
 
-def boundary_coefficients(sol: SpectralSolution, model: FluidModel) -> BoundaryCoefficients:
-    """Coefficients ``a[k, j]`` matching boundary conditions at level zero.
+def _sylvester(left, right, rhs):
+    """Solve ``left X + X right = rhs`` for each ``(u, d)`` matrix of a stack,
+    as one batched linear system in Kronecker form."""
+    k, u, d = rhs.shape
+    system = (left[:, :, None, :, None] * np.eye(d)[:, None, :]
+              + np.eye(u)[:, None, :, None] * np.swapaxes(right, 1, 2)[:, None, :, None, :])
+    return np.linalg.solve(system.reshape(k, u * d, u * d),
+                           rhs.reshape(k, u * d, 1)).reshape(k, u, d)
 
-    The conditions ``sum_k a_kj phi_i^k = delta_ij`` are imposed on the
-    strictly draining states ``i`` and only negative-real-part roots enter;
-    target columns outside the draining set come out identically zero.
 
-    ``sol`` holds one frequency or a stack; a stack's systems are solved in
-    one batched call.  A condition number above 1e12 flags the result (and
-    warns once per call) but the coefficients are still returned.
+def _riccati(A, up, down, om):
+    """Minimal solution ``Psi`` of the level generator's Riccati equation over
+    a stack, with the Sylvester operator ``(A_uu + Psi A_du, A_dd + A_du Psi)``
+    of its Newton step at the solution.
+
+    Newton from ``Psi = 0``; a frequency leaves the iteration once its step is
+    small, and :class:`NonConvergence` names the first one that has not
+    after ``NEWTON_STEPS`` steps.
     """
-    scalar = sol.roots.ndim == 1
-    if scalar:
-        sol = replace(sol, omega=np.array([sol.omega], dtype=complex),
-                      roots=sol.roots[None], eigvecs=sol.eigvecs[None])
-    L = model.n_states
-    K = sol.roots.shape[0]
-    rows = np.flatnonzero(sol.rates < 0.0)
-    # the negative roots are the leading ones of each sorted row
-    d = rows.size
-    sel = np.arange(d)
-    uneven = sol.negative_count != d
-    if uneven.any():
-        k, bad, _ = _first(sol.omega, uneven)
-        raise NonConvergence(
-            f"boundary system is not square at omega={bad}: "
-            f"{sol.negative_count[k]} negative roots vs {d} conditions"
-        )
-    if d == 0:
-        return _coefficients(np.zeros((K, 0, L), dtype=complex), sel, rows,
-                             np.ones(K), np.zeros(K, dtype=bool), scalar)
-
-    system = sol.eigvecs[:, rows[:, None], sel]
-    rhs = np.eye(L, dtype=complex)[rows, :]
-    condition = np.linalg.cond(system)
-    ill = condition > CONDITION_LIMIT
-    if ill.any():
-        k, bad, more = _first(sol.omega, ill)
-        warnings.warn(
-            f"boundary system condition number {condition[k]:.3g} exceeds "
-            f"{CONDITION_LIMIT:g} at omega={bad}{more}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    try:
-        a = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        k = int(np.argmax(np.nan_to_num(condition, nan=np.inf)))
-        raise DefectivePencil(
-            f"boundary system is singular at omega={complex(sol.omega[k])}: {exc}"
-        ) from exc
-    return _coefficients(a, sel, rows, condition, ill, scalar)
-
-
-def _coefficients(a, sel, rows, condition, ill, scalar) -> BoundaryCoefficients:
-    if scalar:
-        return BoundaryCoefficients(a=a[0], root_indices=sel, rows=rows,
-                                    condition=float(condition[0]),
-                                    ill_conditioned=bool(ill[0]))
-    return BoundaryCoefficients(a=a, root_indices=sel, rows=rows,
-                                condition=condition, ill_conditioned=ill)
+    Auu, Aud = A[:, up[:, None], up], A[:, up[:, None], down]
+    Adu, Add = A[:, down[:, None], up], A[:, down[:, None], down]
+    psi = np.zeros(Aud.shape, dtype=A.dtype)
+    if not up.size:
+        return psi, Auu, Add
+    live = np.arange(A.shape[0])
+    for _ in range(NEWTON_STEPS):
+        p, du = psi[live], Adu[live]
+        right = Add[live] + du @ p
+        residual = Aud[live] + Auu[live] @ p + p @ right
+        try:
+            step = _sylvester(Auu[live] + p @ du, right, -residual)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(
+                f"Newton step is singular at one of omega={complex(om[live[0]])} .. "
+                f"{complex(om[live[-1]])}: {exc}"
+            ) from exc
+        psi[live] = p + step
+        size = np.abs(step).max(axis=(1, 2))
+        # a NaN step stays live
+        live = live[~(size <= NEWTON_TOL * np.maximum(1.0, np.abs(psi[live]).max(axis=(1, 2))))]
+        if not live.size:
+            return psi, Auu + psi @ Adu, Add + Adu @ psi
+    unconverged = np.zeros(om.shape, dtype=bool)
+    unconverged[live] = True
+    _, bad, more = _first(om, unconverged)
+    raise NonConvergence(
+        f"Riccati Newton iteration did not converge in {NEWTON_STEPS} steps at omega={bad}{more}"
+    )
 
 
 def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
-    """Generic-path starvation transform matrix at one frequency or a stack.
+    """Level-generator starvation transform matrix at one frequency or a stack.
 
-    Entry ``[i, j]`` is ``sum_k a_kj exp(s_k x) phi_i^k`` over the negative
-    roots, the first-passage transform of the playing buffer.  ``omega`` may
-    be a scalar (result ``(L, L)``) or an array of shape ``(K,)`` (result
-    ``(K, L, L)``); the whole stack costs one batched pencil solve.
+    ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
+    draining columns, the zero-drift rows lifted through their exit
+    discounts and every other column zero (see the module docstring).
+    ``omega`` may be a scalar (result ``(L, L)``) or an array of shape
+    ``(K,)`` (result ``(K, L, L)``); the whole stack costs one batched Newton
+    iteration and one stacked matrix exponential.
     """
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
-    sol = characteristic_roots(model, om)
-    coeffs = boundary_coefficients(sol, model)
-    sel = coeffs.root_indices
-    if sel.size == 0:
-        H = np.zeros((om.shape[0], model.n_states, model.n_states), dtype=complex)
-    else:
-        growth = np.exp(sol.roots[:, sel] * x)
-        H = sol.eigvecs[:, :, sel] @ (growth[:, :, None] * coeffs.a)
+    rates = effective_rates(model)
+    L = model.n_states
+    H = np.zeros((om.shape[0], L, L), dtype=complex)
+    if np.any(rates < 0.0):
+        kept, zero, A, lift = _level_generator(model, rates, om)
+        up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
+        psi, _, U = _riccati(A, up, down, om)
+        E = (expm2 if down.size == 2 else expm)(x * U)
+        cols = kept[down]
+        H[:, kept[up, None], cols] = psi @ E
+        H[:, cols[:, None], cols] = E
+        if zero.size:
+            H[:, zero[:, None], cols] = lift @ H[:, kept[:, None], cols]
     return H[0] if scalar else H
+
+
+def _slope_at_zero(model: FluidModel, x: float) -> np.ndarray:
+    """``dH/dw`` of the starvation transform at ``w = 0``, exactly.
+
+    At ``w = 0`` the engine runs in real arithmetic and needs no floor.
+    With ``A' = dA/dw``, ``dPsi/dw`` solves the Sylvester equation of the
+    Newton step at the solution, with right side minus the Riccati equation
+    differentiated at fixed ``Psi``; ``dU/dw = A'_dd + A'_du Psi + A_du dPsi``;
+    and the pair ``(expm(x U), d expm(x U)/dw)`` is one block exponential of
+    ``[[x U, x dU], [0, x U]]`` (Van Loan, IEEE TAC 23(3), 1978).  Zero-drift
+    rows differentiate their lift, whose slope is ``-(-Q_OO)^-1 lift``.
+    Needs a draining state.
+    """
+    rates = effective_rates(model)
+    L = model.n_states
+    kept, zero, A, lift = _level_generator(model, rates, 0.0)
+    up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
+    speed = np.abs(rates[kept])
+    dA = -np.diag(1.0 / speed)
+    if zero.size:
+        dlift = -np.linalg.solve(-model.Q[np.ix_(zero, zero)], lift)
+        dA = dA + model.Q[np.ix_(kept, zero)] @ dlift / speed[:, None]
+    psi, left, U = (m[0] for m in _riccati(A[None], up, down, np.zeros(1)))
+    dpsi = _sylvester(left[None], U[None], -(
+        dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dA[np.ix_(down, down)]
+        + psi @ dA[np.ix_(down, up)] @ psi)[None])[0]
+    dU = dA[np.ix_(down, down)] + dA[np.ix_(down, up)] @ psi + A[np.ix_(down, up)] @ dpsi
+    d = down.size
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = block[d:, d:] = x * U
+    block[:d, d:] = x * dU
+    both = expm(block)
+    E, dE = both[:d, :d], both[:d, d:]
+    cols = kept[down]
+    slope = np.zeros((L, L))
+    slope[np.ix_(kept[up], cols)] = dpsi @ E + psi @ dE
+    slope[np.ix_(cols, cols)] = dE
+    if zero.size:
+        H = np.zeros((kept.size, d))
+        H[up], H[down] = psi @ E, E
+        slope[np.ix_(zero, cols)] = dlift @ H + lift @ slope[np.ix_(kept, cols)]
+    return slope
 
 
 def evaluator(model: FluidModel, x: float):
     """Frequency-stack evaluator of the starvation transform ``H~(x, w)``.
 
-    Two-state models take the closed form, all others the generic pencil
-    path.  The returned callable maps a ``(K,)`` frequency array to
-    ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
+    Two-state models take the closed form, all others the level-generator
+    engine, :func:`transform_matrix`.  The returned callable maps a ``(K,)``
+    frequency array to ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -372,7 +406,7 @@ def two_state_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     State 0 is left at rate ``beta = Q[0, 1]`` and state 1 at rate
     ``alpha = Q[1, 0]``.  ``omega`` may be a scalar or an array of shape
     ``(K,)``; the result has shape ``(2, 2)`` or ``(K, 2, 2)`` and matches
-    the generic pencil path to near machine precision.  Raises
+    the level-generator engine to near machine precision.  Raises
     :class:`DimensionMismatch` unless the model has two states.
     """
     if model.n_states != 2:

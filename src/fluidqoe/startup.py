@@ -48,20 +48,24 @@ from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
 from .model import FluidModel, stationary_distribution
 
 
-def _level_generator(model: FluidModel, omega):
-    """The censored level generator ``G(w)`` on the delivering states and the
-    silent states' exit discounts ``(w I - Q_OO)^-1 Q_OP`` (``None`` without
-    silent states).
+def _level_generator(model: FluidModel, rates, omega):
+    """The censored level generator on the states whose level moves at
+    ``rates``, and the zero-rate states' exit discounts ``(w I - Q_OO)^-1 Q_OP``
+    (``None`` without zero-rate states).
 
-    ``omega`` is a scalar or a ``(K,)`` stack; the matrices then gain a
-    leading frequency axis.  Returns ``(pos, zero, G, lift)``, where ``pos``
-    and ``zero`` index the delivering and the silent states.
+    The level generator is ``diag(1/|r_P|) (Q_PP - w I + Q_PO lift)``: the
+    arrival rates ``lam`` give the fill clock's ``G(w)``, the net rates
+    ``lam - mu`` the playback clock's.  ``omega`` is a scalar or a ``(K,)``
+    stack; the matrices then gain a leading frequency axis.  Returns
+    ``(pos, zero, G, lift)``, where ``pos`` and ``zero`` index the moving and
+    the zero-rate states.
     """
-    pos = np.flatnonzero(model.lam > 0.0)
-    zero = np.flatnonzero(model.lam == 0.0)
+    pos = np.flatnonzero(rates != 0.0)
+    zero = np.flatnonzero(rates == 0.0)
     if pos.size == 0:
-        raise InfeasiblePlayout("no state delivers content; the threshold is unreachable")
+        raise InfeasiblePlayout("no state moves the buffer level; the threshold is unreachable")
     Q = model.Q
+    speed = np.abs(rates[pos])
     shift = np.asarray(omega)[..., None, None]
     gen = Q[np.ix_(pos, pos)]
     lift = None
@@ -71,7 +75,7 @@ def _level_generator(model: FluidModel, omega):
         lift = np.linalg.solve(-(Q[np.ix_(zero, zero)] - shift * np.eye(zero.size)),
                                Q[np.ix_(zero, pos)])
         gen = gen + Q[np.ix_(pos, zero)] @ lift
-    return pos, zero, gen / model.lam[pos, None] - shift * np.diag(1.0 / model.lam[pos]), lift
+    return pos, zero, gen / speed[:, None] - shift * np.diag(1.0 / speed), lift
 
 
 def startup_transform(model: FluidModel, x: float, omega) -> np.ndarray:
@@ -88,7 +92,7 @@ def startup_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     L = model.n_states
     if x == 0:
         return np.broadcast_to(np.eye(L, dtype=complex), om.shape + (L, L)).copy()
-    pos, zero, G, lift = _level_generator(model, om.reshape(-1))
+    pos, zero, G, lift = _level_generator(model, model.lam, om.reshape(-1))
     E = (expm2 if pos.size == 2 else expm)(x * G)
     if not zero.size:
         return E.reshape(om.shape + (L, L))
@@ -154,7 +158,7 @@ def expected_startup_delay(model: FluidModel, x: float,
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0:
         return 0.0
-    pos, zero, G, lift = _level_generator(model, 0.0)
+    pos, zero, G, lift = _level_generator(model, model.lam, 0.0)
     p = pos.size
     cost = np.ones(p)
     if zero.size:
@@ -185,7 +189,7 @@ def prefetch_end_distribution(model: FluidModel, q: float, x: float) -> np.ndarr
     L = model.n_states
     if q == x:
         return np.eye(L)
-    pos, zero, G, lift = _level_generator(model, 0.0)
+    pos, zero, G, lift = _level_generator(model, model.lam, 0.0)
     W = expm(G * (x - q))
     V = np.zeros((L, L))
     V[np.ix_(pos, pos)] = W

@@ -2,14 +2,15 @@
 
 ``H[i, j](x, t)`` is the probability that a buffer holding ``x`` frames at
 playback start runs empty by playback time ``t`` with the source in state
-``j`` at that moment, given initial state ``i``.  Its transform over the
-playback pencil is assembled from the negative-root modes; inversion gives
-the CDF, the value at the file-exhaustion horizon ``Z/mu`` gives the overall
-starvation probability, and the slope of the transform at the origin gives
-the restricted mean time to starve.
+``j`` at that moment, given initial state ``i``.  Its transform comes from
+the level-generator engine of :mod:`fluidqoe.spectral` (the closed form for
+two states); inversion gives the CDF, the value at the file-exhaustion
+horizon ``Z/mu`` gives the overall starvation probability, and the exact
+slope of the transform at the origin gives the restricted mean time to
+starve.
 
 Columns for non-draining states are identically zero: the buffer cannot hit
-empty while it is growing.
+empty while it is growing or holding.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fdiff import derivative_at_zero, warn_if_inconsistent
 from .errors import DomainError, NumericError, Unstable
 from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
                         time_array)
 from .model import FluidModel, SessionParams, mean_drift, stationary_distribution
-from .spectral import evaluator
+from .spectral import _slope_at_zero, evaluator
 from .startup import prefetch_end_distribution
 
 
@@ -114,8 +114,11 @@ class SeverityMatrix:
 
 
 def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
-    """Restricted mean time to starvation from the transform slope at zero.
+    """Restricted mean time to starvation, ``-dH~/dw`` at ``w = 0``, exactly.
 
+    The slope comes from the level-generator engine at ``w = 0`` for every
+    state count: one Riccati solve, one Sylvester solve for its slope and one
+    block exponential (see :func:`fluidqoe.spectral._slope_at_zero`).
     Requires strictly negative mean drift so the mean exists; raises
     :class:`Unstable` otherwise.  Entries are clamped at zero after
     verifying they are no more negative than -1e-8 (anything worse signals a
@@ -128,10 +131,7 @@ def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
         raise Unstable(
             f"mean drift {report.drift:g} >= 0: restricted mean may diverge"
         )
-    ev = evaluator(model, x)
-    scale = float(np.max(np.abs(np.diag(model.Q))))
-    D, check = derivative_at_zero(ev, scale)
-    warn_if_inconsistent(D, check, "mean playback time")
+    D = -_slope_at_zero(model, x)
     if np.any(D < -1e-8):
         raise NumericError(
             f"mean playback time produced entry {float(np.min(D)):g} < -1e-8"

@@ -12,7 +12,7 @@ from fluidqoe.cli import (
     rerun_manifest,
     resolve_model_snapshot,
 )
-from fluidqoe.errors import ConfigError
+from fluidqoe.errors import ConfigError, NegativeDensityWarning
 
 
 MODEL = {
@@ -169,6 +169,17 @@ class TestExitCodes:
                      "--jmax 4", {}, "DomainError", id="weights-nan"),
         pytest.param("compare --scenario {scenario} --weights 1,inf,1 --Z-grid 200:800:3",
                      {}, "DomainError", id="weights-inf"),
+        # non-finite numbers in a config or on the command line
+        pytest.param("validate --config {model}", {"lambda": [float("nan"), 30]},
+                     "DomainError", id="validate-lambda-nan"),
+        pytest.param("starvation --config {model}", {"lambda": [float("nan"), 30]},
+                     "DomainError", id="starvation-lambda-nan"),
+        pytest.param("starvation --config {model} --Z inf --t-grid 2:4:2", {},
+                     "DomainError", id="starvation-Z-inf"),
+        pytest.param("events --config {model} --Z inf", {}, "DomainError", id="events-Z-inf"),
+        pytest.param("optimize --scenario {scenario} --weights 1,0.5,0 --x-grid 10:160:3",
+                     {"throughput": [200000, float("nan")]}, "DomainError",
+                     id="optimize-throughput-nan"),
         # wrongly typed config values
         pytest.param("validate --config {model}", {"mu": "25"}, "ConfigError", id="mu-text"),
         pytest.param("validate --config {model}", {"Q": "abc"}, "ConfigError", id="Q-text"),
@@ -232,9 +243,14 @@ class TestOutputs:
 
     def test_optimize_and_compare(self, scenario_config, tmp_path, capsys):
         out = tmp_path / "opt.csv"
-        assert main(["optimize", "--scenario", scenario_config,
-                     "--weights", "1,0.1,0", "--x-grid", "10:40:3",
-                     "--out", str(out)]) == 0
+        # the scenario's count chain clamps two known inversion ripples
+        with pytest.warns(NegativeDensityWarning) as log:
+            assert main(["optimize", "--scenario", scenario_config,
+                         "--weights", "1,0.1,0", "--x-grid", "10:40:3",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in log] == [
+            "first starvation density: inversion ripple reached -2.69e-03 before clamping",
+            "continuation kernel: inversion ripple reached -5.75e-03 before clamping"]
         assert out.exists()
         summary = json.loads((tmp_path / "opt.csv.summary.json").read_text())
         assert "best_x" in summary

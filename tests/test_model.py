@@ -57,6 +57,16 @@ class TestValidateModel:
         with pytest.raises(NonPositivePlayoutRate):
             validate_model([[-1, 1], [1, -1]], [1, -2], 1.0)
 
+    @pytest.mark.parametrize("Q, lam, mu, field", [
+        ([[-1, 1], [1, -1]], [np.nan, 30], 25.0, "lambda"),
+        ([[-1, 1], [1, -1]], [np.inf, 30], 25.0, "lambda"),
+        ([[-np.inf, np.inf], [1, -1]], [2, 30], 25.0, "Q"),
+        ([[-1, 1], [1, -1]], [2, 30], np.inf, "mu"),
+    ])
+    def test_nonfinite_numbers_rejected(self, Q, lam, mu, field):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            validate_model(Q, lam, mu)
+
     def test_reducible_rejected(self):
         with pytest.raises(Reducible, match="into 2 communicating classes"):
             validate_model([[0, 0], [0, 0]], [1, 2], 1.0)
@@ -129,7 +139,8 @@ class TestSessionParams:
         p = SessionParams(x=40, Z=500)
         assert p.x == 40 and p.Z == 500
 
-    @pytest.mark.parametrize("x,Z", [(0, 10), (10, 0), (20, 10), (-1, 10)])
+    @pytest.mark.parametrize("x,Z", [(0, 10), (10, 0), (20, 10), (-1, 10), (10, np.inf),
+                                     (np.inf, np.inf), (np.nan, 10), (10, np.nan)])
     def test_invalid(self, x, Z):
         with pytest.raises(DomainError):
             SessionParams(x=x, Z=Z)

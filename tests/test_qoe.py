@@ -54,6 +54,22 @@ class TestScenarioToModel:
         # low-throughput state has stationary weight alpha/(alpha+beta) = 0.25
         assert quality_loss_fraction(adaptive) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("field, value", [
+        ("throughput", (200_000, float("nan"))),
+        ("throughput", (float("inf"), 400_000)),
+        ("frame_sizes", (10_000, float("inf"))),
+        ("frame_sizes", (float("nan"),)),
+        ("delta_f", float("nan")),
+        ("delta_f", float("inf")),
+        ("alpha", float("inf")),
+    ])
+    def test_nonfinite_numbers_rejected(self, field, value):
+        base = dict(throughput=(200_000, 400_000), frame_sizes=(10_000, 20_000),
+                    alpha=1.0, beta=3.0, mu=17.75)
+        base[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            ScenarioSpec(**base)
+
     @pytest.mark.parametrize("kw", [
         dict(throughput=(0, 1000)),
         dict(frame_sizes=(20_000, 10_000)),

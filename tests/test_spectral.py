@@ -8,8 +8,7 @@ from fluidqoe import (
     BoundaryRootWarning,
     DefectivePencil,
     DimensionMismatch,
-    IllConditionedWarning,
-    boundary_coefficients,
+    NonConvergence,
     characteristic_roots,
     startup_transform,
     transform_matrix,
@@ -18,8 +17,8 @@ from fluidqoe import (
 )
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
-from fluidqoe.spectral import OMEGA_FLOOR, SpectralSolution, evaluator
-from conftest import omega_grid, two_state
+from fluidqoe.spectral import OMEGA_FLOOR, evaluator
+from conftest import mpmath_transform, omega_grid, two_state
 
 
 def quadratic_oracle(m, omega):
@@ -146,53 +145,6 @@ class TestSignPlacement:
         assert sol.negative_set.size == 0
 
 
-class TestBoundaryCoefficients:
-    def test_defining_system_residual_random_three_state(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        for _ in range(12):
-            Q = rng.uniform(0.2, 3.0, (3, 3))
-            np.fill_diagonal(Q, 0.0)
-            np.fill_diagonal(Q, -Q.sum(axis=1))
-            m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
-            om = rng.uniform(0.1, 4.0) + 1j * rng.uniform(-2, 2)
-            sol = characteristic_roots(m, om)
-            co = boundary_coefficients(sol, m)
-            if co.rows.size == 0:
-                continue
-            system = sol.eigvecs[np.ix_(co.rows, co.root_indices)]
-            rhs = np.eye(3)[co.rows, :]
-            assert np.max(np.abs(system @ co.a - rhs)) < 1e-10
-            checked += 1
-        assert checked >= 5
-
-    def test_single_draining_state_coefficient_is_one(self, theorem_cases):
-        m = theorem_cases["one_drains"]
-        sol = characteristic_roots(m, 1.0)
-        co = boundary_coefficients(sol, m)
-        assert co.a.shape == (1, 2)
-        assert co.a[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert co.a[0, 1] == 0.0
-
-    def test_ill_conditioned_system_warns_and_flags(self, theorem_cases):
-        # synthetic near-parallel eigenvectors exercise the safety net
-        from fluidqoe import IllConditionedWarning
-        from fluidqoe.spectral import SpectralSolution
-
-        both_drain = theorem_cases["both_drain"]
-        vecs = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
-        sol = SpectralSolution(
-            omega=1.0 + 0j,
-            rates=both_drain.lam - both_drain.mu,
-            roots=np.array([-0.5 + 0j, -0.9 + 0j]),
-            eigvecs=vecs,
-        )
-        with pytest.warns(IllConditionedWarning):
-            co = boundary_coefficients(sol, both_drain)
-        assert co.ill_conditioned
-        assert co.condition > 1e12
-
-
 class TestTwoStateTransform:
     def test_agrees_with_generic_path(self, theorem_cases):
         omegas = omega_grid(9)
@@ -237,9 +189,9 @@ class TestTwoStateTransform:
 
 
 def _reference_transform(model, x, omega):
-    """The per-frequency generic transform that the stacked path replaced:
-    one clip, Schur complement, ``scipy.linalg.eig``, sort, lift,
-    normalization and boundary solve per frequency."""
+    """The starvation transform from the rate pencil, one frequency at a
+    time: clip, Schur complement, ``scipy.linalg.eig``, sort, lift,
+    normalization and boundary solve."""
     om = complex(omega)
     if om.imag == 0.0 and 0.0 <= om.real < OMEGA_FLOOR:
         om = complex(OMEGA_FLOOR)
@@ -289,12 +241,17 @@ STACK_SOURCES = {
                     [2.0, 2.0, -5.0, 1.0], [0.5, 0.5, 1.0, -2.0]], [3.0, 12.0, 30.0, 45.0]),
     "zero_rate": (Q3, [5.0, 25.0, 40.0]),
     "two_state": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0]),
+    "silent": (Q3, [0.0, 20.0, 40.0]),
+    "all_draining": (Q3, [5.0, 10.0, 20.0]),
 }
+# the start-up reference divides by every arrival rate
+BLOCK_CASES = [(source, mode) for source in sorted(STACK_SOURCES)
+               for mode in ("playback", "prefetch")
+               if not (mode == "prefetch" and source == "silent")]
 
 
 class TestStackedPencil:
-    @pytest.mark.parametrize("mode", ["playback", "prefetch"])
-    @pytest.mark.parametrize("source", sorted(STACK_SOURCES))
+    @pytest.mark.parametrize("source,mode", BLOCK_CASES)
     def test_block_matches_per_frequency_reference(self, source, mode):
         Q, lam = STACK_SOURCES[source]
         m = validate_model(Q, lam, 25.0)
@@ -304,7 +261,7 @@ class TestStackedPencil:
         if mode == "playback":
             stacked = transform_matrix(m, 20.0, omegas)
             reference = np.stack([_reference_transform(m, 20.0, w) for w in omegas])
-            np.testing.assert_array_equal(stacked, reference)
+            np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)
             return
         # the start-up transform, one matrix exponential of the level
         # generator per frequency; no frequency is lifted onto a floor
@@ -343,41 +300,58 @@ class TestStackedPencil:
         assert f"omega={complex(omegas[2])}" in str(hits[0].message)
         assert sol.roots.shape == (4, 2)
 
-    def test_stack_warns_ill_conditioned_where_scalar_did(self, theorem_cases):
-        both_drain = theorem_cases["both_drain"]
-        good = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-        near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
-        stack = SpectralSolution(
-            omega=np.array([1.0, 2.0, 3.0], dtype=complex),
-            rates=both_drain.lam - both_drain.mu,
-            roots=np.tile(np.array([-0.9 + 0j, -0.5 + 0j]), (3, 1)),
-            eigvecs=np.stack([good, near, good]),
-        )
-        for k, expect in enumerate([False, True, False]):
-            one = SpectralSolution(omega=complex(stack.omega[k]),
-                                   rates=stack.rates, roots=stack.roots[k],
-                                   eigvecs=stack.eigvecs[k])
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                assert boundary_coefficients(one, both_drain).ill_conditioned == expect
-            assert any(e.category is IllConditionedWarning for e in log) == expect
-        with pytest.warns(IllConditionedWarning, match=r"omega=\(2\+0j\)") as log:
-            co = boundary_coefficients(stack, both_drain)
-        assert len([e for e in log if e.category is IllConditionedWarning]) == 1
-        assert co.ill_conditioned.tolist() == [False, True, False]
-        assert co.a.shape == (3, 2, 2)
-
-    def test_generic_block_solves_pencil_once(self, monkeypatch):
+    def test_generic_block_is_one_engine_call(self, monkeypatch):
         calls = []
-        solve = spectral.characteristic_roots
+        engine = spectral.transform_matrix
 
         def counted(*args, **kwargs):
-            calls.append(np.size(args[1]))
-            return solve(*args, **kwargs)
+            calls.append(np.size(args[2]))
+            return engine(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "characteristic_roots", counted)
+        def refused(*args, **kwargs):
+            raise AssertionError("the evaluator solved the pencil")
+
+        monkeypatch.setattr(spectral, "transform_matrix", counted)
+        monkeypatch.setattr(spectral, "characteristic_roots", refused)
         m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
         omegas = _inversion_block()
         H = evaluator(m, 20.0)(omegas)
         assert H.shape == (omegas.size, 3, 3)
         assert calls == [omegas.size]
+
+    @pytest.mark.parametrize("source", ["four_state", "three_state"])
+    def test_engine_matches_mpmath_pencil_where_the_pencils_differ_most(self, source):
+        # at the frequencies where the engine and the double-precision pencil
+        # disagree most, the 40-digit pencil sides with the engine
+        Q, lam = STACK_SOURCES[source]
+        m = validate_model(Q, lam, 25.0)
+        omegas = spectral._frequency_stack(_inversion_block())[0]
+        for x in (20.0, 160.0):
+            stacked = transform_matrix(m, x, omegas)
+            gap = [np.abs(stacked[k] - _reference_transform(m, x, w)).max()
+                   for k, w in enumerate(omegas)]
+            for k in np.argsort(gap)[-3:]:
+                exact = np.array(mpmath_transform(m, x, omegas[k]).tolist(), dtype=complex)
+                assert np.abs(stacked[k] - exact).max() <= 2.5e-13, (x, omegas[k])
+
+    @pytest.mark.parametrize("source", ["three_state", "four_state"])
+    def test_level_split_at_an_intermediate_level(self, source):
+        # strong Markov property of the level path: to fall x1 + x2 the
+        # buffer first falls x1, ending in a draining state, then x2 from there
+        Q, lam = STACK_SOURCES[source]
+        m = validate_model(Q, lam, 25.0)
+        down = np.flatnonzero(m.lam < m.mu)
+        omegas = np.array([0.3 + 2.0j, 1.5 - 0.4j, 0.02 + 0.7j, 4.0 + 9.0j])
+        for x1, x2 in ((5.0, 15.0), (40.0, 7.5)):
+            whole = transform_matrix(m, x1 + x2, omegas)
+            split = transform_matrix(m, x1, omegas)[:, :, down] @ transform_matrix(
+                m, x2, omegas)[:, down, :]
+            np.testing.assert_allclose(whole, split, rtol=0, atol=1e-13)
+
+    def test_newton_cap_names_first_unconverged_frequency(self, monkeypatch):
+        monkeypatch.setattr(spectral, "NEWTON_STEPS", 1)
+        m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
+        omegas = np.array([0.5 + 1.0j, 2.0, 3.0 - 1.0j])
+        with pytest.raises(NonConvergence,
+                           match=r"omega=\(0\.5\+1j\) \(and at 2 more frequencies\)"):
+            transform_matrix(m, 10.0, omegas)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,11 +16,29 @@ from fluidqoe import (
     two_state_transform,
     validate_model,
 )
-from fluidqoe._fdiff import derivative_at_zero
 from fluidqoe.inversion import invert_cdf_with_atoms
 from fluidqoe.spectral import evaluator
 from fluidqoe.starvation import (earliest_starvation_time, starvation_atoms,
                                  starvation_probability_from_cdf)
+from conftest import mpmath_transform
+
+Q3 = [[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]]
+MEAN_SOURCES = {
+    "bursty": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0]),
+    "onoff": ([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0]),
+    "both_draining": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 20.0]),
+    "three_state": (Q3, [5.0, 20.0, 30.0]),
+    "zero_drift_three_state": (Q3, [5.0, 25.0, 30.0]),
+}
+
+
+def mpmath_mean(model, x):
+    """Restricted means to 40 digits: minus the central difference, at step
+    1e-12, of the 40-digit pencil transform across ``w = 0``."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf("1e-12")
+        slope = (mpmath_transform(model, x, h) - mpmath_transform(model, x, -h)) / (2 * h)
+        return -np.array([[float(mpmath.re(v)) for v in row] for row in slope.tolist()])
 
 
 class TestStarvationTransform:
@@ -141,12 +160,13 @@ class TestMeanPlaybackTime:
         D26 = mean_playback_time(m26, 40.0).D
         assert np.all(D26[:, 0] <= D25[:, 0] + 1e-8)
 
-    def test_step_size_consistency(self, reference_model):
-        ev = evaluator(reference_model, 40.0)
-        scale = float(np.max(np.abs(np.diag(reference_model.Q))))
-        value, check = derivative_at_zero(ev, scale)
-        spread = np.max(np.abs(value - check))
-        assert spread <= 1e-4 * max(np.max(np.abs(value)), 1e-12)
+    @pytest.mark.parametrize("x", [5.0, 40.0])
+    @pytest.mark.parametrize("source", sorted(MEAN_SOURCES))
+    def test_matches_mpmath_slope(self, source, x):
+        m = validate_model(*MEAN_SOURCES[source], 25.0)
+        exact = mpmath_mean(m, x)
+        D = mean_playback_time(m, x).D
+        np.testing.assert_allclose(D, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
 
     def test_matches_first_passage_simulation(self, reference_model):
         from fluidqoe import SimConfig, first_passage_times
@@ -171,5 +191,5 @@ class TestMeanPlaybackTime:
         # Here: slope 1/2, w = (0, 1.75), so m(40) = (20, 21.75).
         D = mean_playback_time(reference_model, 40.0).D
         totals = D.sum(axis=1)
-        assert totals[0] == pytest.approx(20.0, rel=1e-6)
-        assert totals[1] == pytest.approx(21.75, rel=1e-6)
+        assert totals[0] == pytest.approx(20.0, rel=1e-12)
+        assert totals[1] == pytest.approx(21.75, rel=1e-12)
