@@ -18,6 +18,7 @@ from fluidqoe import (
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
 from fluidqoe.spectral import OMEGA_FLOOR, evaluator
+from fluidqoe.startup import _level_generator
 from conftest import mpmath_transform, omega_grid, two_state
 
 
@@ -143,6 +144,46 @@ class TestSignPlacement:
         m = two_state(alpha=1.5, beta=2.5, lambda1=30, lambda2=30, mu=25)
         sol = characteristic_roots(m, 0.4)
         assert sol.negative_set.size == 0
+
+
+class TestBoundaryCoefficients:
+    def test_defining_system_residual_random_three_state(self):
+        # the boundary of the level path is Psi, the minimal solution of
+        # A_ud + A_uu Psi + Psi A_dd + Psi A_du Psi = 0
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(12):
+            Q = rng.uniform(0.2, 3.0, (3, 3))
+            np.fill_diagonal(Q, 0.0)
+            np.fill_diagonal(Q, -Q.sum(axis=1))
+            m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
+            om = np.array([rng.uniform(0.1, 4.0) + 1j * rng.uniform(-2, 2)])
+            rates = m.lam - m.mu
+            kept, _, A, _ = _level_generator(m, rates, om)
+            up = np.flatnonzero(rates[kept] > 0.0)
+            down = np.flatnonzero(rates[kept] < 0.0)
+            if up.size == 0 or down.size == 0:
+                continue
+            psi = spectral._riccati(A, up, down, om)[0][0]
+            A = A[0]
+            residual = (A[np.ix_(up, down)] + A[np.ix_(up, up)] @ psi
+                        + psi @ A[np.ix_(down, down)] + psi @ A[np.ix_(down, up)] @ psi)
+            assert np.max(np.abs(residual)) < 1e-10
+            checked += 1
+        assert checked >= 5
+
+    def test_single_draining_state_coefficient_is_one(self, theorem_cases):
+        # one draining state: the starvation column is the pencil's negative
+        # eigenvector, scaled to 1 in the draining state, times exp(s x)
+        m = theorem_cases["one_drains"]
+        sol = characteristic_roots(m, 1.0)
+        s, phi = sol.roots[0], sol.eigvecs[:, 0] / sol.eigvecs[0, 0]
+        H0 = transform_matrix(m, 0.0, 1.0)
+        assert H0[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(H0[:, 1] == 0.0)
+        H = transform_matrix(m, 7.0, 1.0)
+        np.testing.assert_allclose(H[:, 0], phi * np.exp(s * 7.0), rtol=1e-12)
+        assert np.all(H[:, 1] == 0.0)
 
 
 class TestTwoStateTransform:
@@ -299,6 +340,22 @@ class TestStackedPencil:
         assert len(hits) == 1
         assert f"omega={complex(omegas[2])}" in str(hits[0].message)
         assert sol.roots.shape == (4, 2)
+
+    def test_generic_block_solves_pencil_once(self, monkeypatch):
+        # a whole inversion block of a three-state pencil is one batched eig
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
+        omegas = _inversion_block()
+        sol = characteristic_roots(m, omegas)
+        assert sol.roots.shape == (omegas.size, 3)
+        assert calls == [(omegas.size, 3, 3)]
 
     def test_generic_block_is_one_engine_call(self, monkeypatch):
         calls = []

@@ -160,6 +160,23 @@ class TestMeanPlaybackTime:
         D26 = mean_playback_time(m26, 40.0).D
         assert np.all(D26[:, 0] <= D25[:, 0] + 1e-8)
 
+    def test_step_size_consistency(self, reference_model):
+        # central differences of the evaluator across w = 0 close in on the
+        # exact slope at second order: each tenfold smaller step cuts the
+        # gap a hundredfold
+        models = [reference_model] + [validate_model(*MEAN_SOURCES[s], 25.0)
+                                      for s in ("three_state", "zero_drift_three_state")]
+        for m in models:
+            ev = evaluator(m, 40.0)
+            D = mean_playback_time(m, 40.0).D
+            gaps = []
+            for h in (1e-2, 1e-3, 1e-4):
+                H = ev(np.array([h, -h]))
+                gaps.append(np.max(np.abs(-(H[0] - H[1]).real / (2 * h) - D)))
+            assert gaps[-1] <= 1e-4 * np.max(np.abs(D))
+            for wide, narrow in zip(gaps, gaps[1:]):
+                assert 90.0 <= wide / narrow <= 110.0, gaps
+
     @pytest.mark.parametrize("x", [5.0, 40.0])
     @pytest.mark.parametrize("source", sorted(MEAN_SOURCES))
     def test_matches_mpmath_slope(self, source, x):
