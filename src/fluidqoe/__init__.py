@@ -9,10 +9,7 @@ threshold and the streaming policy.
 """
 
 from .errors import (
-    BoundaryRootWarning,
     ConfigError,
-    DefectivePencil,
-    DegenerateRank,
     DimensionMismatch,
     DomainError,
     FluidQoeError,
@@ -80,8 +77,6 @@ from .simulator import (
     simulate_session,
 )
 from .spectral import (
-    SpectralSolution,
-    characteristic_roots,
     transform_matrix,
     two_state_transform,
 )

@@ -76,6 +76,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid must be 'a:b:n' with numeric fields: {exc}") from exc
     if n < 1:
         raise ConfigError(f"grid count must be >= 1, got {n}")
+    if not np.isfinite([a, b]).all():
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     return np.linspace(a, b, n)
 
 

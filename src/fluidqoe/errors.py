@@ -66,16 +66,8 @@ class SingularSystem(NumericError):
     pass
 
 
-class DegenerateRank(NumericError):
-    """Characteristic determinant vanishes identically; the model is malformed."""
-
-
 class NonConvergence(NumericError):
     pass
-
-
-class DefectivePencil(NumericError):
-    """Repeated characteristic root with a deficient eigenspace at this frequency."""
 
 
 class OverflowRisk(NumericError):
@@ -94,10 +86,6 @@ class TailTooLarge(NumericError):
 
 class FluidQoeWarning(UserWarning):
     pass
-
-
-class BoundaryRootWarning(FluidQoeWarning):
-    """A characteristic root sits on the numerical sign boundary |Re s| <= 1e-12."""
 
 
 class NegativeDensityWarning(FluidQoeWarning):

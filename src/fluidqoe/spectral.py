@@ -26,14 +26,9 @@ zero-drift states are zero: the buffer cannot empty while it grows or holds.
 At ``w = 0`` the same engine gives the exact slope ``dH/dw`` behind the
 restricted mean times (:func:`_slope_at_zero`).
 
-The rate pencil ``(Q + s R - w I) phi = 0``, ``R = diag(lam - mu)``, gives
-the same transform through its negative roots.  :func:`characteristic_roots`
-solves it over a stack with one batched ``eig`` and checks what it finds;
-the evaluator does not call it.
-
 A scalar frequency is a stack of one whose leading axis is dropped on
-return.  The checks run over the whole stack; an error, or the one warning
-of a call, names the first frequency at fault.
+return.  The checks run over the whole stack; an error names the first
+frequency at fault.
 
 :func:`evaluator` picks the path by state count: two-state models take the
 closed form (:func:`two_state_transform`, from the explicit quadratic), every
@@ -42,29 +37,17 @@ other state count the level-generator engine (:func:`transform_matrix`).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._expm import expm, expm2
-from .errors import (
-    BoundaryRootWarning,
-    DefectivePencil,
-    DegenerateRank,
-    DimensionMismatch,
-    DomainError,
-    NonConvergence,
-)
+from .errors import DimensionMismatch, DomainError, NonConvergence
 from .model import FluidModel, effective_rates
 from .startup import _level_generator
 
-# Classification band: Re(s) < -SIGN_TOL is "negative"; |Re(s)| <= SIGN_TOL warns.
-SIGN_TOL = 1e-12
-# Real frequencies below this floor are lifted onto it: at w = 0 the pencil has
-# the root s = 0, and at zero mean drift the engine's Newton step is singular.
+# Real frequencies below this floor are lifted onto it: at w = 0 under zero mean
+# drift the engine's Newton step is singular and the closed form's quadratic
+# has a double root at 0.
 OMEGA_FLOOR = 1e-8
-RESIDUAL_TOL = 1e-10
 # Newton stops once a step is at most NEWTON_TOL max(1, |Psi|); steps stall
 # near 1e-14, and 5 to 12 steps get there.
 NEWTON_TOL = 1e-13
@@ -88,161 +71,6 @@ def _first(om: np.ndarray, flags: np.ndarray) -> tuple:
     k = int(np.argmax(flags))
     more = int(np.count_nonzero(flags)) - 1
     return k, complex(om[k]), f" (and at {more} more frequencies)" if more else ""
-
-
-@dataclass(frozen=True)
-class SpectralSolution:
-    """Roots and eigenvectors of the rate pencil at one frequency or a stack.
-
-    ``roots`` has shape ``(n,)``, or ``(K, n)`` for a stack of ``K``
-    frequencies, sorted by (real, imaginary) part, so the roots with negative
-    real part lead each row.  ``eigvecs[..., :, k]`` is the eigenvector of
-    ``roots[..., k]``, scaled so its largest-magnitude entry is exactly 1
-    (deterministic normalization).
-    """
-
-    omega: complex | np.ndarray
-    rates: np.ndarray
-    roots: np.ndarray
-    eigvecs: np.ndarray
-
-    @property
-    def n_roots(self) -> int:
-        return self.roots.shape[-1]
-
-    @property
-    def negative_count(self):
-        """Number of roots with ``Re s < -SIGN_TOL``: per frequency for a stack."""
-        return np.count_nonzero(self.roots.real < -SIGN_TOL, axis=-1)
-
-    @property
-    def negative_set(self) -> np.ndarray:
-        """Indices of the negative-real-part roots at a single frequency."""
-        if self.roots.ndim != 1:
-            raise ValueError("negative_set is per frequency; use negative_count on a stack")
-        return np.arange(self.negative_count)
-
-
-def characteristic_roots(model: FluidModel, omega) -> SpectralSolution:
-    """All finite roots ``s_k`` of ``det(Q + s R - w I) = 0`` with eigenvectors.
-
-    ``omega`` is a scalar or a 1-D stack of frequencies; a stack is solved by
-    one batched eigendecomposition.  Zero-rate states reduce the degree; the
-    reduced problem is solved on the nonzero-rate block and eigenvectors are
-    lifted back to full length.  Raises :class:`DegenerateRank` for a
-    structurally singular pencil, :class:`NonConvergence` if the eigensolver
-    fails or residuals are poor, and :class:`DefectivePencil` when a repeated
-    root lacks an independent eigenvector.  Roots inside the sign band
-    ``|Re s| <= 1e-12`` trigger one :class:`BoundaryRootWarning` per call.
-    """
-    om, scalar = _frequency_stack(omega)
-    rates = effective_rates(model)
-    L = model.n_states
-    K = om.shape[0]
-    M = model.Q - om[:, None, None] * np.eye(L)
-
-    nz = np.flatnonzero(rates != 0.0)
-    zero = np.flatnonzero(rates == 0.0)
-    if nz.size == 0:
-        return _solution(om, rates, np.zeros((K, 0), dtype=complex),
-                         np.zeros((K, L, 0), dtype=complex), scalar)
-
-    reduced = M[:, nz[:, None], nz]
-    if zero.size:
-        Mzz = M[:, zero[:, None], zero]
-        try:
-            lifted = np.linalg.solve(Mzz, M[:, zero[:, None], nz])
-        except np.linalg.LinAlgError as exc:
-            k = int(np.argmin(np.abs(np.linalg.det(Mzz))))
-            raise DegenerateRank(
-                f"zero-rate block is singular at omega={complex(om[k])}: {exc}"
-            ) from exc
-        reduced = reduced - M[:, nz[:, None], zero] @ lifted
-
-    # (reduced + s diag(r_nz)) phi = 0  =>  standard eigenproblem for s.
-    pencil = reduced / -rates[nz, None].astype(complex)
-    finite = np.isfinite(pencil).all(axis=(-2, -1))
-    if not finite.all():
-        _, bad, _ = _first(om, ~finite)
-        raise NonConvergence(f"pencil has non-finite entries at omega={bad}")
-    try:
-        s_vals, vecs = np.linalg.eig(pencil)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(
-            f"eigensolver failed at one of omega={complex(om[0])} .. "
-            f"{complex(om[-1])} ({K} frequencies): {exc}"
-        ) from exc
-    finite = np.isfinite(s_vals).all(axis=-1)
-    if not finite.all():
-        _, bad, _ = _first(om, ~finite)
-        raise NonConvergence(f"eigensolver returned non-finite roots at omega={bad}")
-
-    order = np.lexsort((s_vals.imag, s_vals.real), axis=-1)
-    s_vals = np.take_along_axis(s_vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-
-    full = np.zeros((K, L, nz.size), dtype=complex)
-    full[:, nz, :] = vecs
-    if zero.size:
-        full[:, zero, :] = -lifted @ vecs
-
-    peak = np.argmax(np.abs(full), axis=-2)
-    full = full / np.take_along_axis(full, peak[:, None, :], axis=-2)
-
-    scale = max(np.max(np.abs(model.Q)), 1.0)
-    pencil_residual = (model.Q @ full + (full * rates[:, None]) * s_vals[:, None, :]
-                       - om[:, None, None] * full)
-    worst = np.max(np.abs(pencil_residual), axis=(-2, -1))
-    poor = worst > RESIDUAL_TOL * scale * 100
-    if poor.any():
-        k, bad, _ = _first(om, poor)
-        raise NonConvergence(
-            f"pencil residual {worst[k]:g} at omega={bad} exceeds tolerance"
-        )
-
-    _check_defective(s_vals, full, om)
-
-    boundary = np.abs(s_vals.real) <= SIGN_TOL
-    hit = boundary.any(axis=-1)
-    if hit.any():
-        k, bad, more = _first(om, hit)
-        warnings.warn(
-            f"{np.count_nonzero(boundary[k])} characteristic root(s) on the sign "
-            f"boundary at omega={bad}{more}; classification is unreliable",
-            BoundaryRootWarning,
-            stacklevel=2,
-        )
-    return _solution(om, rates, s_vals, full, scalar)
-
-
-def _solution(om, rates, roots, eigvecs, scalar) -> SpectralSolution:
-    if scalar:
-        return SpectralSolution(omega=complex(om[0]), rates=rates,
-                                roots=roots[0], eigvecs=eigvecs[0])
-    return SpectralSolution(omega=om, rates=rates, roots=roots, eigvecs=eigvecs)
-
-
-def _check_defective(s_vals: np.ndarray, vecs: np.ndarray, om: np.ndarray) -> None:
-    """Raise :class:`DefectivePencil` where a repeated root lacks an
-    independent eigenvector.
-
-    ``s_vals`` is ``(K, n)``, ``vecs`` ``(K, L, n)`` and ``om`` ``(K,)``.
-    Close root pairs are flagged over the whole stack; only flagged pairs get
-    a singular-value test.
-    """
-    gap = np.abs(s_vals[:, :, None] - s_vals[:, None, :])
-    close = np.triu(gap <= 1e-8 * np.maximum(1.0, np.abs(s_vals))[:, :, None], k=1)
-    k, i, j = np.nonzero(close)
-    if k.size == 0:
-        return
-    pairs = np.stack([vecs[k, :, i], vecs[k, :, j]], axis=-1)
-    deficient = np.linalg.svd(pairs, compute_uv=False)[:, -1] < 1e-8
-    if deficient.any():
-        p = int(np.argmax(deficient))
-        raise DefectivePencil(
-            f"repeated root {s_vals[k[p], i[p]]} at omega={complex(om[k[p]])} has a "
-            "deficient eigenspace"
-        )
 
 
 def _sylvester(left, right, rhs):
@@ -305,8 +133,8 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
     ``(K,)`` (result ``(K, L, L)``); the whole stack costs one batched Newton
     iteration and one stacked matrix exponential.
     """
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
     rates = effective_rates(model)
     L = model.n_states
@@ -374,8 +202,8 @@ def evaluator(model: FluidModel, x: float):
     engine, :func:`transform_matrix`.  The returned callable maps a ``(K,)``
     frequency array to ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     if model.n_states == 2:
         return lambda omegas: two_state_transform(model, x, omegas)
     return lambda omegas: transform_matrix(model, x, omegas)
@@ -413,8 +241,8 @@ def two_state_transform(model: FluidModel, x: float, omega) -> np.ndarray:
         raise DimensionMismatch(
             f"the closed form needs a 2-state model, got {model.n_states}"
         )
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
     r1, r2 = (model.lam - model.mu).tolist()
     alpha, beta = float(model.Q[1, 0]), float(model.Q[0, 1])

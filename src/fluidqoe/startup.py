@@ -86,8 +86,8 @@ def startup_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     ``(L, L)`` matrix, a ``(K,)`` stack a ``(K, L, L)`` array.  At ``x = 0``
     this is the identity.
     """
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     om = np.asarray(omega, dtype=complex)
     L = model.n_states
     if x == 0:
@@ -154,8 +154,8 @@ def expected_startup_delay(model: FluidModel, x: float,
             raise DomainError("entry_distribution must be a finite nonnegative "
                               "length-L vector with a positive finite sum")
         entry = entry / total
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     if x == 0:
         return 0.0
     pos, zero, G, lift = _level_generator(model, model.lam, 0.0)
@@ -184,8 +184,8 @@ def prefetch_end_distribution(model: FluidModel, q: float, x: float) -> np.ndarr
     is the identity: a buffer already at the threshold completes instantly in
     place.
     """
-    if not (0 <= q <= x):
-        raise DomainError(f"need 0 <= q <= x, got q={q}, x={x}")
+    if not 0 <= q <= x < np.inf:
+        raise DomainError(f"need 0 <= q <= x with x finite, got q={q}, x={x}")
     L = model.n_states
     if q == x:
         return np.eye(L)

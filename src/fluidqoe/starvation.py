@@ -28,9 +28,9 @@ from .startup import prefetch_end_distribution
 
 
 def starvation_transform(model: FluidModel, x: float, omega) -> np.ndarray:
-    """Starvation transform matrix ``H~[i, j](x, w)`` at one frequency."""
-    ev = evaluator(model, x)
-    return ev(np.atleast_1d(np.asarray(omega, dtype=complex)))[0]
+    """Starvation transform matrix ``H~[i, j](x, w)``: ``(L, L)`` at a scalar
+    frequency, ``(K, L, L)`` at a ``(K,)`` stack."""
+    return evaluator(model, x)(omega)
 
 
 def starvation_atoms(model: FluidModel, x: float):
@@ -124,8 +124,8 @@ def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
     verifying they are no more negative than -1e-8 (anything worse signals a
     broken transform).
     """
-    if not (x > 0):
-        raise DomainError(f"x must be > 0, got {x}")
+    if not 0 < x < np.inf:
+        raise DomainError(f"x must be finite and > 0, got {x}")
     report = mean_drift(model)
     if report.drift >= 0:
         raise Unstable(

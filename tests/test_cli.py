@@ -103,6 +103,8 @@ class TestConfigLoading:
             parse_grid("1:5")
         with pytest.raises(ConfigError):
             parse_grid("1:5:0")
+        with pytest.raises(ConfigError, match="'1:nan:3'"):
+            parse_grid("1:nan:3")
 
 
 class TestExitCodes:
@@ -177,6 +179,12 @@ class TestExitCodes:
         pytest.param("starvation --config {model} --Z inf --t-grid 2:4:2", {},
                      "DomainError", id="starvation-Z-inf"),
         pytest.param("events --config {model} --Z inf", {}, "DomainError", id="events-Z-inf"),
+        pytest.param("startup --config {model} --x inf", {}, "DomainError", id="startup-x-inf"),
+        pytest.param("startup --config {model} --x nan", {}, "DomainError", id="startup-x-nan"),
+        pytest.param("starvation --config {model} --t-grid 1:inf:3", {}, "ConfigError",
+                     id="starvation-t-grid-inf"),
+        pytest.param("optimize --scenario {scenario} --weights 1,0.1,0 --x-grid 10:inf:3", {},
+                     "ConfigError", id="optimize-x-grid-inf"),
         pytest.param("optimize --scenario {scenario} --weights 1,0.5,0 --x-grid 10:160:3",
                      {"throughput": [200000, float("nan")]}, "DomainError",
                      id="optimize-throughput-nan"),

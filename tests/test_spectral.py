@@ -1,15 +1,11 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fluidqoe import (
-    BoundaryRootWarning,
-    DefectivePencil,
     DimensionMismatch,
+    DomainError,
     NonConvergence,
-    characteristic_roots,
     startup_transform,
     transform_matrix,
     two_state_transform,
@@ -46,104 +42,55 @@ def random_two_state(rng):
 
 
 class TestCharacteristicRoots:
-    def test_reference_matches_quadratic_oracle(self, theorem_cases):
-        m = theorem_cases["one_drains"]
-        sol = characteristic_roots(m, 1.0)
-        expected = np.sort_complex(quadratic_oracle(m, 1.0))
-        np.testing.assert_allclose(np.sort_complex(sol.roots), expected, atol=1e-12)
+    """The transform's dependence on the roots of the characteristic
+    equation ``det(Q + s R - w I) = 0``, ``R = diag(lam - mu)``."""
 
     def test_both_draining_both_negative(self, theorem_cases):
         m = theorem_cases["both_drain"]
         for om in np.geomspace(0.05, 8.0, 7):
-            sol = characteristic_roots(m, om)
-            assert sol.negative_set.size == 2
+            near, far = (transform_matrix(m, x, om) for x in (5.0, 20.0))
+            assert np.all(near != 0.0)
+            assert np.all(np.abs(far).sum(axis=0) < np.abs(near).sum(axis=0))
 
     def test_zero_rate_state_reduces_degree(self, theorem_cases):
         m = theorem_cases["zero_rate"]  # lambda1 = mu
         alpha, beta = m.Q[1, 0], m.Q[0, 1]
-        om = 0.8
-        sol = characteristic_roots(m, om)
-        assert sol.n_roots == 1
-        expected = om * (om + alpha + beta) / ((m.lam[1] - m.mu) * (om + beta))
-        assert sol.roots[0] == pytest.approx(expected, abs=1e-12)
-        assert sol.roots[0].real < 0
-
-    def test_pencil_residual_invariant(self, theorem_cases):
-        for m in theorem_cases.values():
-            scale = np.max(np.abs(m.Q))
-            for om in (0.3, 2.0 + 1.5j, 5.0 - 0.7j):
-                sol = characteristic_roots(m, om)
-                R = np.diag(sol.rates)
-                for k in range(sol.n_roots):
-                    res = (m.Q + sol.roots[k] * R - sol.omega * np.eye(2)) @ sol.eigvecs[:, k]
-                    assert np.max(np.abs(res)) < 1e-10 * scale
+        om, x = 0.8, 7.0
+        s = om * (om + alpha + beta) / ((m.lam[1] - m.mu) * (om + beta))
+        assert s < 0
+        for H in (transform_matrix(m, x, om), evaluator(m, x)(om)):
+            assert np.all(H[:, 0] == 0.0)
+            assert H[1, 1] == pytest.approx(np.exp(x * s), abs=1e-12)
 
     def test_conjugate_symmetry(self, reference_model):
         om = 1.3 + 0.8j
-        sol = characteristic_roots(reference_model, om)
-        conj = characteristic_roots(reference_model, np.conj(om))
-        np.testing.assert_allclose(
-            np.sort_complex(conj.roots), np.sort_complex(np.conj(sol.roots)), atol=1e-10
-        )
-
-    def test_root_count_equals_nonzero_rates(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            m = random_two_state(rng)
-            sol = characteristic_roots(m, rng.uniform(0.05, 5.0))
-            degree = int(np.sum(m.lam != m.mu))
-            assert sol.n_roots == degree
-
-    def test_eigvec_normalization(self, reference_model):
-        sol = characteristic_roots(reference_model, 0.9)
-        for k in range(sol.n_roots):
-            mags = np.abs(sol.eigvecs[:, k])
-            peak = np.argmax(mags)
-            assert sol.eigvecs[peak, k] == pytest.approx(1.0)
-
-    def test_near_zero_complex_frequency_warns(self, reference_model):
-        with pytest.warns(BoundaryRootWarning):
-            characteristic_roots(reference_model, 1e-30j + 1e-31)
-
-    def test_defective_pencil_detection(self):
-        from fluidqoe import DefectivePencil
-        from fluidqoe.spectral import _check_defective
-
-        roots = np.array([[-1.0 + 0j, -1.0 + 1e-12j]])
-        om = np.array([1.0 + 0j])
-        parallel = np.array([[[1.0, 1.0], [0.5, 0.5]]], dtype=complex)
-        with pytest.raises(DefectivePencil):
-            _check_defective(roots, parallel, om)
-        independent = np.array([[[1.0, 1.0], [0.5, -0.5]]], dtype=complex)
-        _check_defective(roots, independent, om)  # eigenspace is full
+        for H in (transform_matrix, two_state_transform):
+            np.testing.assert_allclose(H(reference_model, 7.0, np.conj(om)),
+                                       np.conj(H(reference_model, 7.0, om)), atol=1e-10)
 
 
 class TestSignPlacement:
-    """Root signs must follow the draining/filling pattern for real w > 0."""
+    """The transform's columns follow the draining/filling pattern at real
+    w > 0: exactly zero for filling and zero-rate states, nonzero for
+    draining ones."""
 
     def test_randomized_configurations(self):
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 200:
+        for _ in range(200):
             m = random_two_state(rng)
             om = rng.uniform(1e-3, 10.0)
-            sol = characteristic_roots(m, om)
-            rates = m.lam - m.mu
-            n_drain = int(np.sum(rates < 0))
-            n_fill = int(np.sum(rates > 0))
-            assert sol.negative_set.size == n_drain
-            assert int(np.sum(sol.roots.real > 1e-12)) == n_fill
-            checked += 1
+            draining = m.lam < m.mu
+            for H in (transform_matrix(m, 7.0, om), evaluator(m, 7.0)(om)):
+                assert np.all(H[:, ~draining] == 0.0)
+                assert np.all(H[:, draining] != 0.0)
 
     def test_equal_rates_below_playout(self):
         m = two_state(alpha=1.5, beta=2.5, lambda1=10, lambda2=10, mu=25)
-        sol = characteristic_roots(m, 0.4)
-        assert sol.negative_set.size == 2
+        assert np.all(transform_matrix(m, 7.0, 0.4) != 0.0)
 
     def test_equal_rates_above_playout_no_starvation(self):
         m = two_state(alpha=1.5, beta=2.5, lambda1=30, lambda2=30, mu=25)
-        sol = characteristic_roots(m, 0.4)
-        assert sol.negative_set.size == 0
+        assert np.all(transform_matrix(m, 7.0, 0.4) == 0.0)
 
 
 class TestBoundaryCoefficients:
@@ -173,11 +120,14 @@ class TestBoundaryCoefficients:
         assert checked >= 5
 
     def test_single_draining_state_coefficient_is_one(self, theorem_cases):
-        # one draining state: the starvation column is the pencil's negative
-        # eigenvector, scaled to 1 in the draining state, times exp(s x)
+        # one draining state: the starvation column is the eigenvector of the
+        # negative characteristic root, scaled to 1 in the draining state,
+        # times exp(s x); its second entry solves the first row of
+        # (Q + s R - w I) phi = 0
         m = theorem_cases["one_drains"]
-        sol = characteristic_roots(m, 1.0)
-        s, phi = sol.roots[0], sol.eigvecs[:, 0] / sol.eigvecs[0, 0]
+        s = min(quadratic_oracle(m, 1.0), key=lambda r: r.real)
+        beta, r1 = m.Q[0, 1], m.lam[0] - m.mu
+        phi = np.array([1.0, (beta + 1.0 - r1 * s) / beta])
         H0 = transform_matrix(m, 0.0, 1.0)
         assert H0[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(H0[:, 1] == 0.0)
@@ -228,6 +178,15 @@ class TestTwoStateTransform:
         with pytest.raises(DimensionMismatch):
             two_state_transform(m, 1.0, 1.0)
 
+    @pytest.mark.parametrize("x", [-1.0, np.inf, np.nan])
+    def test_threshold_must_be_finite_and_nonnegative(self, reference_model, x):
+        three = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
+        for call in (lambda: two_state_transform(reference_model, x, 1.0),
+                     lambda: transform_matrix(three, x, 1.0),
+                     lambda: evaluator(three, x)):
+            with pytest.raises(DomainError, match="^x must be finite and >= 0"):
+                call()
+
 
 def _reference_transform(model, x, omega):
     """The starvation transform from the rate pencil, one frequency at a
@@ -256,7 +215,7 @@ def _reference_transform(model, x, omega):
     peak = np.argmax(np.abs(full), axis=0)
     full = full / full[peak, np.arange(full.shape[1])]
     rows = np.nonzero(rates < 0.0)[0]
-    sel = np.nonzero(s_vals.real < -spectral.SIGN_TOL)[0]
+    sel = np.nonzero(s_vals.real < -1e-12)[0]
     assert rows.size == sel.size
     if sel.size == 0:
         return np.zeros((L, L), dtype=complex)
@@ -311,52 +270,6 @@ class TestStackedPencil:
                                                 / m.lam[:, None]) for w in omegas])
         np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-13)
 
-    def test_defective_frequency_named(self):
-        from fluidqoe.spectral import _check_defective
-
-        om = np.array([0.5, 1.0, 1.5, 2.0], dtype=complex)
-        roots = np.tile(np.array([-2.0 + 0j, -1.0 + 0j]), (4, 1))
-        vecs = np.tile(np.array([[1.0, 1.0], [0.5, -0.5]], dtype=complex), (4, 1, 1))
-        roots[1, 1] = roots[1, 0] + 1e-12j  # repeated, eigenspace full
-        roots[2, 1] = roots[2, 0] + 1e-12j  # repeated, eigenvectors parallel
-        vecs[2, 1, 1] = vecs[2, 1, 0]
-        _check_defective(np.delete(roots, 2, axis=0), np.delete(vecs, 2, axis=0), om[[0, 1, 3]])
-        with pytest.raises(DefectivePencil, match=r"omega=\(1\.5\+0j\)"):
-            _check_defective(roots, vecs, om)
-
-    def test_stack_warns_boundary_roots_where_scalar_did(self, reference_model):
-        omegas = np.array([0.5, 2.0 + 1.0j, 1e-31 + 1e-30j, 3.0], dtype=complex)
-        scalar_warned = []
-        for w in omegas:
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                characteristic_roots(reference_model, w)
-            scalar_warned.append(any(e.category is BoundaryRootWarning for e in log))
-        assert scalar_warned == [False, False, True, False]
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            sol = characteristic_roots(reference_model, omegas)
-        hits = [e for e in log if e.category is BoundaryRootWarning]
-        assert len(hits) == 1
-        assert f"omega={complex(omegas[2])}" in str(hits[0].message)
-        assert sol.roots.shape == (4, 2)
-
-    def test_generic_block_solves_pencil_once(self, monkeypatch):
-        # a whole inversion block of a three-state pencil is one batched eig
-        calls = []
-        eig = np.linalg.eig
-
-        def counted(a):
-            calls.append(a.shape)
-            return eig(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counted)
-        m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
-        omegas = _inversion_block()
-        sol = characteristic_roots(m, omegas)
-        assert sol.roots.shape == (omegas.size, 3)
-        assert calls == [(omegas.size, 3, 3)]
-
     def test_generic_block_is_one_engine_call(self, monkeypatch):
         calls = []
         engine = spectral.transform_matrix
@@ -365,11 +278,7 @@ class TestStackedPencil:
             calls.append(np.size(args[2]))
             return engine(*args, **kwargs)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the evaluator solved the pencil")
-
         monkeypatch.setattr(spectral, "transform_matrix", counted)
-        monkeypatch.setattr(spectral, "characteristic_roots", refused)
         m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
         omegas = _inversion_block()
         H = evaluator(m, 20.0)(omegas)

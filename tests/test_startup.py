@@ -234,6 +234,14 @@ class TestPrefetchEndDistribution:
         with pytest.raises(DomainError):
             prefetch_end_distribution(reference_model, -1.0, 5.0)
 
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    def test_nonfinite_threshold_rejected(self, reference_model, x):
+        for call in (lambda: startup_transform(reference_model, x, 1.0),
+                     lambda: expected_startup_delay(reference_model, x),
+                     lambda: prefetch_end_distribution(reference_model, 0.0, x)):
+            with pytest.raises(DomainError, match="x must be finite|with x finite"):
+                call()
+
     def test_all_silent_unreachable(self):
         m = validate_model([[-1, 1], [2, -2]], [0.0, 0.0], 1.0)
         with pytest.raises(InfeasiblePlayout):

@@ -68,6 +68,15 @@ class TestStarvationTransform:
         np.testing.assert_array_equal(
             starvation_transform(reference_model, 12.0, 0.7 + 0.3j), a)
 
+    @pytest.mark.parametrize("source", ["bursty", "three_state"])
+    def test_stack_returns_every_frequency(self, source):
+        m = validate_model(*MEAN_SOURCES[source], 25.0)
+        omegas = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.4j])
+        H = starvation_transform(m, 15.0, omegas)
+        assert H.shape == (3, m.n_states, m.n_states)
+        for k, om in enumerate(omegas):
+            np.testing.assert_array_equal(H[k], starvation_transform(m, 15.0, om))
+
 
 class TestStarvationCdf:
     def test_zero_at_early_times(self, reference_model):
@@ -112,6 +121,13 @@ class TestStarvationCdf:
     def test_requires_positive_time(self, reference_model):
         with pytest.raises(DomainError):
             starvation_cdf(reference_model, 40.0, 0.0)
+
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    def test_nonfinite_threshold_rejected(self, reference_model, x):
+        with pytest.raises(DomainError, match="^x must be finite"):
+            starvation_cdf(reference_model, x, 1.0)
+        with pytest.raises(DomainError, match="^x must be finite"):
+            mean_playback_time(reference_model, x)
 
 
 class TestStarvationProbability:
