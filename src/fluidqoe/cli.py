@@ -259,8 +259,11 @@ def _run_startup(snapshot: dict, args: dict) -> str:
     x = args["x"]
     inv = _parse_inversion(args.get("params"))
     mean = expected_startup_delay(model, x)
+    # the default grid follows the mean to 12 digits, so that the last bits
+    # of the exact mean do not move every time of the table
+    scale = float(f"{mean:.12g}")
     grid = (parse_grid(args["t_grid"]) if args.get("t_grid")
-            else np.linspace(mean / 10, 5 * mean, 50))
+            else np.linspace(scale / 10, 5 * scale, 50))
     L = model.n_states
     header = ["t"] + [f"U_{i+1}{j+1}" for i in range(L) for j in range(L)] + ["mean"]
     U = startup_delay_cdf(model, x, grid, inv)

@@ -50,11 +50,7 @@ from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps, invert,
                         invert_cdf, subtract_atoms)
 from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
 from .spectral import evaluator
-from .starvation import (
-    earliest_starvation_time,
-    starvation_atoms,
-    starvation_probability,
-)
+from .starvation import starvation_atoms, starvation_probability
 from .startup import prefetch_end_distribution
 
 NEGATIVE_DENSITY_TOL = -1e-6
@@ -168,7 +164,7 @@ def build_path_grid(model: FluidModel, params: SessionParams,
     ev = evaluator(model, x)
     L = model.n_states
 
-    support = max(earliest_starvation_time(model, x), x / mu)
+    support = max(np.min(starvation_atoms(model, x)[0]), x / mu)
     first_density = np.zeros((n_t, L))
     kernel = np.zeros((n_t, L, L))
     feasible = ~((t < support) | (t == 0.0))

@@ -287,21 +287,21 @@ def atom_steps(times: np.ndarray, masses: np.ndarray, t) -> np.ndarray:
 
 
 def invert_cdf_with_atoms(evaluator: Callable, atoms: tuple, t: np.ndarray,
-                          support: float,
                           params: InversionParams = DEFAULT_PARAMS) -> np.ndarray:
     """Clamped CDF matrices of a law whose point masses are the diagonal
     atoms ``atoms = (times, masses)`` (see :func:`subtract_atoms`).
 
     ``t`` comes from :func:`time_array`; the result has shape ``(L, L)`` for
-    one time and ``(T, L, L)`` for ``T``.  Times below the support bound
-    ``support`` get exact zeros and are never inverted.  The others go to
-    one :func:`invert_cdf` call on the continuous remainder, and the atom
-    steps are added back exactly.
+    one time and ``(T, L, L)`` for ``T``.  The law has no mass before its
+    earliest atom (the fastest path is the one with no jump), so earlier
+    times get exact zeros and are never inverted; so do all times when no
+    state has an atom.  The others go to one :func:`invert_cdf` call on the
+    continuous remainder, and the atom steps are added back exactly.
     """
     flat = t.reshape(-1)
     L = len(atoms[0])
     cdf = np.zeros((flat.size, L, L))
-    live = flat >= support
+    live = flat >= np.min(atoms[0])
     if live.any():
         cont = invert_cdf(subtract_atoms(evaluator, *atoms), flat[live], params)
         cdf[live] = np.clip(cont + atom_steps(*atoms, flat[live]), 0.0, 1.0)

@@ -624,8 +624,8 @@ def prefetch_times(model: FluidModel, x: float, cfg: SimConfig):
 
     Simulates only the prefetch phase, from an empty buffer to level ``x``.
     """
-    if not (x > 0):
-        raise DomainError(f"x must be > 0, got {x}")
+    if not 0 < x < np.inf:
+        raise DomainError(f"x must be finite and > 0, got {x}")
     _require_content(model)
     out = _lockstep(model, "fill", x, np.inf, cfg)
     return out["startup"], out["end_state"]
@@ -637,8 +637,8 @@ def first_passage_times(model: FluidModel, x: float, horizon: float, cfg: SimCon
     Playback-only runs; returns ``(tau, end_state)`` with ``tau = inf`` (and
     ``end_state = -1``) when the buffer survives past ``horizon``.
     """
-    if not (x > 0) or not (horizon > 0):
-        raise DomainError("x and horizon must be > 0")
+    if not (0 < x < np.inf and 0 < horizon < np.inf):
+        raise DomainError(f"x and horizon must be finite and > 0, got x={x}, horizon={horizon}")
     out = _lockstep(model, "drain", x, horizon, cfg)
     taus = out["first_starvation"]
     taus[np.isnan(taus)] = np.inf

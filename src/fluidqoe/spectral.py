@@ -1,14 +1,21 @@
-"""The starvation transform over stacks of complex frequencies.
+"""First passages of the buffer level over stacks of complex frequencies.
 
-The playing buffer moves at the net rate ``r = lam - mu``: it fills in the
-states ``u`` with ``r > 0`` and drains in the states ``d`` with ``r < 0``.
 Indexed by level instead of time, the source is a Markov chain whose
 discounted generator at frequency ``w`` is the level generator
 ``A(w) = diag(1/|r|) (Q - w I)`` (Ramaswami, "Matrix analytic methods for
-stochastic fluid flows", ITC 16, 1999), with the zero-drift states
-(``lam = mu``) censored out exactly as start-up censors its silent states
-(:func:`fluidqoe.startup._level_generator`).  Then the first-passage
-transform of the buffer from ``x`` down to empty is
+stochastic fluid flows", ITC 16, 1999), where ``r`` is the rate at which the
+level moves in each state.  Two clocks share it:
+
+* playback moves the buffer at ``r = lam - mu``: it fills in the states
+  ``u`` with ``r > 0`` and drains in the states ``d`` with ``r < 0``;
+* prefetching closes the distance to the threshold at ``r = -lam``: every
+  delivering state "drains" it and no state fills.
+
+States with ``r = 0`` (zero drift while playing, silence while prefetching)
+make no level progress.  They are censored out at the frequency ``w``: an
+excursion through them costs the discount ``(w I - Q_OO)^-1 Q_OP`` on the way
+back (:func:`_level_generator`).  Then the first-passage transform of the
+level down by ``x`` is
 
     H(x, w) = [Psi(w); I] expm(x U(w)),    U(w) = A_dd + A_du Psi(w),
 
@@ -21,18 +28,26 @@ the Riccati equation
 
 (Bean, O'Reilly & Taylor, *Stochastic Models* 21(1), 2005).  It is found by
 Newton's method from ``Psi = 0``, each step one batched Sylvester solve in
-Kronecker form over the whole stack.  The columns of the filling and the
-zero-drift states are zero: the buffer cannot empty while it grows or holds.
-At ``w = 0`` the same engine gives the exact slope ``dH/dw`` behind the
-restricted mean times (:func:`_slope_at_zero`).
+Kronecker form over the whole stack; when no state fills, ``Psi`` is empty
+and ``H = expm(x A)``.  Zero-rate rows are lifted through their exit
+discounts; the columns of the filling and the zero-rate states are zero:
+the level cannot fall while it rises or holds.
+
+:func:`_passage` is that engine.  The starvation transform is the passage at
+``lam - mu`` (:func:`transform_matrix`); the start-up transform and the
+fill-completion matrix of :mod:`fluidqoe.startup` are the passage at
+``-lam``.  At ``w = 0`` the same engine gives the exact slope ``dH/dw``
+behind the restricted mean starvation times and the mean start-up delay
+(:func:`_slope_at_zero`), and the path with no jump gives the atoms of both
+laws (:func:`_passage_atoms`).
 
 A scalar frequency is a stack of one whose leading axis is dropped on
 return.  The checks run over the whole stack; an error names the first
 frequency at fault.
 
-:func:`evaluator` picks the path by state count: two-state models take the
-closed form (:func:`two_state_transform`, from the explicit quadratic), every
-other state count the level-generator engine (:func:`transform_matrix`).
+:func:`evaluator` picks the starvation path by state count: two-state models
+take the closed form (:func:`two_state_transform`, from the explicit
+quadratic), every other state count the level-generator engine.
 """
 
 from __future__ import annotations
@@ -40,9 +55,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._expm import expm, expm2
-from .errors import DimensionMismatch, DomainError, NonConvergence
+from .errors import DimensionMismatch, DomainError, InfeasiblePlayout, NonConvergence
 from .model import FluidModel, effective_rates
-from .startup import _level_generator
 
 # Real frequencies below this floor are lifted onto it: at w = 0 under zero mean
 # drift the engine's Newton step is singular and the closed form's quadratic
@@ -90,13 +104,11 @@ def _riccati(A, up, down, om):
 
     Newton from ``Psi = 0``; a frequency leaves the iteration once its step is
     small, and :class:`NonConvergence` names the first one that has not
-    after ``NEWTON_STEPS`` steps.
+    after ``NEWTON_STEPS`` steps.  Needs a filling and a draining state.
     """
     Auu, Aud = A[:, up[:, None], up], A[:, up[:, None], down]
     Adu, Add = A[:, down[:, None], up], A[:, down[:, None], down]
     psi = np.zeros(Aud.shape, dtype=A.dtype)
-    if not up.size:
-        return psi, Auu, Add
     live = np.arange(A.shape[0])
     for _ in range(NEWTON_STEPS):
         p, du = psi[live], Adu[live]
@@ -123,48 +135,115 @@ def _riccati(A, up, down, om):
     )
 
 
+def _level_generator(model: FluidModel, rates, omega):
+    """The censored level generator on the states whose level moves at
+    ``rates``, and the zero-rate states' exit discounts ``(w I - Q_OO)^-1 Q_OP``
+    (``None`` without zero-rate states).
+
+    The level generator is ``diag(1/|r_P|) (Q_PP - w I + Q_PO lift)``.
+    ``omega`` is a scalar or a ``(K,)`` stack; the matrices then gain a
+    leading frequency axis.  Returns ``(pos, zero, A, lift)``, where ``pos``
+    and ``zero`` index the moving and the zero-rate states.
+    """
+    pos = np.flatnonzero(rates != 0.0)
+    zero = np.flatnonzero(rates == 0.0)
+    if pos.size == 0:
+        raise InfeasiblePlayout("no state moves the buffer level; the threshold is unreachable")
+    Q = model.Q
+    speed = np.abs(rates[pos])
+    shift = np.asarray(omega)[..., None, None]
+    gen = Q[np.ix_(pos, pos)]
+    lift = None
+    if zero.size:
+        lift = np.linalg.solve(-(Q[np.ix_(zero, zero)] - shift * np.eye(zero.size)),
+                               Q[np.ix_(zero, pos)])
+        gen = gen + Q[np.ix_(pos, zero)] @ lift
+    return pos, zero, gen / speed[:, None] - shift * np.diag(1.0 / speed), lift
+
+
+def _passage(model: FluidModel, rates, x: float, omega: np.ndarray) -> np.ndarray:
+    """First-passage transform ``(K, L, L)`` of the level moving at ``rates``,
+    down by ``x``, over the ``(K,)`` frequency stack ``omega`` taken as is.
+
+    ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
+    draining columns, the zero-rate rows lifted through their exit discounts
+    and every other column zero (see the module docstring); the whole stack
+    costs one batched Newton iteration and one stacked matrix exponential.
+    When every state drains, ``H`` is ``expm(x A)`` itself.  Needs a
+    draining state.
+    """
+    L = model.n_states
+    kept, zero, A, lift = _level_generator(model, rates, omega)
+    up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
+    if up.size:
+        psi, _, U = _riccati(A, up, down, omega)
+    else:
+        U = A
+    E = (expm2 if down.size == 2 else expm)(x * U)
+    if kept.size == L and not up.size:
+        return E
+    cols = kept[down]
+    H = np.zeros(E.shape[:1] + (L, L), dtype=E.dtype)
+    H[:, cols[:, None], cols] = rows = E
+    if up.size:
+        H[:, kept[up, None], cols] = psi @ E
+        rows = H[:, kept[:, None], cols]
+    if zero.size:
+        H[:, zero[:, None], cols] = lift @ rows
+    return H
+
+
+def _passage_atoms(model: FluidModel, rates, x: float):
+    """Point masses of the first passage of the level down by ``x``.
+
+    From a state with ``r < 0`` the path with no jump arrives at exactly
+    ``x / -r`` with probability ``exp(q_ii x / -r)``; these are the only
+    atoms, and they can be large (a fast state often arrives before its
+    first jump).  Other states have no such path: time ``inf``, mass 0.
+    Returns ``(times, masses)`` per state.  Raises :class:`DomainError`
+    unless ``x`` is finite and ``>= 0``.
+    """
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
+    down = rates < 0.0
+    times = np.full(model.n_states, np.inf)
+    masses = np.zeros(model.n_states)
+    times[down] = x / -rates[down]
+    masses[down] = np.exp(np.diag(model.Q)[down] * times[down])
+    return times, masses
+
+
 def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
     """Level-generator starvation transform matrix at one frequency or a stack.
 
-    ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
-    draining columns, the zero-drift rows lifted through their exit
-    discounts and every other column zero (see the module docstring).
-    ``omega`` may be a scalar (result ``(L, L)``) or an array of shape
-    ``(K,)`` (result ``(K, L, L)``); the whole stack costs one batched Newton
-    iteration and one stacked matrix exponential.
+    The passage of the playback clock, ``lam - mu``, with real frequencies
+    below ``OMEGA_FLOOR`` lifted onto it.  ``omega`` may be a scalar (result
+    ``(L, L)``) or an array of shape ``(K,)`` (result ``(K, L, L)``); without
+    a draining state the transform is zero.
     """
     if not 0 <= x < np.inf:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
     rates = effective_rates(model)
-    L = model.n_states
-    H = np.zeros((om.shape[0], L, L), dtype=complex)
     if np.any(rates < 0.0):
-        kept, zero, A, lift = _level_generator(model, rates, om)
-        up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
-        psi, _, U = _riccati(A, up, down, om)
-        E = (expm2 if down.size == 2 else expm)(x * U)
-        cols = kept[down]
-        H[:, kept[up, None], cols] = psi @ E
-        H[:, cols[:, None], cols] = E
-        if zero.size:
-            H[:, zero[:, None], cols] = lift @ H[:, kept[:, None], cols]
+        H = _passage(model, rates, x, om)
+    else:
+        H = np.zeros((om.shape[0], model.n_states, model.n_states), dtype=complex)
     return H[0] if scalar else H
 
 
-def _slope_at_zero(model: FluidModel, x: float) -> np.ndarray:
-    """``dH/dw`` of the starvation transform at ``w = 0``, exactly.
+def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
+    """``dH/dw`` at ``w = 0`` of the passage at ``rates``, exactly.
 
     At ``w = 0`` the engine runs in real arithmetic and needs no floor.
     With ``A' = dA/dw``, ``dPsi/dw`` solves the Sylvester equation of the
     Newton step at the solution, with right side minus the Riccati equation
     differentiated at fixed ``Psi``; ``dU/dw = A'_dd + A'_du Psi + A_du dPsi``;
     and the pair ``(expm(x U), d expm(x U)/dw)`` is one block exponential of
-    ``[[x U, x dU], [0, x U]]`` (Van Loan, IEEE TAC 23(3), 1978).  Zero-drift
+    ``[[x U, x dU], [0, x U]]`` (Van Loan, IEEE TAC 23(3), 1978).  Zero-rate
     rows differentiate their lift, whose slope is ``-(-Q_OO)^-1 lift``.
     Needs a draining state.
     """
-    rates = effective_rates(model)
     L = model.n_states
     kept, zero, A, lift = _level_generator(model, rates, 0.0)
     up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
@@ -173,25 +252,28 @@ def _slope_at_zero(model: FluidModel, x: float) -> np.ndarray:
     if zero.size:
         dlift = -np.linalg.solve(-model.Q[np.ix_(zero, zero)], lift)
         dA = dA + model.Q[np.ix_(kept, zero)] @ dlift / speed[:, None]
-    psi, left, U = (m[0] for m in _riccati(A[None], up, down, np.zeros(1)))
-    dpsi = _sylvester(left[None], U[None], -(
-        dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dA[np.ix_(down, down)]
-        + psi @ dA[np.ix_(down, up)] @ psi)[None])[0]
-    dU = dA[np.ix_(down, down)] + dA[np.ix_(down, up)] @ psi + A[np.ix_(down, up)] @ dpsi
+    U, dU = A, dA
+    if up.size:
+        psi, left, U = (m[0] for m in _riccati(A[None], up, down, np.zeros(1)))
+        dpsi = _sylvester(left[None], U[None], -(
+            dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dA[np.ix_(down, down)]
+            + psi @ dA[np.ix_(down, up)] @ psi)[None])[0]
+        dU = dA[np.ix_(down, down)] + dA[np.ix_(down, up)] @ psi + A[np.ix_(down, up)] @ dpsi
     d = down.size
     block = np.zeros((2 * d, 2 * d))
     block[:d, :d] = block[d:, d:] = x * U
     block[:d, d:] = x * dU
     both = expm(block)
     E, dE = both[:d, :d], both[:d, d:]
+    H, dH = np.empty((2, kept.size, d))
+    H[down], dH[down] = E, dE
+    if up.size:
+        H[up], dH[up] = psi @ E, dpsi @ E + psi @ dE
     cols = kept[down]
     slope = np.zeros((L, L))
-    slope[np.ix_(kept[up], cols)] = dpsi @ E + psi @ dE
-    slope[np.ix_(cols, cols)] = dE
+    slope[np.ix_(kept, cols)] = dH
     if zero.size:
-        H = np.zeros((kept.size, d))
-        H[up], H[down] = psi @ E, E
-        slope[np.ix_(zero, cols)] = dlift @ H + lift @ slope[np.ix_(kept, cols)]
+        slope[np.ix_(zero, cols)] = dlift @ H + lift @ dH
     return slope
 
 

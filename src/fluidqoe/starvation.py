@@ -2,12 +2,13 @@
 
 ``H[i, j](x, t)`` is the probability that a buffer holding ``x`` frames at
 playback start runs empty by playback time ``t`` with the source in state
-``j`` at that moment, given initial state ``i``.  Its transform comes from
-the level-generator engine of :mod:`fluidqoe.spectral` (the closed form for
-two states); inversion gives the CDF, the value at the file-exhaustion
-horizon ``Z/mu`` gives the overall starvation probability, and the exact
-slope of the transform at the origin gives the restricted mean time to
-starve.
+``j`` at that moment, given initial state ``i``.  It is the first passage
+of the playback clock ``lam - mu`` down by ``x``: its transform, its
+deterministic-path atoms and its exact slope at the origin come from the
+level-generator engine of :mod:`fluidqoe.spectral` (the transform from the
+closed form for two states).  Inversion gives the CDF, the value at the
+file-exhaustion horizon ``Z/mu`` gives the overall starvation probability,
+and the slope gives the restricted mean time to starve.
 
 Columns for non-draining states are identically zero: the buffer cannot hit
 empty while it is growing or holding.
@@ -22,8 +23,9 @@ import numpy as np
 from .errors import DomainError, NumericError, Unstable
 from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
                         time_array)
-from .model import FluidModel, SessionParams, mean_drift, stationary_distribution
-from .spectral import _slope_at_zero, evaluator
+from .model import (FluidModel, SessionParams, effective_rates, mean_drift,
+                    stationary_distribution)
+from .spectral import _passage_atoms, _slope_at_zero, evaluator
 from .startup import prefetch_end_distribution
 
 
@@ -34,28 +36,13 @@ def starvation_transform(model: FluidModel, x: float, omega) -> np.ndarray:
 
 
 def starvation_atoms(model: FluidModel, x: float):
-    """Deterministic-path atoms of the starvation-time law.
-
-    Starting in a draining state, the no-transition path empties the buffer
-    at exactly ``x / (mu - lam_i)`` with probability ``exp(q_ii t_i)``; these
-    are the only point masses.  Returns ``(times, masses)`` per state, with
-    infinite time and zero mass for non-draining states.  Extracting them
+    """Deterministic-path atoms of the starvation-time law, ``(times, masses)``
+    per state: a draining state ``i`` empties at ``x / (mu - lam_i)`` with
+    probability ``exp(q_ii x / (mu - lam_i))``, other states never on their
+    own (see :func:`fluidqoe.spectral._passage_atoms`).  Extracting them
     before numerical inversion removes the jump the inverter cannot
-    represent (it converges to jump midpoints and rings nearby).
-    """
-    rates = model.mu - model.lam
-    exit_rates = -np.diag(model.Q)
-    times = np.where(rates > 0, x / np.where(rates > 0, rates, 1.0), np.inf)
-    masses = np.where(rates > 0, np.exp(-exit_rates * times), 0.0)
-    return times, masses
-
-
-def earliest_starvation_time(model: FluidModel, x: float) -> float:
-    """Hard lower support bound of the starvation time: fastest possible drain."""
-    fastest = float(model.mu - np.min(model.lam))
-    if fastest <= 0:
-        return np.inf
-    return x / fastest
+    represent (it converges to jump midpoints and rings nearby)."""
+    return _passage_atoms(model, effective_rates(model), x)
 
 
 def starvation_cdf(model: FluidModel, x: float, t,
@@ -63,14 +50,14 @@ def starvation_cdf(model: FluidModel, x: float, t,
     """CDF matrix ``H[i, j](x, t)``, clamped to [0, 1].
 
     ``t`` is a time or a 1-D array of times, giving an ``(L, L)`` or a
-    ``(T, L, L)`` array.  Exactly zero below the drain-speed support bound;
-    elsewhere obtained by one numerical inversion of the transform over all
-    those times, with the deterministic-path atoms accounted exactly.
+    ``(T, L, L)`` array.  Exactly zero before the earliest atom, the fastest
+    drain ``x / (mu - min(lam))``; elsewhere obtained by one numerical
+    inversion of the transform over all those times, with the
+    deterministic-path atoms accounted exactly.
     """
     times = time_array(t)
-    support = earliest_starvation_time(model, x) if x > 0 else 0.0
-    return invert_cdf_with_atoms(evaluator(model, x),
-                                 starvation_atoms(model, x), times, support, params)
+    return invert_cdf_with_atoms(evaluator(model, x), starvation_atoms(model, x),
+                                 times, params)
 
 
 def starvation_probability(model: FluidModel, session: SessionParams,
@@ -131,7 +118,7 @@ def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
         raise Unstable(
             f"mean drift {report.drift:g} >= 0: restricted mean may diverge"
         )
-    D = -_slope_at_zero(model, x)
+    D = -_slope_at_zero(model, effective_rates(model), x)
     if np.any(D < -1e-8):
         raise NumericError(
             f"mean playback time produced entry {float(np.min(D)):g} < -1e-8"

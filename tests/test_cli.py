@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from fluidqoe import cli
 from fluidqoe.cli import (
     load_model_config,
     load_scenario_config,
@@ -234,6 +235,20 @@ class TestOutputs:
                      "--t-grid", "1:8:4"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "t,U_11,U_12,U_21,U_22,mean"
+
+    def test_default_startup_grid_ignores_the_means_last_bit(self, model_config,
+                                                              monkeypatch, capsys):
+        # the default grid follows the mean to 12 digits: one ulp more in the
+        # mean leaves every time of the table as it was
+        def times():
+            assert main(["startup", "--config", model_config]) == 0
+            return [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+
+        exact = times()
+        real = cli.expected_startup_delay
+        monkeypatch.setattr(cli, "expected_startup_delay",
+                            lambda *args: np.nextafter(real(*args), np.inf))
+        assert times() == exact
 
     def test_events_json(self, model_config, capsys):
         assert main(["events", "--config", model_config, "--jmax", "4"]) == 0

@@ -20,7 +20,7 @@ from fluidqoe.inversion import DEFAULT_PARAMS, atom_steps, invert, invert_cdf, s
 from fluidqoe.model import stationary_distribution
 from fluidqoe.qoe import scenario_to_model
 from fluidqoe.spectral import evaluator
-from fluidqoe.starvation import earliest_starvation_time, starvation_atoms
+from fluidqoe.starvation import starvation_atoms
 from fluidqoe.startup import prefetch_end_distribution
 
 
@@ -292,7 +292,7 @@ THREE_STATE = validate_model(
 
 def _grid_nodes(model, params, t):
     """Nodes whose densities are inverted and nodes whose survival is."""
-    support = max(earliest_starvation_time(model, params.x), params.x / model.mu)
+    support = max(starvation_atoms(model, params.x)[0].min(), params.x / model.mu)
     feasible = (t >= support) & (t > 0.0)
     at_risk = model.mu * t < params.Z - params.x
     return feasible, at_risk

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fluidqoe import prefetch_end_distribution, startup, validate_model
+from fluidqoe import prefetch_end_distribution, spectral, validate_model
 from fluidqoe._expm import expm, expm2
 from fluidqoe.inversion import DEFAULT_PARAMS, _euler_constants
 
@@ -46,7 +46,9 @@ def test_censored_zero_rate_fill_matches_scipy(monkeypatch, x):
                             [0.5, 2.5, -5.0, 2.0], [1.0, 1.0, 1.0, -3.0]],
                            [0.0, 20.0, 0.0, 35.0], 25.0)
     V = prefetch_end_distribution(model, 1.0, x)
-    monkeypatch.setattr(startup, "expm", scipy.linalg.expm)
+    # whichever exponential the engine picks (two states deliver: expm2)
+    monkeypatch.setattr(spectral, "expm", scipy.linalg.expm)
+    monkeypatch.setattr(spectral, "expm2", scipy.linalg.expm)
     np.testing.assert_allclose(V, prefetch_end_distribution(model, 1.0, x), rtol=0, atol=1e-13)
     np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-13)
     assert np.all(V[:, [0, 2]] == 0.0)
@@ -93,8 +95,8 @@ def single_expm(A) -> np.ndarray:
 
 @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 6, 8, 12, 16])
 def test_real_single_matrix_is_bit_identical_to_single_path(n_states):
-    # every starvation result goes through prefetch_end_distribution's call;
-    # one delivering state leaves a 1x1 generator, -q/lam after censoring
+    # the Van Loan block of the exact means takes the single-matrix path;
+    # one moving state leaves a 1x1 generator, -q/lam after censoring
     rng = np.random.default_rng(100 + n_states)
     for _ in range(4):
         for norm in NORMS:

@@ -581,6 +581,25 @@ class TestSilentSource:
             prefetch_times(model, 40.0, SimConfig())
 
 
+class TestOracleArguments:
+    """Levels and horizons that no run could reach are refused before any
+    run starts."""
+
+    @pytest.mark.parametrize("x", [np.inf, np.nan, 0.0, -1.0])
+    def test_prefetch_threshold(self, reference_model, x):
+        with pytest.raises(DomainError, match="^x must be finite and > 0"):
+            prefetch_times(reference_model, x, SimConfig(replications=1))
+
+    @pytest.mark.parametrize("x,horizon", [(40.0, np.inf), (np.inf, 10.0), (40.0, np.nan),
+                                           (np.nan, 10.0), (0.0, 10.0), (40.0, -1.0)])
+    def test_first_passage_threshold_and_horizon(self, x, horizon):
+        # the buffer drifts up at +1.5 frames/s, so without a finite horizon
+        # a surviving run would never end
+        model = validate_model([[-2.0, 2.0], [6.0, -6.0]], [22.0, 40.0], 25.0)
+        with pytest.raises(DomainError, match="^x and horizon must be finite and > 0"):
+            first_passage_times(model, x, horizon, SimConfig(replications=50))
+
+
 class TestConfigValidation:
     def test_bad_replications(self):
         for bad in (0, 2.5, True, "3"):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,9 +16,22 @@ from fluidqoe import (
 )
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
-from fluidqoe.spectral import OMEGA_FLOOR, evaluator
-from fluidqoe.startup import _level_generator
+from fluidqoe.spectral import OMEGA_FLOOR, _level_generator, evaluator
 from conftest import mpmath_transform, omega_grid, two_state
+
+
+def test_engine_does_not_import_startup():
+    # start-up runs on the engine, not the other way round
+    tree = ast.parse(Path(spectral.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{a.name}".lstrip(".") for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not any("startup" in name.split(".") for name in imported), imported
 
 
 def quadratic_oracle(m, omega):
@@ -244,13 +260,45 @@ STACK_SOURCES = {
     "silent": (Q3, [0.0, 20.0, 40.0]),
     "all_draining": (Q3, [5.0, 10.0, 20.0]),
 }
-# the start-up reference divides by every arrival rate
+# the start-up reference divides by every arrival rate; silent sources have
+# their own reference, _startup_reference
 BLOCK_CASES = [(source, mode) for source in sorted(STACK_SOURCES)
                for mode in ("playback", "prefetch")
                if not (mode == "prefetch" and source == "silent")]
 
 
+SILENT_SOURCES = {
+    "silent3": (Q3, [0.0, 20.0, 40.0]),
+    "two_silent4": ([[-3.0, 1.0, 1.5, 0.5], [2.0, -4.0, 1.0, 1.0],
+                     [0.5, 2.5, -5.0, 2.0], [1.0, 1.0, 1.0, -3.0]], [0.0, 20.0, 0.0, 35.0]),
+}
+
+
+def _startup_reference(model, x, w):
+    """The start-up transform at one frequency: scipy's ``expm(x G(w))`` of
+    the level generator censored to the delivering states ``P``, and each
+    silent row its exit discount ``(w I - Q_OO)^-1 Q_OP`` times that."""
+    Q, lam, L = model.Q, model.lam, model.n_states
+    P, O = np.flatnonzero(lam > 0.0), np.flatnonzero(lam == 0.0)
+    lift = np.linalg.solve(w * np.eye(O.size) - Q[np.ix_(O, O)], Q[np.ix_(O, P)])
+    G = (Q[np.ix_(P, P)] - w * np.eye(P.size) + Q[np.ix_(P, O)] @ lift) / lam[P, None]
+    U = np.zeros((L, L), dtype=complex)
+    U[np.ix_(P, P)] = scipy.linalg.expm(x * G)
+    U[np.ix_(O, P)] = lift @ U[np.ix_(P, P)]
+    return U
+
+
 class TestStackedPencil:
+    @pytest.mark.parametrize("x", [5.0, 20.0])
+    @pytest.mark.parametrize("source", sorted(SILENT_SOURCES))
+    def test_startup_block_on_silent_sources(self, source, x):
+        # the fill clock through the shared engine, silent states censored
+        m = validate_model(*SILENT_SOURCES[source], 25.0)
+        omegas = _inversion_block()
+        stacked = startup_transform(m, x, omegas)
+        reference = np.stack([_startup_reference(m, x, w) for w in omegas])
+        np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("source,mode", BLOCK_CASES)
     def test_block_matches_per_frequency_reference(self, source, mode):
         Q, lam = STACK_SOURCES[source]

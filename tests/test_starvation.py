@@ -18,8 +18,7 @@ from fluidqoe import (
 )
 from fluidqoe.inversion import invert_cdf_with_atoms
 from fluidqoe.spectral import evaluator
-from fluidqoe.starvation import (earliest_starvation_time, starvation_atoms,
-                                 starvation_probability_from_cdf)
+from fluidqoe.starvation import starvation_atoms, starvation_probability_from_cdf
 from conftest import mpmath_transform
 
 Q3 = [[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]]
@@ -80,7 +79,7 @@ class TestStarvationTransform:
 
 class TestStarvationCdf:
     def test_zero_at_early_times(self, reference_model):
-        assert earliest_starvation_time(reference_model, 40.0) == pytest.approx(40 / 23)
+        assert starvation_atoms(reference_model, 40.0)[0].min() == pytest.approx(40 / 23)
         M = starvation_cdf(reference_model, 40.0, 1.0)
         assert np.all(M == 0.0)
 
@@ -112,7 +111,7 @@ class TestStarvationCdf:
         # integrate the inverted density and compare with the CDF inversion
         x, t = 40.0, 18.0
         ev = evaluator(reference_model, x)
-        grid = np.linspace(earliest_starvation_time(reference_model, x) * 0.99, t, 400)
+        grid = np.linspace(starvation_atoms(reference_model, x)[0].min() * 0.99, t, 400)
         dens = np.array([invert(ev, float(u))[1, 0] for u in grid])
         integral = np.trapezoid(np.clip(dens, 0, None), grid)
         cdf = starvation_cdf(reference_model, x, t)[1, 0]
@@ -149,8 +148,7 @@ class TestStarvationProbability:
 
         def probability(transform):
             cdf = invert_cdf_with_atoms(lambda om: transform(m, s.x, om),
-                                        starvation_atoms(m, s.x), np.asarray(s.Z / m.mu),
-                                        earliest_starvation_time(m, s.x))
+                                        starvation_atoms(m, s.x), np.asarray(s.Z / m.mu))
             return starvation_probability_from_cdf(m, s, cdf)
 
         a = probability(two_state_transform)

@@ -14,7 +14,8 @@ import fluidqoe
 from fluidqoe import (DomainError, inversion, startup_delay_cdf, starvation_cdf,
                       validate_model)
 from fluidqoe.cli import main
-from fluidqoe.starvation import earliest_starvation_time
+from fluidqoe.startup import startup_atoms
+from fluidqoe.starvation import starvation_atoms
 
 SOURCES = {
     "two_state": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0),
@@ -26,9 +27,10 @@ SOURCES = {
     "zero_rate": ([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0], 25.0),
 }
 
+# the support bound of each law is its earliest atom
 CDFS = {
-    "starvation": (starvation_cdf, earliest_starvation_time),
-    "startup": (startup_delay_cdf, lambda model, x: x / float(np.max(model.lam))),
+    "starvation": (starvation_cdf, lambda model, x: starvation_atoms(model, x)[0].min()),
+    "startup": (startup_delay_cdf, lambda model, x: startup_atoms(model, x)[0].min()),
 }
 
 
@@ -64,6 +66,15 @@ def test_scalar_time_keeps_its_shape_and_errors(which, reference_model):
     # an array names its first offending time, as a loop over it would
     with pytest.raises(DomainError, match=r"got -2\.0$"):
         cdf(reference_model, 40.0, np.array([1.0, -2.0, 0.0]))
+
+
+@pytest.mark.parametrize("x", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("which", CDFS)
+def test_threshold_must_be_finite_and_nonnegative(which, x, reference_model):
+    # the atom rule that both laws share refuses the threshold before any
+    # time is compared with the support bound
+    with pytest.raises(DomainError, match="^x must be finite and >= 0"):
+        CDFS[which][0](reference_model, x, np.array([1.0, 3.0]))
 
 
 @pytest.fixture()
