@@ -76,10 +76,7 @@ from .simulator import (
     prefetch_times,
     simulate_session,
 )
-from .spectral import (
-    transform_matrix,
-    two_state_transform,
-)
+from .spectral import transform_matrix
 from .starvation import (
     SeverityMatrix,
     mean_playback_time,

@@ -10,8 +10,8 @@ matrix products is bounded by the degree and ``s``, not by the norm, unlike
 a truncated power or uniformization series.
 
 A stack of matrices is exponentiated in one pass at degree 13, each matrix
-scaled by its own power of two.  Stacks of 2x2 matrices have a closed form,
-:func:`expm2`, which is several times cheaper.
+scaled by its own power of two.  Stacks of 1x1 and 2x2 matrices skip it:
+``np.exp`` and the closed form :func:`expm2` are several times cheaper.
 """
 
 from __future__ import annotations
@@ -33,9 +33,14 @@ _PADE = {m: [float(math.factorial(2 * m - k) // (math.factorial(k) * math.factor
 
 def expm(A) -> np.ndarray:
     """``exp(A)`` of a real or complex square matrix, or of each matrix of a
-    ``(K, n, n)`` stack."""
+    ``(K, n, n)`` stack.  Stacks of 1x1 matrices take ``np.exp`` and stacks
+    of 2x2 matrices :func:`expm2`; the result is real for a real input."""
     A = np.asarray(A)
-    A = A.astype(np.result_type(A.dtype, float))
+    A = A.astype(np.result_type(A.dtype, float), copy=False)
+    if A.ndim == 3 and A.shape[-1] == 1:
+        return np.exp(A)
+    if A.ndim == 3 and A.shape[-1] == 2:
+        return expm2(A) if np.iscomplexobj(A) else expm2(A).real
     norm = np.abs(A).sum(axis=-2).max(axis=-1)
     if A.ndim == 2:
         m = next(m for m in _THETA if norm <= _THETA[m] or m == 13)

@@ -26,12 +26,14 @@ the Riccati equation
 
     A_ud + A_uu Psi + Psi A_dd + Psi A_du Psi = 0
 
-(Bean, O'Reilly & Taylor, *Stochastic Models* 21(1), 2005).  It is found by
-Newton's method from ``Psi = 0``, each step one batched Sylvester solve in
-Kronecker form over the whole stack; when no state fills, ``Psi`` is empty
-and ``H = expm(x A)``.  Zero-rate rows are lifted through their exit
-discounts; the columns of the filling and the zero-rate states are zero:
-the level cannot fall while it rises or holds.
+(Bean, O'Reilly & Taylor, *Stochastic Models* 21(1), 2005).  With one
+filling and one draining state it is a scalar quadratic, and ``Psi`` its
+explicit root of least modulus, the closed form of the two-state source;
+otherwise it is found by Newton's method from ``Psi = 0``, each step one
+batched Sylvester solve in Kronecker form over the whole stack.  When no
+state fills, ``Psi`` is empty and ``H = expm(x A)``.  Zero-rate rows are
+lifted through their exit discounts; the columns of the filling and the
+zero-rate states are zero: the level cannot fall while it rises or holds.
 
 :func:`_passage` is that engine.  The starvation transform is the passage at
 ``lam - mu`` (:func:`transform_matrix`); the start-up transform and the
@@ -43,24 +45,20 @@ laws (:func:`_passage_atoms`).
 
 A scalar frequency is a stack of one whose leading axis is dropped on
 return.  The checks run over the whole stack; an error names the first
-frequency at fault.
-
-:func:`evaluator` picks the starvation path by state count: two-state models
-take the closed form (:func:`two_state_transform`, from the explicit
-quadratic), every other state count the level-generator engine.
+frequency at fault.  Every state count takes the same engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._expm import expm, expm2
-from .errors import DimensionMismatch, DomainError, InfeasiblePlayout, NonConvergence
+from ._expm import expm
+from .errors import DomainError, InfeasiblePlayout, NonConvergence
 from .model import FluidModel, effective_rates
 
 # Real frequencies below this floor are lifted onto it: at w = 0 under zero mean
-# drift the engine's Newton step is singular and the closed form's quadratic
-# has a double root at 0.
+# drift the Riccati equation has a double root, where the Newton step is
+# singular and the scalar root loses half its digits.
 OMEGA_FLOOR = 1e-8
 # Newton stops once a step is at most NEWTON_TOL max(1, |Psi|); steps stall
 # near 1e-14, and 5 to 12 steps get there.
@@ -97,19 +95,30 @@ def _sylvester(left, right, rhs):
                            rhs.reshape(k, u * d, 1)).reshape(k, u, d)
 
 
-def _riccati(A, up, down, om):
+def _riccati(blocks, om):
     """Minimal solution ``Psi`` of the level generator's Riccati equation over
-    a stack, with the Sylvester operator ``(A_uu + Psi A_du, A_dd + A_du Psi)``
-    of its Newton step at the solution.
+    the ``(K,)`` stack ``om``, with the Sylvester operator
+    ``(A_uu + Psi A_du, A_dd + A_du Psi)`` of its Newton step at the solution.
 
-    Newton from ``Psi = 0``; a frequency leaves the iteration once its step is
-    small, and :class:`NonConvergence` names the first one that has not
+    ``blocks`` are ``(A_uu, A_ud, A_du, A_dd)`` from :func:`_level_generator`.
+    With one filling and one draining state the equation is the scalar
+    quadratic ``a_du psi^2 + (a_uu + a_dd) psi + a_ud = 0``, and ``Psi`` its
+    root of least modulus, taken by Vieta as ``a_ud / q`` with ``q`` the
+    half-sum of larger modulus, so that neither root cancels.  Otherwise
+    Newton from ``Psi = 0``; a frequency leaves the iteration once its step
+    is small, and :class:`NonConvergence` names the first one that has not
     after ``NEWTON_STEPS`` steps.  Needs a filling and a draining state.
     """
-    Auu, Aud = A[:, up[:, None], up], A[:, up[:, None], down]
-    Adu, Add = A[:, down[:, None], up], A[:, down[:, None], down]
-    psi = np.zeros(Aud.shape, dtype=A.dtype)
-    live = np.arange(A.shape[0])
+    Auu, Aud, Adu, Add = blocks
+    if Aud.shape[-2:] == (1, 1):
+        b = Auu + Add
+        sq = np.sqrt(np.asarray(b * b - 4.0 * Adu * Aud, dtype=complex))
+        np.negative(sq, out=sq, where=(np.conj(b) * sq).real < 0.0)
+        psi = -2.0 * Aud / (b + sq)
+        return psi, Auu + psi * Adu, Add + Adu * psi
+    Auu, Aud, Adu, Add = (np.broadcast_to(m, om.shape + m.shape[-2:]) for m in blocks)
+    psi = np.zeros(Aud.shape, dtype=np.result_type(*blocks))
+    live = np.arange(om.shape[0])
     for _ in range(NEWTON_STEPS):
         p, du = psi[live], Adu[live]
         right = Add[live] + du @ p
@@ -137,28 +146,40 @@ def _riccati(A, up, down, om):
 
 def _level_generator(model: FluidModel, rates, omega):
     """The censored level generator on the states whose level moves at
-    ``rates``, and the zero-rate states' exit discounts ``(w I - Q_OO)^-1 Q_OP``
-    (``None`` without zero-rate states).
+    ``rates``, in blocks, and the zero-rate states' exit discounts
+    ``(w I - Q_OO)^-1 Q_OP`` (``None`` without zero-rate states).
 
     The level generator is ``diag(1/|r_P|) (Q_PP - w I + Q_PO lift)``.
-    ``omega`` is a scalar or a ``(K,)`` stack; the matrices then gain a
-    leading frequency axis.  Returns ``(pos, zero, A, lift)``, where ``pos``
-    and ``zero`` index the moving and the zero-rate states.
+    Returns ``(pos, zero, up, down, blocks, lift)``: ``pos`` and ``zero``
+    index the moving and the zero-rate states, ``up`` and ``down`` the
+    filling and the draining ones among ``pos``, and ``blocks`` is
+    ``(A_uu, A_ud, A_du, A_dd)``.  ``omega`` is a scalar or a ``(K,)``
+    stack.  Only the diagonal blocks carry the shift ``-w / |r|``; the
+    others gain a leading frequency axis only through the lift.
     """
-    pos = np.flatnonzero(rates != 0.0)
-    zero = np.flatnonzero(rates == 0.0)
+    pos, zero = (rates != 0.0).nonzero()[0], (rates == 0.0).nonzero()[0]
     if pos.size == 0:
         raise InfeasiblePlayout("no state moves the buffer level; the threshold is unreachable")
     Q = model.Q
     speed = np.abs(rates[pos])
     shift = np.asarray(omega)[..., None, None]
-    gen = Q[np.ix_(pos, pos)]
+    gen = Q[pos[:, None], pos]
     lift = None
     if zero.size:
         lift = np.linalg.solve(-(Q[np.ix_(zero, zero)] - shift * np.eye(zero.size)),
                                Q[np.ix_(zero, pos)])
         gen = gen + Q[np.ix_(pos, zero)] @ lift
-    return pos, zero, gen / speed[:, None] - shift * np.diag(1.0 / speed), lift
+    gen, slow = gen / speed[:, None], np.diag(1.0 / speed)
+    up, down = (rates[pos] > 0.0).nonzero()[0], (rates[pos] < 0.0).nonzero()[0]
+
+    def block(rows, cols):
+        return gen[..., rows[:, None], cols]
+
+    def diagonal(rows):
+        return block(rows, rows) - shift * slow[rows[:, None], rows]
+
+    return pos, zero, up, down, (diagonal(up), block(up, down), block(down, up),
+                                 diagonal(down)), lift
 
 
 def _passage(model: FluidModel, rates, x: float, omega: np.ndarray) -> np.ndarray:
@@ -168,28 +189,26 @@ def _passage(model: FluidModel, rates, x: float, omega: np.ndarray) -> np.ndarra
     ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
     draining columns, the zero-rate rows lifted through their exit discounts
     and every other column zero (see the module docstring); the whole stack
-    costs one batched Newton iteration and one stacked matrix exponential.
+    costs one batched Riccati solve and one stacked matrix exponential.
     When every state drains, ``H`` is ``expm(x A)`` itself.  Needs a
     draining state.
     """
     L = model.n_states
-    kept, zero, A, lift = _level_generator(model, rates, omega)
-    up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
+    kept, zero, up, down, blocks, lift = _level_generator(model, rates, omega)
     if up.size:
-        psi, _, U = _riccati(A, up, down, omega)
+        psi, _, U = _riccati(blocks, omega)
     else:
-        U = A
-    E = (expm2 if down.size == 2 else expm)(x * U)
+        U = blocks[3]
+    E = expm(x * U)
     if kept.size == L and not up.size:
         return E
     cols = kept[down]
     H = np.zeros(E.shape[:1] + (L, L), dtype=E.dtype)
-    H[:, cols[:, None], cols] = rows = E
+    H[:, cols[:, None], cols] = E
     if up.size:
         H[:, kept[up, None], cols] = psi @ E
-        rows = H[:, kept[:, None], cols]
     if zero.size:
-        H[:, zero[:, None], cols] = lift @ rows
+        H[:, zero[:, None], cols] = lift @ H[:, kept[:, None], cols]
     return H
 
 
@@ -225,7 +244,7 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     om, scalar = _frequency_stack(omega)
     rates = effective_rates(model)
-    if np.any(rates < 0.0):
+    if (rates < 0.0).any():
         H = _passage(model, rates, x, om)
     else:
         H = np.zeros((om.shape[0], model.n_states, model.n_states), dtype=complex)
@@ -235,7 +254,8 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
 def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
     """``dH/dw`` at ``w = 0`` of the passage at ``rates``, exactly.
 
-    At ``w = 0`` the engine runs in real arithmetic and needs no floor.
+    At ``w = 0`` the engine needs no floor and runs in real arithmetic;
+    the scalar root, whose square root is complex, keeps its real part.
     With ``A' = dA/dw``, ``dPsi/dw`` solves the Sylvester equation of the
     Newton step at the solution, with right side minus the Riccati equation
     differentiated at fixed ``Psi``; ``dU/dw = A'_dd + A'_du Psi + A_du dPsi``;
@@ -245,20 +265,19 @@ def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
     Needs a draining state.
     """
     L = model.n_states
-    kept, zero, A, lift = _level_generator(model, rates, 0.0)
-    up, down = np.flatnonzero(rates[kept] > 0.0), np.flatnonzero(rates[kept] < 0.0)
+    kept, zero, up, down, blocks, lift = _level_generator(model, rates, 0.0)
     speed = np.abs(rates[kept])
     dA = -np.diag(1.0 / speed)
     if zero.size:
         dlift = -np.linalg.solve(-model.Q[np.ix_(zero, zero)], lift)
         dA = dA + model.Q[np.ix_(kept, zero)] @ dlift / speed[:, None]
-    U, dU = A, dA
+    U, dU = blocks[3], dA[np.ix_(down, down)]
     if up.size:
-        psi, left, U = (m[0] for m in _riccati(A[None], up, down, np.zeros(1)))
+        psi, left, U = (m[0].real for m in _riccati([b[None] for b in blocks], np.zeros(1)))
         dpsi = _sylvester(left[None], U[None], -(
-            dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dA[np.ix_(down, down)]
+            dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dU
             + psi @ dA[np.ix_(down, up)] @ psi)[None])[0]
-        dU = dA[np.ix_(down, down)] + dA[np.ix_(down, up)] @ psi + A[np.ix_(down, up)] @ dpsi
+        dU = dU + dA[np.ix_(down, up)] @ psi + blocks[2] @ dpsi
     d = down.size
     block = np.zeros((2 * d, 2 * d))
     block[:d, :d] = block[d:, d:] = x * U
@@ -280,98 +299,11 @@ def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
 def evaluator(model: FluidModel, x: float):
     """Frequency-stack evaluator of the starvation transform ``H~(x, w)``.
 
-    Two-state models take the closed form, all others the level-generator
-    engine, :func:`transform_matrix`.  The returned callable maps a ``(K,)``
-    frequency array to ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
+    The level-generator engine, :func:`transform_matrix`, at every state
+    count.  The returned callable maps a ``(K,)`` frequency array to
+    ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
     if not 0 <= x < np.inf:
         raise DomainError(f"x must be finite and >= 0, got {x}")
-    if model.n_states == 2:
-        return lambda omegas: two_state_transform(model, x, omegas)
     return lambda omegas: transform_matrix(model, x, omegas)
 
-
-# --- closed-form two-state path ---------------------------------------------
-
-def _stable_quadratic(a, b, c):
-    """Both roots of ``a s^2 - b s + c = 0`` for array coefficients.
-
-    Uses the Vieta pairing to avoid cancellation; ``a`` may be zero (the
-    linear case yields one root and a second NaN placeholder).
-    """
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    if a == 0.0:
-        return c / b, np.full_like(b, np.nan)
-    sq = np.sqrt(b * b - 4.0 * a * c)
-    sq = np.where((np.conj(b) * sq).real < 0.0, -sq, sq)
-    r1 = (b + sq) / (2.0 * a)
-    r2 = c / (a * r1)
-    return r1, r2
-
-
-def two_state_transform(model: FluidModel, x: float, omega) -> np.ndarray:
-    """Closed-form 2x2 starvation transform matrix; vectorized over frequencies.
-
-    State 0 is left at rate ``beta = Q[0, 1]`` and state 1 at rate
-    ``alpha = Q[1, 0]``.  ``omega`` may be a scalar or an array of shape
-    ``(K,)``; the result has shape ``(2, 2)`` or ``(K, 2, 2)`` and matches
-    the level-generator engine to near machine precision.  Raises
-    :class:`DimensionMismatch` unless the model has two states.
-    """
-    if model.n_states != 2:
-        raise DimensionMismatch(
-            f"the closed form needs a 2-state model, got {model.n_states}"
-        )
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    om, scalar = _frequency_stack(omega)
-    r1, r2 = (model.lam - model.mu).tolist()
-    alpha, beta = float(model.Q[1, 0]), float(model.Q[0, 1])
-    H = _two_state_starvation(alpha, beta, r1, r2, x, om)
-    return H[0] if scalar else H
-
-
-def _phi(beta, omega, rate, s):
-    """Eigenvector second component for first-component normalization 1."""
-    return (beta + omega - rate * s) / beta
-
-
-def _two_state_starvation(al, be, r1, r2, x, om):
-    K = om.shape[0]
-    draining = [j for j, r in enumerate((r1, r2)) if r < 0.0]
-    if not draining:
-        return np.zeros((K, 2, 2), dtype=complex)
-
-    a_coef = r1 * r2
-    b_coef = r1 * (om + al) + r2 * (om + be)
-    c_coef = om * (om + al + be)
-    s_a, s_b = _stable_quadratic(a_coef, b_coef, c_coef)
-
-    if len(draining) == 1:
-        j = draining[0]
-        if a_coef == 0.0:
-            s_neg = s_a
-        else:
-            s_neg = np.where(s_a.real < s_b.real, s_a, s_b)
-        g = _phi(be, om, r1, s_neg)
-        phi = np.stack([np.ones_like(g), g], axis=-1)
-        weight = np.exp(s_neg * x) / phi[:, j]
-        H = np.zeros((K, 2, 2), dtype=complex)
-        H[:, :, j] = phi * weight[:, None]
-        return H
-
-    # both states drain: two negative roots with eigenvectors (1, g_a) and
-    # (1, g_b), both entering the full 2x2 boundary system
-    g_a, g_b = _phi(be, om, r1, s_a), _phi(be, om, r1, s_b)
-    gap = g_b - g_a
-    ea = np.exp(s_a * x)
-    eb = np.exp(s_b * x)
-    H = np.empty((K, 2, 2), dtype=complex)
-    # column 0: coefficients sum to 1 and annihilate the second component
-    H[:, 0, 0] = (ea * g_b - eb * g_a) / gap
-    H[:, 1, 0] = g_a * g_b * (ea - eb) / gap
-    # column 1: coefficients sum to 0 and give 1 on the second component
-    H[:, 0, 1] = (eb - ea) / gap
-    H[:, 1, 1] = (eb * g_b - ea * g_a) / gap
-    return H

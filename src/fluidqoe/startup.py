@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasiblePlayout
 from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
                         time_array)
 from .model import FluidModel, stationary_distribution
@@ -82,11 +82,16 @@ def startup_delay_cdf(model: FluidModel, x: float, t,
     fastest fill ``x / max(lam)``, so the value is exactly zero before it.
     Elsewhere the deterministic-path atoms are accounted exactly and the
     continuous remainder is inverted numerically, in one inversion over all
-    those times, so the CDF is accurate even at its jump points.
+    those times, so the CDF is accurate even at its jump points.  Raises
+    :class:`InfeasiblePlayout` for ``x > 0`` when no state delivers, as the
+    transform does.
     """
     times = time_array(t)
+    atoms = startup_atoms(model, x)
+    if x > 0 and not (model.lam > 0.0).any():
+        raise InfeasiblePlayout("no state delivers; the threshold is unreachable")
     return invert_cdf_with_atoms(lambda omegas: startup_transform(model, x, omegas),
-                                 startup_atoms(model, x), times, params)
+                                 atoms, times, params)
 
 
 def expected_startup_delay(model: FluidModel, x: float,

@@ -5,10 +5,10 @@ playback start runs empty by playback time ``t`` with the source in state
 ``j`` at that moment, given initial state ``i``.  It is the first passage
 of the playback clock ``lam - mu`` down by ``x``: its transform, its
 deterministic-path atoms and its exact slope at the origin come from the
-level-generator engine of :mod:`fluidqoe.spectral` (the transform from the
-closed form for two states).  Inversion gives the CDF, the value at the
-file-exhaustion horizon ``Z/mu`` gives the overall starvation probability,
-and the slope gives the restricted mean time to starve.
+level-generator engine of :mod:`fluidqoe.spectral`.  Inversion gives the
+CDF, the value at the file-exhaustion horizon ``Z/mu`` gives the overall
+starvation probability, and the slope gives the restricted mean time to
+starve.
 
 Columns for non-draining states are identically zero: the buffer cannot hit
 empty while it is growing or holding.

@@ -59,6 +59,53 @@ def omega_grid(n=13):
     return np.concatenate([mags, 1j * mags, -1j * mags])
 
 
+def two_state_quadratic(model, x, omega):
+    """The two-state starvation transform in closed form, from the explicit
+    characteristic quadratic, at a frequency or a ``(K,)`` stack.
+
+    With state 1 left at rate ``beta`` and state 2 at rate ``alpha``,
+    ``det(Q + s R - w I) = a s^2 - b s + c`` with ``a = r1 r2``,
+    ``b = r1 (w + alpha) + r2 (w + beta)`` and ``c = w (w + alpha + beta)``;
+    its roots are paired by Vieta so that neither cancels.  A draining
+    state's column is the eigenvector ``(1, (beta + w - r1 s) / beta)`` of a
+    negative root ``s`` times ``exp(s x)``, scaled to 1 in that state; when
+    both drain, both roots enter a 2x2 boundary system.
+    """
+    om = np.atleast_1d(np.asarray(omega, dtype=complex))
+    r1, r2 = (model.lam - model.mu).tolist()
+    al, be = float(model.Q[1, 0]), float(model.Q[0, 1])
+    H = np.zeros((om.size, 2, 2), dtype=complex)
+    draining = [j for j, r in enumerate((r1, r2)) if r < 0.0]
+    a = r1 * r2
+    b = r1 * (om + al) + r2 * (om + be)
+    c = om * (om + al + be)
+    if a == 0.0:
+        s_a, s_b = c / b, np.full_like(b, np.nan)
+    else:
+        sq = np.sqrt(b * b - 4.0 * a * c)
+        sq = np.where((np.conj(b) * sq).real < 0.0, -sq, sq)
+        s_a = (b + sq) / (2.0 * a)
+        s_b = c / (a * s_a)
+
+    def phi(s):
+        return (be + om - r1 * s) / be
+
+    if len(draining) == 1:
+        j = draining[0]
+        s = s_a if a == 0.0 else np.where(s_a.real < s_b.real, s_a, s_b)
+        vec = np.stack([np.ones_like(s), phi(s)], axis=-1)
+        H[:, :, j] = vec * (np.exp(s * x) / vec[:, j])[:, None]
+    elif draining:
+        g_a, g_b = phi(s_a), phi(s_b)
+        gap = g_b - g_a
+        ea, eb = np.exp(s_a * x), np.exp(s_b * x)
+        H[:, 0, 0] = (ea * g_b - eb * g_a) / gap
+        H[:, 1, 0] = g_a * g_b * (ea - eb) / gap
+        H[:, 0, 1] = (eb - ea) / gap
+        H[:, 1, 1] = (eb * g_b - ea * g_a) / gap
+    return H[0] if np.ndim(omega) == 0 else H
+
+
 def mpmath_transform(model, x, omega):
     """The starvation transform from the rate pencil in 40-digit mpmath
     arithmetic, as an mpmath matrix: zero-rate states eliminated, the ``d``

@@ -22,14 +22,12 @@ from fluidqoe import (
     startup_delay_cdf,
     startup_transform,
     stationary_distribution,
-    transform_matrix,
-    two_state_transform,
     validate_model,
 )
 from fluidqoe.cli import main as cli_main, rerun_manifest
 from fluidqoe.simulator import _lockstep
 from fluidqoe.spectral import OMEGA_FLOOR, evaluator
-from conftest import two_state
+from conftest import two_state, two_state_quadratic
 
 REFERENCE = validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0)
 ONOFF = validate_model([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0], 25.0)
@@ -51,9 +49,10 @@ def test_criterion_1_inversion_accuracy():
 
 
 def test_criterion_2_closed_form_generic_equivalence():
-    """Two-state closed forms vs generic paths to 1e-10 on real/imaginary rays:
-    the starvation transform vs the level-generator Riccati engine, the
-    start-up transform vs scipy's matrix exponential of the level generator."""
+    """Two-state closed forms vs the shipped transforms to 1e-10 on
+    real/imaginary rays: the explicit quadratic's starvation transform vs
+    ``evaluator``, the engine's scalar Riccati root, and scipy's matrix
+    exponential of the level generator vs the start-up transform."""
     start = time.perf_counter()
     cases = [
         two_state(alpha=2, beta=6, lambda1=2, lambda2=30, mu=25),
@@ -66,10 +65,9 @@ def test_criterion_2_closed_form_generic_equivalence():
     worst = 0.0
     for m in cases:
         for x in (0.0, 7.0):
-            closed = two_state_transform(m, x, omegas)
-            for i, om in enumerate(omegas):
-                gap = np.max(np.abs(closed[i] - transform_matrix(m, x, om)))
-                worst = max(worst, gap)
+            closed = two_state_quadratic(m, x, omegas)
+            shipped = evaluator(m, x)(omegas)
+            worst = max(worst, np.max(np.abs(closed - shipped)))
         if np.all(m.lam > 0):
             closed = startup_transform(m, 7.0, omegas)
             for i, om in enumerate(omegas):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fluidqoe import prefetch_end_distribution, spectral, validate_model
+from fluidqoe import _expm, prefetch_end_distribution, spectral, validate_model
 from fluidqoe._expm import expm, expm2
 from fluidqoe.inversion import DEFAULT_PARAMS, _euler_constants
 
@@ -46,9 +46,8 @@ def test_censored_zero_rate_fill_matches_scipy(monkeypatch, x):
                             [0.5, 2.5, -5.0, 2.0], [1.0, 1.0, 1.0, -3.0]],
                            [0.0, 20.0, 0.0, 35.0], 25.0)
     V = prefetch_end_distribution(model, 1.0, x)
-    # whichever exponential the engine picks (two states deliver: expm2)
+    # the engine's exponential, whatever the size of its stack
     monkeypatch.setattr(spectral, "expm", scipy.linalg.expm)
-    monkeypatch.setattr(spectral, "expm2", scipy.linalg.expm)
     np.testing.assert_allclose(V, prefetch_end_distribution(model, 1.0, x), rtol=0, atol=1e-13)
     np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-13)
     assert np.all(V[:, [0, 2]] == 0.0)
@@ -161,3 +160,26 @@ def test_non_normal_level_generator_stacks(n_states):
     for x in (5.0, 40.0):
         A = x * (Q - omegas[:, None, None] * np.eye(n_states)) / lam[:, None]
         np.testing.assert_allclose(expm(A), scipy_stack(A), rtol=0, atol=1e-13)
+
+
+def test_stacks_dispatch_by_size(monkeypatch):
+    # 1x1 stacks are np.exp and 2x2 stacks expm2, bit for bit, with a real
+    # input kept real; larger stacks take the Pade path
+    rng = np.random.default_rng(7)
+    omegas = euler_frequencies()
+    for size in (1, 2):
+        real = rng.normal(0.0, 20.0, (omegas.size, size, size))
+        for A in (real, real - omegas[:, None, None] * np.eye(size)):
+            closed = np.exp(A) if size == 1 else expm2(A)
+            if not np.iscomplexobj(A):
+                closed = closed.real
+            assert expm(A).dtype == A.dtype
+            np.testing.assert_array_equal(expm(A), closed)
+
+    def unused(A):
+        raise AssertionError("expm2 called on a larger stack")
+
+    monkeypatch.setattr(_expm, "expm2", unused)
+    for size in (3, 4):
+        A = rng.normal(0.0, 2.0, (50, size, size)) + 1j * rng.normal(0.0, 2.0, (50, size, size))
+        np.testing.assert_allclose(expm(A), scipy_stack(A), rtol=1e-12, atol=1e-14)

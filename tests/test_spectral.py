@@ -6,18 +6,16 @@ import pytest
 import scipy.linalg
 
 from fluidqoe import (
-    DimensionMismatch,
     DomainError,
     NonConvergence,
     startup_transform,
     transform_matrix,
-    two_state_transform,
     validate_model,
 )
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
 from fluidqoe.spectral import OMEGA_FLOOR, _level_generator, evaluator
-from conftest import mpmath_transform, omega_grid, two_state
+from conftest import mpmath_transform, omega_grid, two_state, two_state_quadratic
 
 
 def test_engine_does_not_import_startup():
@@ -80,7 +78,7 @@ class TestCharacteristicRoots:
 
     def test_conjugate_symmetry(self, reference_model):
         om = 1.3 + 0.8j
-        for H in (transform_matrix, two_state_transform):
+        for H in (transform_matrix, two_state_quadratic):
             np.testing.assert_allclose(H(reference_model, 7.0, np.conj(om)),
                                        np.conj(H(reference_model, 7.0, om)), atol=1e-10)
 
@@ -121,16 +119,12 @@ class TestBoundaryCoefficients:
             np.fill_diagonal(Q, -Q.sum(axis=1))
             m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
             om = np.array([rng.uniform(0.1, 4.0) + 1j * rng.uniform(-2, 2)])
-            rates = m.lam - m.mu
-            kept, _, A, _ = _level_generator(m, rates, om)
-            up = np.flatnonzero(rates[kept] > 0.0)
-            down = np.flatnonzero(rates[kept] < 0.0)
+            _, _, up, down, blocks, _ = _level_generator(m, m.lam - m.mu, om)
             if up.size == 0 or down.size == 0:
                 continue
-            psi = spectral._riccati(A, up, down, om)[0][0]
-            A = A[0]
-            residual = (A[np.ix_(up, down)] + A[np.ix_(up, up)] @ psi
-                        + psi @ A[np.ix_(down, down)] + psi @ A[np.ix_(down, up)] @ psi)
+            psi = spectral._riccati(blocks, om)[0][0]
+            Auu, Aud, Adu, Add = (np.broadcast_to(b, (1,) + b.shape[-2:])[0] for b in blocks)
+            residual = Aud + Auu @ psi + psi @ Add + psi @ Adu @ psi
             assert np.max(np.abs(residual)) < 1e-10
             checked += 1
         assert checked >= 5
@@ -153,13 +147,17 @@ class TestBoundaryCoefficients:
 
 
 class TestTwoStateTransform:
+    """Two-state sources take the engine like every other state count; with
+    one filling and one draining state its Riccati equation is a scalar
+    quadratic, whose root is the closed form's."""
+
     def test_agrees_with_generic_path(self, theorem_cases):
         omegas = omega_grid(9)
         for name, m in theorem_cases.items():
-            closed = two_state_transform(m, 7.0, omegas)
+            closed = two_state_quadratic(m, 7.0, omegas)
+            shipped = evaluator(m, 7.0)(omegas)
             for i, om in enumerate(omegas):
-                generic = transform_matrix(m, 7.0, om)
-                assert np.max(np.abs(closed[i] - generic)) < 1e-10, (name, om)
+                assert np.max(np.abs(closed[i] - shipped[i])) < 1e-10, (name, om)
 
     def test_startup_agrees_with_generic_path(self, theorem_cases):
         # the start-up transform of a source with two delivering states takes
@@ -174,30 +172,32 @@ class TestTwoStateTransform:
                 assert np.max(np.abs(closed[i] - generic)) < 1e-10, (name, om)
 
     def test_zero_threshold_identity_on_draining(self, theorem_cases):
-        H = two_state_transform(theorem_cases["both_drain"], 0.0, 1.0)
+        H = evaluator(theorem_cases["both_drain"], 0.0)(1.0)
         np.testing.assert_allclose(H, np.eye(2), atol=1e-12)
 
     def test_zero_threshold_single_draining(self, theorem_cases):
-        H = two_state_transform(theorem_cases["one_drains"], 0.0, 1.0)
+        H = evaluator(theorem_cases["one_drains"], 0.0)(1.0)
         assert H[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(H[:, 1], 0.0)
 
     def test_onoff_transform_finite(self, theorem_cases):
-        H = two_state_transform(theorem_cases["onoff"], 10.0, 0.5)
+        H = evaluator(theorem_cases["onoff"], 10.0)(0.5)
         assert np.all(np.isfinite(H))
         # starvation only in the silent state (index 1)
         assert np.allclose(H[:, 0], 0.0)
         assert np.all(np.abs(H[:, 1]) > 0)
 
-    def test_requires_two_states(self):
+    def test_single_state_source(self):
+        # no state count takes a path of its own: one draining state at
+        # rate -1 falls x in time x, so H = exp(-w x)
         m = validate_model([[0.0]], [1.0], 2.0)
-        with pytest.raises(DimensionMismatch):
-            two_state_transform(m, 1.0, 1.0)
+        for om in (0.3, 2.0, 1.0 + 1.0j):
+            assert evaluator(m, 3.0)(om)[0, 0] == pytest.approx(np.exp(-3.0 * om), abs=1e-15)
 
     @pytest.mark.parametrize("x", [-1.0, np.inf, np.nan])
     def test_threshold_must_be_finite_and_nonnegative(self, reference_model, x):
         three = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
-        for call in (lambda: two_state_transform(reference_model, x, 1.0),
+        for call in (lambda: evaluator(reference_model, x),
                      lambda: transform_matrix(three, x, 1.0),
                      lambda: evaluator(three, x)):
             with pytest.raises(DomainError, match="^x must be finite and >= 0"):
@@ -319,6 +319,7 @@ class TestStackedPencil:
         np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-13)
 
     def test_generic_block_is_one_engine_call(self, monkeypatch):
+        # every state count, two included, takes one engine call per block
         calls = []
         engine = spectral.transform_matrix
 
@@ -327,11 +328,13 @@ class TestStackedPencil:
             return engine(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "transform_matrix", counted)
-        m = validate_model(Q3, [5.0, 20.0, 40.0], 25.0)
         omegas = _inversion_block()
-        H = evaluator(m, 20.0)(omegas)
-        assert H.shape == (omegas.size, 3, 3)
-        assert calls == [omegas.size]
+        for source in ("three_state", "two_state"):
+            calls.clear()
+            m = validate_model(*STACK_SOURCES[source], 25.0)
+            H = evaluator(m, 20.0)(omegas)
+            assert H.shape == (omegas.size, m.n_states, m.n_states)
+            assert calls == [omegas.size]
 
     @pytest.mark.parametrize("source", ["four_state", "three_state"])
     def test_engine_matches_mpmath_pencil_where_the_pencils_differ_most(self, source):
@@ -369,3 +372,28 @@ class TestStackedPencil:
         with pytest.raises(NonConvergence,
                            match=r"omega=\(0\.5\+1j\) \(and at 2 more frequencies\)"):
             transform_matrix(m, 10.0, omegas)
+
+
+# sources whose transform has at most one filling and one draining state
+# left after censoring; the last censors its zero-drift state to u = d = 1
+SCALAR_ROOT_SOURCES = {
+    "bursty": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0]),
+    "onoff": ([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0]),
+    "zero_drift": ([[-6.0, 6.0], [2.0, -2.0]], [25.0, 10.0]),
+    "both_draining": ([[-6.0, 6.0], [2.0, -2.0]], [12.32, 12.99]),
+    "censored_three_state": (Q3, [5.0, 25.0, 40.0]),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SCALAR_ROOT_SOURCES))
+def test_scalar_root_matches_mpmath(source):
+    # the closed-form root of the 1x1 Riccati equation against the 40-digit
+    # pencil, on real and imaginary rays from the floor out to |w| = 1e3
+    m = validate_model(*SCALAR_ROOT_SOURCES[source], 25.0)
+    mags = np.geomspace(OMEGA_FLOOR, 1e3, 25)
+    omegas = np.concatenate([mags, 1j * mags])
+    for x in (5.0, 40.0):
+        shipped = evaluator(m, x)(omegas)
+        for k, w in enumerate(omegas):
+            exact = np.array(mpmath_transform(m, x, w).tolist(), dtype=complex)
+            assert np.abs(shipped[k] - exact).max() <= 1e-12, (x, w)

@@ -243,9 +243,15 @@ class TestPrefetchEndDistribution:
                 call()
 
     def test_all_silent_unreachable(self):
+        # every start-up function refuses a source that delivers nothing,
+        # the CDF too, although no atom gives it a time to invert
         m = validate_model([[-1, 1], [2, -2]], [0.0, 0.0], 1.0)
-        with pytest.raises(InfeasiblePlayout):
-            prefetch_end_distribution(m, 0.0, 10.0)
+        for call in (lambda: startup_transform(m, 10.0, 1.0),
+                     lambda: expected_startup_delay(m, 10.0),
+                     lambda: prefetch_end_distribution(m, 0.0, 10.0),
+                     lambda: startup_delay_cdf(m, 10.0, [1.0, 5.0])):
+            with pytest.raises(InfeasiblePlayout):
+                call()
 
 
 class TestSilentSource:

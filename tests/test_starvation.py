@@ -13,13 +13,12 @@ from fluidqoe import (
     starvation_probability,
     starvation_transform,
     transform_matrix,
-    two_state_transform,
     validate_model,
 )
 from fluidqoe.inversion import invert_cdf_with_atoms
 from fluidqoe.spectral import evaluator
 from fluidqoe.starvation import starvation_atoms, starvation_probability_from_cdf
-from conftest import mpmath_transform
+from conftest import mpmath_transform, two_state_quadratic
 
 Q3 = [[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]]
 MEAN_SOURCES = {
@@ -61,11 +60,11 @@ class TestStarvationTransform:
         assert fast < slow
 
     def test_generic_method_matches_closed(self, reference_model):
-        a = two_state_transform(reference_model, 12.0, 0.7 + 0.3j)
+        a = two_state_quadratic(reference_model, 12.0, 0.7 + 0.3j)
         b = transform_matrix(reference_model, 12.0, 0.7 + 0.3j)
         assert np.max(np.abs(a - b)) < 1e-10
         np.testing.assert_array_equal(
-            starvation_transform(reference_model, 12.0, 0.7 + 0.3j), a)
+            starvation_transform(reference_model, 12.0, 0.7 + 0.3j), b)
 
     @pytest.mark.parametrize("source", ["bursty", "three_state"])
     def test_stack_returns_every_frequency(self, source):
@@ -142,8 +141,8 @@ class TestStarvationProbability:
         assert 0.0 < p < 1.0
 
     def test_methods_agree(self, reference_model):
-        # one inversion of each path's transform; a two-state model takes
-        # the closed form
+        # one inversion of the closed form and one of the engine, which a
+        # two-state model takes like any other
         m, s = reference_model, SessionParams(x=40, Z=500)
 
         def probability(transform):
@@ -151,10 +150,10 @@ class TestStarvationProbability:
                                         starvation_atoms(m, s.x), np.asarray(s.Z / m.mu))
             return starvation_probability_from_cdf(m, s, cdf)
 
-        a = probability(two_state_transform)
+        a = probability(two_state_quadratic)
         b = probability(transform_matrix)
         assert a == pytest.approx(b, abs=1e-9)
-        assert starvation_probability(m, s) == a
+        assert starvation_probability(m, s) == b
 
 
 class TestMeanPlaybackTime:
