@@ -50,12 +50,14 @@ jumped.  So a stationary two-state run reads its sojourns at counters 1, 3,
 ``f(s) + c`` of stream 0, with ``f`` computed once per run (see
 ``_fold_streams``).  The hashed word is ``c * gamma + k(s)`` modulo 2**64
 for an odd ``gamma``, so this is the same address and the same value bit for
-bit, and a draw hashes one stream key per call instead of one per row.
+bit, and the stream-0 key is hashed once per seed (see ``_stream0_key``),
+not once per row or per draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +76,7 @@ _SHIFT11 = np.uint64(11)
 _INV53 = float(2.0**-53)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_KEY_MEMO = 64  # stream-0 keys kept, one per seed
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -96,21 +99,38 @@ def _stream_key(seed: int, stream: np.ndarray) -> np.ndarray:
     return _mix64(key)
 
 
+@lru_cache(maxsize=_KEY_MEMO)
+def _stream0_key(seed: int) -> np.ndarray:
+    """The key ``k(0)`` of ``seed``, which callers pass as ``int(seed) &
+    _MASK64``; read-only, because every caller shares the array."""
+    key = _stream_key(seed, _STREAM0)
+    key.flags.writeable = False
+    return key
+
+
 def counter_uniform(seed: int, stream, counter) -> np.ndarray:
     """Uniform(0, 1) values addressed by ``(seed, stream, counter)``.
 
-    ``stream`` and ``counter`` broadcast together; identical addresses give
-    identical values on every platform and in any execution order.  The
-    value hashes the word ``c * gamma + k(s)``, with ``gamma`` the odd
-    golden-ratio constant and ``k(s)`` a splitmix64 key of the seed and the
-    stream, so an address depends on its stream only through that word.
-    Scalar addresses give a scalar.
+    ``seed`` is a Python or numpy integer.  ``stream`` and ``counter``
+    broadcast together; identical addresses give identical values on every
+    platform and in any execution order.  The value hashes the word ``c *
+    gamma + k(s)``, with ``gamma`` the odd golden-ratio constant and ``k(s)``
+    a splitmix64 key of the seed and the stream, so an address depends on
+    its stream only through that word.  A lone stream 0, the stream of every
+    engine draw, takes its key from a per-seed memo instead of hashing it
+    again.  Scalar addresses give a scalar.
     """
+    if not _is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     # 0-d operands would take numpy's scalar arithmetic, which warns on the
     # intended wrap modulo 2**64; 1-d operands broadcast to the same shape
     s = np.atleast_1d(np.asarray(stream, dtype=np.uint64))
     c = np.atleast_1d(np.asarray(counter, dtype=np.uint64))
-    word = _mix64(c * _GOLDEN + _stream_key(seed, s))
+    if s.shape == (1,) and not s[0]:
+        key = _stream0_key(int(seed) & _MASK64)
+    else:
+        key = _stream_key(seed, s)
+    word = _mix64(c * _GOLDEN + key)
     word >>= _SHIFT11
     # below 2**53, so the signed view converts exactly (and faster)
     u = word.view(np.int64).astype(np.float64)
@@ -127,7 +147,7 @@ def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
     with ``f = (k(s) - k(0)) * gamma**-1``, and ``gamma`` is odd, so
     invertible modulo 2**64.
     """
-    shift = _stream_key(seed, streams) - _stream_key(seed, _STREAM0)
+    shift = _stream_key(seed, streams) - _stream0_key(int(seed) & _MASK64)
     shift *= _GOLDEN_INV
     return shift
 
@@ -294,7 +314,7 @@ class _Batch:
     ``counters`` address each replication's draws on stream 0 of
     :func:`counter_uniform`: each replication's own stream is folded into
     its counter once, at the start (see :func:`_fold_streams`), so a draw
-    hashes one key per call instead of one per replication.
+    hashes no stream key at all: stream 0's key is hashed once per seed.
     :meth:`drop` removes finished replications from every array at once.
     """
 
@@ -570,10 +590,16 @@ def simulate_session(model: FluidModel, params: SessionParams, cfg: SimConfig,
     """Simulate one session (the replication index selects the random stream).
 
     Bit-identical to the same replication inside a :func:`monte_carlo` batch.
+    Any index of a 64-bit stream is allowed, also ``cfg.replications`` and
+    above: each index names its own stream.
     """
+    if not (_is_integer(replication) and 0 <= replication <= _MASK64):
+        raise DomainError(
+            f"replication must be an integer in 0..2**64 - 1, got {replication!r}")
     _require_content(model)
-    out = _lockstep(model, "session", params.x, params.Z, cfg,
-                    replication, replication + 1, record_times=True)
+    rep = int(replication)  # a numpy index would wrap at its own width
+    out = _lockstep(model, "session", params.x, params.Z, cfg, rep, rep + 1,
+                    record_times=True)
     return SessionOutcome(
         startup_delay=float(out["startup"][0]),
         starvation_times=tuple(out["times"][0]),

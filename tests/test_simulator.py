@@ -19,7 +19,16 @@ from fluidqoe import (
     stationary_distribution,
     validate_model,
 )
-from fluidqoe.simulator import _GOLDEN, _GOLDEN_INV, _fold_streams, _lockstep
+from fluidqoe.simulator import (
+    _GOLDEN,
+    _GOLDEN_INV,
+    _KEY_MEMO,
+    _STREAM0,
+    _fold_streams,
+    _lockstep,
+    _stream0_key,
+    _stream_key,
+)
 
 
 # Reference engine: the lockstep loop with per-column masks and jumps drawn
@@ -351,6 +360,56 @@ class TestCounterRng:
         assert a.starvation_count == b.starvation_count
         np.testing.assert_array_equal(a.count_histogram, b.count_histogram)
 
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**63 + 5, np.int64(-1),
+                                      np.uint64(2**63 + 5), np.uint32(4)])
+    def test_memoized_stream0_key_matches_fresh_hash(self, seed):
+        # a lone stream 0 reads its key from the memo, while several zero
+        # streams hash it afresh; both agree, also once the seed was evicted
+        counters = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
+        fresh = counter_uniform(seed, np.zeros(4, dtype=np.uint64), counters)
+        _stream0_key.cache_clear()
+        for _ in range(2):
+            before = _stream0_key.cache_info()
+            for _ in range(2):  # the first draw hashes the key, the second reads it
+                np.testing.assert_array_equal(counter_uniform(seed, _STREAM0, counters), fresh)
+            after = _stream0_key.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+            for other in range(10**6, 10**6 + _KEY_MEMO):  # evicts the seed
+                counter_uniform(other, _STREAM0, counters)
+        assert _stream0_key.cache_info().currsize == _KEY_MEMO
+
+    def test_seeds_equal_modulo_2_64_share_one_memo_entry(self):
+        _stream0_key.cache_clear()
+        a = counter_uniform(-1, _STREAM0, np.arange(3))
+        b = counter_uniform(2**64 - 1, _STREAM0, np.arange(3))
+        np.testing.assert_array_equal(a, b)
+        info = _stream0_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_memoized_key_is_read_only(self):
+        key = _stream0_key(7)
+        assert not key.flags.writeable
+        with pytest.raises(ValueError):
+            key += np.uint64(1)
+        assert _stream0_key(7)[0] == _stream_key(7, _STREAM0)[0]
+
+    @pytest.mark.parametrize("seed", [0, 901, 2**64 - 1])
+    def test_stream0_spellings_agree(self, seed):
+        counters = np.arange(5, dtype=np.uint64)
+        want = counter_uniform(seed, _STREAM0, counters)
+        for stream in (0, np.zeros(1, np.uint64), np.uint64(0)):
+            np.testing.assert_array_equal(counter_uniform(seed, stream, counters), want)
+        assert counter_uniform(seed, 0, 3) == want[3]
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), True, False, np.bool_(True),
+                                      "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed would otherwise truncate to another seed's stream
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            counter_uniform(seed, 0, 1)
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            counter_uniform(seed, _STREAM0, np.arange(3))
+
     def test_golden_inverse(self):
         assert int(_GOLDEN) * int(_GOLDEN_INV) % 2**64 == 1
 
@@ -628,6 +687,27 @@ class TestConfigValidation:
         cfg = SimConfig(initial_state_mode=5)
         with pytest.raises(DomainError):
             simulate_session(reference_model, reference_session, cfg)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, np.bool_(False), 2**64, "3", None])
+    def test_bad_replication_index(self, reference_model, reference_session, bad):
+        with pytest.raises(DomainError, match="^replication must be an integer"):
+            simulate_session(reference_model, reference_session,
+                             SimConfig(replications=2), replication=bad)
+
+    def test_replication_index_past_the_batch(self, reference_model, reference_session):
+        # each index names its own stream, so it need not be below
+        # cfg.replications; numpy indices name the same stream
+        batch = _lockstep(reference_model, "session", reference_session.x,
+                          reference_session.Z, SimConfig(replications=256, seed=92))
+        cfg = SimConfig(replications=1, seed=92)
+        for rep in (7, np.int64(7), np.uint8(7), 255, np.uint8(255)):
+            one = simulate_session(reference_model, reference_session, cfg, replication=rep)
+            assert one.startup_delay == batch["startup"][int(rep)]
+            assert one.starvation_count == batch["count"][int(rep)]
+        top = simulate_session(reference_model, reference_session, cfg,
+                               replication=2**64 - 1)
+        assert top == simulate_session(reference_model, reference_session, cfg,
+                                       replication=np.uint64(2**64 - 1))
 
     def test_histogram_mass(self, reference_model, reference_session):
         stats = monte_carlo(reference_model, reference_session,
