@@ -288,7 +288,6 @@ def _run_simulate(snapshot: dict, args: dict) -> str:
     cfg = SimConfig(
         replications=int(args["reps"]),
         seed=int(args["seed"]),
-        arrival_cap_mode="capped_at_Z" if args.get("cap") else "unbounded",
         initial_state_mode=args.get("initial_state", "stationary"),
     )
     stats = monte_carlo(model, params, cfg)
@@ -448,8 +447,6 @@ _SUBCOMMANDS = {
         _X, _Z,
         ("--reps", {"type": int, "default": 10000}),
         ("--seed", {"type": int, "default": 0}),
-        ("--cap", {"action": "store_true",
-                   "help": "stop arrivals once Z frames have been delivered"}),
         ("--initial-state", {"type": _parse_initial_state, "default": "stationary",
                              "help": "'stationary' or a state index"}),
     )),

@@ -21,22 +21,18 @@ finished replications leave the arrays (the last rows move into their
 places).
 
 Per-code tables.  Each row carries one code, ``state + L * playing``.  Its
-arrival rate, buffer drift, playback flag and the denominators and pads of
-its candidate columns are read from small tables indexed by that code, with
-no per-row masks.  A pad is -0.0 (an exact no-op when added) where a column
-applies and inf where it does not.  In a ``capped_at_Z`` session the columns
-are read at ``code + 2L`` once the source has delivered ``Z`` frames; its
-rate there is 0.
+buffer drift, playback flag and the denominators and pads of its candidate
+columns are read from small tables indexed by that code, with no per-row
+masks.  A pad is -0.0 (an exact no-op when added) where a column applies
+and inf where it does not.
 
 The event pick.  The candidate columns are the end of playback (the drain
-horizon), a starvation, a prefetch crossing and, when capped, the source
-reaching ``Z``.  End and starvation apply to playing rows only and crossings
-to prefetching rows only.  A starvation at the end of playback, or in a
-session within ``end_grace`` of it, is dropped and left to the end event.
-So at most one of the first three columns attains a row's next event time
-``dt``, and the event is the column equal to ``dt``.  A row jumps only when
-its sojourn ends strictly first; a tie goes to the event.  The cap loses
-ties to every other event.
+horizon), a starvation and a prefetch crossing.  End and starvation apply to
+playing rows only and crossings to prefetching rows only.  A starvation at
+the end of playback, or in a session within ``end_grace`` of it, is dropped
+and left to the end event.  So at most one column attains a row's next event
+time ``dt``, and the event is the column equal to ``dt``.  A row jumps only
+when its sojourn ends strictly first; a tie goes to the event.
 
 The counter layout.  A stationary start reads counter 0 for the initial
 state, and every run then reads its first sojourn at the next counter.  A
@@ -56,7 +52,7 @@ not once per row or per draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -154,17 +150,15 @@ def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Replication plan: count, seed, arrival capping, initial-state rule.
+    """Replication plan: count, seed, initial-state rule.
 
-    ``arrival_cap_mode='unbounded'`` matches the analytical model (the source
-    keeps sending past the file size); ``'capped_at_Z'`` stops arrivals once
-    ``Z`` frames have been delivered.  ``initial_state_mode`` is either
-    ``'stationary'`` or a fixed state index.
+    As in the analytical model, the source keeps sending past the file size
+    ``Z``.  ``initial_state_mode`` is either ``'stationary'`` or a fixed
+    state index.
     """
 
     replications: int = 1
     seed: int = 0
-    arrival_cap_mode: str = "unbounded"
     initial_state_mode: "str | int" = "stationary"
 
     def __post_init__(self):
@@ -173,11 +167,6 @@ class SimConfig:
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
-        if self.arrival_cap_mode not in ("unbounded", "capped_at_Z"):
-            raise DomainError(
-                f"arrival_cap_mode must be 'unbounded' or 'capped_at_Z', "
-                f"got {self.arrival_cap_mode!r}"
-            )
         mode = self.initial_state_mode
         if not (mode == "stationary" or _is_integer(mode)):
             raise DomainError(
@@ -212,26 +201,15 @@ class SimStats:
     starvation_count: MetricStats
     startup_delay: MetricStats
     count_histogram: np.ndarray
-    startup_grid: np.ndarray | None = None
-    startup_cdf: np.ndarray | None = None
-    first_starvation_grid: np.ndarray | None = None
-    first_starvation_cdf: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "replications": self.replications,
             "starvation_probability": vars(self.starvation_probability),
             "starvation_count": vars(self.starvation_count),
             "startup_delay": vars(self.startup_delay),
             "count_histogram": self.count_histogram.tolist(),
         }
-        if self.startup_grid is not None:
-            out["startup_grid"] = self.startup_grid.tolist()
-            out["startup_cdf"] = self.startup_cdf.tolist()
-        if self.first_starvation_grid is not None:
-            out["first_starvation_grid"] = self.first_starvation_grid.tolist()
-            out["first_starvation_cdf"] = self.first_starvation_cdf.tolist()
-        return out
 
 
 _MAX_EVENTS = 20_000_000
@@ -282,24 +260,21 @@ def _masked(den, ok):
 class _CodeTables:
     """Per-code constants of the event loop (see the module docstring)."""
 
-    def __init__(self, model: FluidModel, capped: bool):
-        L, lam, mu = model.n_states, model.lam, model.mu
-        code = np.arange((4 if capped else 2) * L)
-        state, playing, cut = code % L, code // L % 2 == 1, code >= 2 * L
-        self.rate = lam[state] * ~cut
-        self.drift = self.rate - mu * playing
+    def __init__(self, model: FluidModel):
+        L, mu = model.n_states, model.mu
+        code = np.arange(2 * L)
+        state, playing = code % L, code >= L
+        rate = model.lam[state]
+        self.drift = rate - mu * playing
         self.on = playing.astype(float)
-        self.cross_den, self.cross_pad = _masked(self.rate, ~playing & (self.rate > 0))
-        net = self.rate - mu
+        self.cross_den, self.cross_pad = _masked(rate, ~playing & (rate > 0))
+        net = rate - mu
         self.starve_den, self.starve_pad = _masked(-net, playing & (net < 0))
-        self.cap_den, self.cap_pad = _masked(self.rate, self.rate > 0)
 
-        # jump tables: stored codes 0 .. 2L - 1, and a jump keeps the
-        # playing bit
+        # jump tables: a jump keeps the playing bit
         exit_rates, cum = _jump_tables(model)
-        state = state[:2 * L]
         self.neg_exit = -exit_rates[state]
-        self.base = code[:2 * L] - state
+        self.base = code - state
         first = _jump_targets(0.0, cum, np.arange(L))
         if np.array_equal(first, _jump_targets(_U_MAX, cum, np.arange(L))):
             # every state has one successor: the jump uniform is never read
@@ -388,8 +363,7 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     n = rep_hi - rep_lo
     L, mu = model.n_states, model.mu
     session, drain = phase == "session", phase == "drain"
-    capped = session and cfg.arrival_cap_mode == "capped_at_Z"
-    tab = _CodeTables(model, capped)
+    tab = _CodeTables(model)
 
     streams = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     b = _Batch(counters=_fold_streams(cfg.seed, streams), rows=np.arange(n))
@@ -404,8 +378,6 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
         b.target = np.full(n, float(min(x, limit)))
         b.played = np.zeros(n)
         b.play_time = np.zeros(n)
-        if capped:
-            b.arrived = np.zeros(n)
     n_play = n if drain else 0  # live rows with code >= L
 
     startup = np.full(n, np.nan)
@@ -425,9 +397,6 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
             m = b.rows.size
             if m == 0:
                 break
-            code = b.code
-            if capped:
-                code = code + (2 * L) * (b.arrived >= limit)
 
             # candidate event times, of which at most one of end, starvation
             # and crossing can equal a row's dt (see the module docstring);
@@ -437,8 +406,8 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 end = limit - b.played if session else limit - b.clock
                 if session:
                     end /= mu
-                starve = b.buf / tab.starve_den[code]
-                starve += tab.starve_pad[code]
+                starve = b.buf / tab.starve_den[b.code]
+                starve += tab.starve_pad[b.code]
                 # dividing by False drops a starvation that the end event
                 # pre-empts: it becomes inf, or nan for 0/0, which np.fmin
                 # and == skip as they skip inf
@@ -449,7 +418,7 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 # crossings at their positions only
                 filling = slice(None) if soonest is None else np.flatnonzero(b.code < L)
                 need = (b.target[filling] if session else x) - b.buf[filling]
-                fill_code = code[filling]
+                fill_code = b.code[filling]
                 cross = need / tab.cross_den[fill_code]
                 cross += tab.cross_pad[fill_code]
                 if session:
@@ -461,10 +430,6 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 else:
                     end[filling] = np.inf
                     soonest[filling] = cross
-            event = soonest
-            if capped:
-                cap = (limit - b.arrived) / tab.cap_den[code] + tab.cap_pad[code]
-                soonest = np.fmin(event, cap)
             # ties go to the event; a row that jumps has dt = tau < every
             # candidate, so events, and a deadlock, are sought at hit only
             hit = np.flatnonzero(~(b.tau < soonest))
@@ -478,17 +443,15 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
 
             b.clock += dt
             b.tau[hit] -= dt_hit
-            step = tab.drift[code]
+            step = tab.drift[b.code]
             step *= dt
             b.buf += step
             if session:
-                step = tab.on[code]
+                step = tab.on[b.code]
                 step *= dt  # dt while playing, else 0
                 b.play_time += step
                 step *= mu
                 b.played += step
-                if capped:
-                    b.arrived += tab.rate[code] * dt
 
             ends = hit[end[hit] == dt_hit] if n_play else none
             starves = hit[starve[hit] == dt_hit] if n_play else none
@@ -521,14 +484,6 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                     b.code[starves] -= L
                     b.target[starves] = np.minimum(x, limit - b.played[starves])
                     n_play -= starves.size
-
-            if capped:
-                # the cap loses ties; from here on the buffer is exactly the
-                # unplayed remainder, re-synced so the final drain ties with
-                # the end event
-                caps = hit[(cap[hit] == dt_hit) & (event[hit] != dt_hit)]
-                b.arrived[caps] = limit
-                b.buf[caps] = limit - b.played[caps]
 
             if session:
                 stop = ends
@@ -615,9 +570,8 @@ def _metric(values: np.ndarray) -> MetricStats:
     return MetricStats(mean=mean, var=var, ci_half=float(half))
 
 
-def monte_carlo(model: FluidModel, params: SessionParams, cfg: SimConfig,
-                startup_grid=None, first_starvation_grid=None) -> SimStats:
-    """Replicated sessions with confidence intervals and empirical CDFs.
+def monte_carlo(model: FluidModel, params: SessionParams, cfg: SimConfig) -> SimStats:
+    """Replicated sessions with confidence intervals.
 
     Every replication owns a counter-addressed random stream, so each
     session is bit-identical to :func:`simulate_session` with its index.
@@ -625,24 +579,14 @@ def monte_carlo(model: FluidModel, params: SessionParams, cfg: SimConfig,
     _require_content(model)
     n = cfg.replications
     out = _lockstep(model, "session", params.x, params.Z, cfg)
-    startup, counts, first = out["startup"], out["count"], out["first_starvation"]
-
-    stats = SimStats(
+    counts = out["count"]
+    return SimStats(
         replications=n,
         starvation_probability=_metric((counts >= 1).astype(float)),
         starvation_count=_metric(counts.astype(float)),
-        startup_delay=_metric(startup),
+        startup_delay=_metric(out["startup"]),
         count_histogram=np.bincount(counts) / n,
     )
-    if startup_grid is not None:
-        grid = np.asarray(startup_grid, dtype=float)
-        stats = dc_replace(stats, startup_grid=grid,
-                           startup_cdf=(startup[None, :] <= grid[:, None]).mean(axis=1))
-    if first_starvation_grid is not None:
-        grid = np.asarray(first_starvation_grid, dtype=float)
-        stats = dc_replace(stats, first_starvation_grid=grid,
-                           first_starvation_cdf=(first[None, :] <= grid[:, None]).mean(axis=1))
-    return stats
 
 
 def prefetch_times(model: FluidModel, x: float, cfg: SimConfig):

@@ -161,6 +161,8 @@ class TestExitCodes:
         pytest.param("events --config {model} --jmax abc", {}, "ConfigError",
                      id="usage-jmax-text"),
         pytest.param("", {}, "ConfigError", id="usage-no-subcommand"),
+        pytest.param("simulate --config {model} --cap", {}, "ConfigError",
+                     id="usage-simulate-cap"),
         # values passed through to the library's own checks
         pytest.param("events --config {model} --grid 0", {}, "GridTooCoarse",
                      id="events-grid-0"),
@@ -312,6 +314,21 @@ class TestManifests:
         assert rerun_manifest(str(tmp_path / "sim.json.manifest.json"),
                               str(replay)) == 0
         assert replay.read_bytes() == original
+
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_simulate_manifest_with_cap_arg_replays(self, model_config, tmp_path, cap):
+        # manifests written while simulate took --cap record it; the source
+        # sends past Z either way, so the replay ignores the arg
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", model_config, "--reps", "500",
+                     "--seed", "42", "--out", str(out)]) == 0
+        manifest_path = tmp_path / "sim.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["args"]["cap"] = cap
+        manifest_path.write_text(json.dumps(manifest))
+        replay = tmp_path / "sim2.json"
+        assert rerun_manifest(str(manifest_path), str(replay)) == 0
+        assert replay.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("content", [
         pytest.param(None, id="missing-file"),

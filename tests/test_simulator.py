@@ -145,7 +145,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
     n = rep_hi - rep_lo
     lam, mu = model.lam, model.mu
     session, drain = phase == "session", phase == "drain"
-    capped = session and cfg.arrival_cap_mode == "capped_at_Z"
     final = {"session": None, "fill": "cross", "drain": "starve"}[phase]
     exit_rates, cum_jump = _jump_tables(model)
 
@@ -160,8 +159,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
         b.target = np.full(n, float(min(x, limit)))
         b.played = np.zeros(n)
         b.play_time = np.zeros(n)
-        if capped:
-            b.arrived = np.zeros(n)
 
     startup = np.full(n, np.nan)
     first_starv = np.full(n, np.nan)
@@ -184,8 +181,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
         else:
             playing, any_play, all_play = np.bool_(drain), drain, drain
         rate = lam[b.state]
-        if capped:
-            rate = rate * (b.arrived < limit)
 
         # candidate event times in priority order: ties go to the earlier
         # column, so exhausting the file (or reaching the drain horizon)
@@ -210,8 +205,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
                 if session:
                     starve[playing & (starve >= end - end_grace)] = np.inf
                 cols.append(("starve", starve))
-            if capped:
-                cols.append(("cap", _quotient(limit - b.arrived, rate, rate > 0)))
 
         dt = b.tau
         for _, when in cols:
@@ -233,8 +226,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
         if session:
             b.played += mu * dt * playing
             b.play_time += dt * playing
-            if capped:
-                b.arrived += rate * dt
 
         stop = hit.get("end", False)
         if "cross" in hit:
@@ -260,13 +251,6 @@ def _reference_lockstep(model: FluidModel, phase: str, x: float, limit: float, c
                 b.buf[idx] = 0.0
                 b.playing[idx] = False
                 b.target[idx] = np.minimum(x, limit - b.played[idx])
-
-        if capped:
-            # from here on the buffer is exactly the unplayed remainder;
-            # re-sync it so the final drain ties with the end event
-            idx = np.flatnonzero(hit["cap"])
-            b.arrived[idx] = limit
-            b.buf[idx] = limit - b.played[idx]
 
         if final is not None:
             idx = np.flatnonzero(hit[final])
@@ -446,10 +430,9 @@ class TestCounterRng:
             warnings.simplefilter("error")
             for phase, limit in (("session", 300.0), ("fill", np.inf), ("drain", 6.0)):
                 for initial in ("stationary", L - 1):
-                    for cap in ("unbounded", "capped_at_Z"):
-                        cfg = SimConfig(replications=60, seed=2**63 + 5, arrival_cap_mode=cap,
-                                        initial_state_mode=initial)
-                        _assert_matches_reference(model, phase, 20.0, limit, cfg)
+                    cfg = SimConfig(replications=60, seed=2**63 + 5,
+                                    initial_state_mode=initial)
+                    _assert_matches_reference(model, phase, 20.0, limit, cfg)
 
     def test_fill_reads_sojourns_at_odd_counters(self):
         # a stationary two-state run reads its initial state at counter 0
@@ -554,17 +537,6 @@ class TestDeterminism:
             assert delays[rep] == one.startup_delay
         assert np.all(states == 0)  # the crossing happens while delivering
 
-    def test_capped_arrivals_leave_metrics_unchanged(self, reference_model,
-                                                     reference_session):
-        # arrivals beyond Z only pad the buffer; they can never avert or
-        # cause a starvation, so both modes agree event for event
-        a = monte_carlo(reference_model, reference_session,
-                        SimConfig(replications=2000, seed=80))
-        b = monte_carlo(reference_model, reference_session,
-                        SimConfig(replications=2000, seed=80,
-                                  arrival_cap_mode="capped_at_Z"))
-        self.assert_stats_identical(a, b)
-
 
 class TestSessionInvariants:
     def test_playback_clock_identity(self, reference_model, reference_session):
@@ -584,6 +556,22 @@ class TestSessionInvariants:
             if times.size:
                 assert np.all(np.diff(times) > 0)
                 assert times[0] >= 40.0 / 25.0
+
+    @pytest.mark.parametrize("x", [5.0, 40.0])
+    @pytest.mark.parametrize("source", ["bursty", "three_state"])
+    def test_shorter_file_is_a_prefix_of_a_longer_one(self, reference_model, source, x):
+        # the source keeps sending past Z, so a replication's session for Z
+        # is the head of its session for any longer file, bit for bit
+        model = reference_model if source == "bursty" else validate_model(
+            [[-3, 2, 1], [1, -2, 1], [2, 2, -4]], [5.0, 20.0, 40.0], 25.0)
+        cfg = SimConfig(replications=300, seed=93)
+        longer = _lockstep(model, "session", x, 1000.0, cfg, record_times=True)
+        for Z in (x, 250.0, 500.0):
+            out = _lockstep(model, "session", x, Z, cfg, record_times=True)
+            np.testing.assert_array_equal(out["startup"], longer["startup"])
+            head = [[t for t in times if t < Z / model.mu] for times in longer["times"]]
+            assert out["times"] == head
+            np.testing.assert_array_equal(out["count"], [len(t) for t in head])
 
     def test_stationary_mixes_fixed_state_runs(self, reference_model,
                                                 reference_session):
@@ -675,10 +663,6 @@ class TestConfigValidation:
                         initial_state_mode=np.int8(1))
         assert (cfg.replications, cfg.seed, cfg.initial_state_mode) == (3, 4, 1)
 
-    def test_bad_cap_mode(self):
-        with pytest.raises(DomainError):
-            SimConfig(arrival_cap_mode="sometimes")
-
     def test_bad_initial_state(self, reference_model, reference_session):
         with pytest.raises(DomainError):
             SimConfig(initial_state_mode=2.5)
@@ -719,15 +703,6 @@ class TestConfigValidation:
                             SimConfig(replications=4000, seed=89))
         m = stats.starvation_probability
         assert m.ci_half == pytest.approx(1.96 * np.sqrt(m.var / 4000))
-
-    def test_empirical_cdf_grids(self, reference_model, reference_session):
-        grid = np.array([1.0, 2.0, 4.0, 8.0])
-        stats = monte_carlo(reference_model, reference_session,
-                            SimConfig(replications=3000, seed=90),
-                            startup_grid=grid, first_starvation_grid=grid)
-        assert np.all(np.diff(stats.startup_cdf) >= 0)
-        assert np.all((stats.first_starvation_cdf >= 0)
-                      & (stats.first_starvation_cdf <= 1))
 
 
 def _random_source(seed):
@@ -771,10 +746,9 @@ class TestReferenceEngine:
             for x, Z in ((5.0, 60.0), (20.0, 12.0)):
                 limit = {"session": Z, "fill": np.inf, "drain": Z / model.mu}[phase]
                 for initial in ("stationary", model.n_states - 1):
-                    for cap in ("unbounded", "capped_at_Z"):
-                        cfg = SimConfig(replications=40, seed=1000 + seed,
-                                        arrival_cap_mode=cap, initial_state_mode=initial)
-                        _assert_matches_reference(model, phase, x, limit, cfg)
+                    cfg = SimConfig(replications=40, seed=1000 + seed,
+                                    initial_state_mode=initial)
+                    _assert_matches_reference(model, phase, x, limit, cfg)
 
     @staticmethod
     def _sojourn_tie_source():
@@ -796,7 +770,5 @@ class TestReferenceEngine:
             "file_end": (one_state, "session", 100.0, 1000.0),
             "sojourn": (self._sojourn_tie_source(), "session", 40.0, 500.0),
         }[case]
-        for cap in ("unbounded", "capped_at_Z"):
-            cfg = SimConfig(replications=20, seed=5, arrival_cap_mode=cap,
-                            initial_state_mode=0)
-            _assert_matches_reference(model, phase, x, limit, cfg)
+        cfg = SimConfig(replications=20, seed=5, initial_state_mode=0)
+        _assert_matches_reference(model, phase, x, limit, cfg)
