@@ -406,7 +406,11 @@ def rerun_manifest(manifest_path: str, out: str | None = None) -> int:
     if missing:
         raise ConfigError(f"run manifest {manifest_path} is missing "
                           f"{', '.join(missing)}")
-    payload = _SUBCOMMANDS[sub][0](manifest["config"], manifest["args"])
+    try:
+        payload = _SUBCOMMANDS[sub][0](manifest["config"], manifest["args"])
+    except KeyError as exc:
+        raise ConfigError(f"run manifest {manifest_path} is missing the recorded "
+                          f"field {exc.args[0]!r}") from None
     target = out if out is not None else manifest["outputs"][0]
     return _write_outputs(sub, manifest["config"], manifest["args"], payload, target)
 

@@ -38,10 +38,10 @@ zero-rate states are zero: the level cannot fall while it rises or holds.
 :func:`_passage` is that engine.  The starvation transform is the passage at
 ``lam - mu`` (:func:`transform_matrix`); the start-up transform and the
 fill-completion matrix of :mod:`fluidqoe.startup` are the passage at
-``-lam``.  At ``w = 0`` the same engine gives the exact slope ``dH/dw``
-behind the restricted mean starvation times and the mean start-up delay
-(:func:`_slope_at_zero`), and the path with no jump gives the atoms of both
-laws (:func:`_passage_atoms`).
+``-lam``.  The same engine at the one frequency ``w = i h``, ``h`` tiny,
+gives the slope ``dH/dw`` at ``w = 0`` behind the restricted mean starvation
+times and the mean start-up delay (:func:`_slope_at_zero`), and the path
+with no jump gives the atoms of both laws (:func:`_passage_atoms`).
 
 A scalar frequency is a stack of one whose leading axis is dropped on
 return.  The checks run over the whole stack; an error names the first
@@ -64,6 +64,9 @@ OMEGA_FLOOR = 1e-8
 # near 1e-14, and 5 to 12 steps get there.
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 50
+# The step h of the complex-step slope at w = 0: its O(h^2) truncation is far
+# below rounding, and h H stays far above the smallest normal number.
+_COMPLEX_STEP = 1e-30
 
 
 def _frequency_stack(omega):
@@ -97,8 +100,7 @@ def _sylvester(left, right, rhs):
 
 def _riccati(blocks, om):
     """Minimal solution ``Psi`` of the level generator's Riccati equation over
-    the ``(K,)`` stack ``om``, with the Sylvester operator
-    ``(A_uu + Psi A_du, A_dd + A_du Psi)`` of its Newton step at the solution.
+    the ``(K,)`` stack ``om``, and ``U = A_dd + A_du Psi``.
 
     ``blocks`` are ``(A_uu, A_ud, A_du, A_dd)`` from :func:`_level_generator`.
     With one filling and one draining state the equation is the scalar
@@ -115,7 +117,7 @@ def _riccati(blocks, om):
         sq = np.sqrt(np.asarray(b * b - 4.0 * Adu * Aud, dtype=complex))
         np.negative(sq, out=sq, where=(np.conj(b) * sq).real < 0.0)
         psi = -2.0 * Aud / (b + sq)
-        return psi, Auu + psi * Adu, Add + Adu * psi
+        return psi, Add + Adu * psi
     Auu, Aud, Adu, Add = (np.broadcast_to(m, om.shape + m.shape[-2:]) for m in blocks)
     psi = np.zeros(Aud.shape, dtype=np.result_type(*blocks))
     live = np.arange(om.shape[0])
@@ -135,7 +137,7 @@ def _riccati(blocks, om):
         # a NaN step stays live
         live = live[~(size <= NEWTON_TOL * np.maximum(1.0, np.abs(psi[live]).max(axis=(1, 2))))]
         if not live.size:
-            return psi, Auu + psi @ Adu, Add + Adu @ psi
+            return psi, Add + Adu @ psi
     unconverged = np.zeros(om.shape, dtype=bool)
     unconverged[live] = True
     _, bad, more = _first(om, unconverged)
@@ -196,7 +198,7 @@ def _passage(model: FluidModel, rates, x: float, omega: np.ndarray) -> np.ndarra
     L = model.n_states
     kept, zero, up, down, blocks, lift = _level_generator(model, rates, omega)
     if up.size:
-        psi, _, U = _riccati(blocks, omega)
+        psi, U = _riccati(blocks, omega)
     else:
         U = blocks[3]
     E = expm(x * U)
@@ -252,48 +254,13 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
 
 
 def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
-    """``dH/dw`` at ``w = 0`` of the passage at ``rates``, exactly.
-
-    At ``w = 0`` the engine needs no floor and runs in real arithmetic;
-    the scalar root, whose square root is complex, keeps its real part.
-    With ``A' = dA/dw``, ``dPsi/dw`` solves the Sylvester equation of the
-    Newton step at the solution, with right side minus the Riccati equation
-    differentiated at fixed ``Psi``; ``dU/dw = A'_dd + A'_du Psi + A_du dPsi``;
-    and the pair ``(expm(x U), d expm(x U)/dw)`` is one block exponential of
-    ``[[x U, x dU], [0, x U]]`` (Van Loan, IEEE TAC 23(3), 1978).  Zero-rate
-    rows differentiate their lift, whose slope is ``-(-Q_OO)^-1 lift``.
-    Needs a draining state.
+    """``dH/dw`` at ``w = 0`` of the passage at ``rates``, by the complex
+    step: ``H`` is analytic in ``w`` and real on the real axis, so
+    ``Im H(i h) / h`` is the slope up to ``O(h^2)`` with no difference taken
+    (Squire & Trapp, *SIAM Review* 40(1), 1998), exact to rounding at
+    ``h = _COMPLEX_STEP``.  Needs a draining state.
     """
-    L = model.n_states
-    kept, zero, up, down, blocks, lift = _level_generator(model, rates, 0.0)
-    speed = np.abs(rates[kept])
-    dA = -np.diag(1.0 / speed)
-    if zero.size:
-        dlift = -np.linalg.solve(-model.Q[np.ix_(zero, zero)], lift)
-        dA = dA + model.Q[np.ix_(kept, zero)] @ dlift / speed[:, None]
-    U, dU = blocks[3], dA[np.ix_(down, down)]
-    if up.size:
-        psi, left, U = (m[0].real for m in _riccati([b[None] for b in blocks], np.zeros(1)))
-        dpsi = _sylvester(left[None], U[None], -(
-            dA[np.ix_(up, down)] + dA[np.ix_(up, up)] @ psi + psi @ dU
-            + psi @ dA[np.ix_(down, up)] @ psi)[None])[0]
-        dU = dU + dA[np.ix_(down, up)] @ psi + blocks[2] @ dpsi
-    d = down.size
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = block[d:, d:] = x * U
-    block[:d, d:] = x * dU
-    both = expm(block)
-    E, dE = both[:d, :d], both[:d, d:]
-    H, dH = np.empty((2, kept.size, d))
-    H[down], dH[down] = E, dE
-    if up.size:
-        H[up], dH[up] = psi @ E, dpsi @ E + psi @ dE
-    cols = kept[down]
-    slope = np.zeros((L, L))
-    slope[np.ix_(kept, cols)] = dH
-    if zero.size:
-        slope[np.ix_(zero, cols)] = dlift @ H + lift @ dH
-    return slope
+    return _passage(model, rates, x, np.array([1j * _COMPLEX_STEP]))[0].imag / _COMPLEX_STEP
 
 
 def evaluator(model: FluidModel, x: float):

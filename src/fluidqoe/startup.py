@@ -24,13 +24,13 @@ and the threshold is never reached in a silent state.  At ``w = 0`` the same
 matrix is the fill-completion state distribution ``V(q, x)``.  A threshold
 ``x = 0`` is reached instantly, in the start state.
 
-The mean is exact: minus the slope of ``U~(x, w) 1`` at ``w = 0``.  The
-derivative ``G'(0) = -diag(1/lam_P) (I + Q_PO (-Q_OO)^-2 Q_OP)`` charges each
-unit of level its own time and its expected silent excursions, and the pair
-``(expm(x G), d expm(x G)/dw)`` is one block exponential (Van Loan,
-"Computing integrals involving the matrix exponential", IEEE TAC 23(3),
-1978); a silent start state adds its own expected excursion
-``(-Q_OO)^-1 1``.
+The mean is minus the slope of ``U~(x, w) 1`` at ``w = 0``, exact to
+rounding: the transform is analytic in ``w`` and real on the real axis, so
+its value at the one frequency ``w = i h``, ``h`` tiny, has imaginary part
+``h`` times the slope (the complex step of
+:func:`fluidqoe.spectral._slope_at_zero`).  The slope charges each unit of
+level its own time and its expected silent excursions, and a silent start
+state adds its own expected excursion ``(-Q_OO)^-1 1``.
 
 The transform, the fill-completion matrix and the mean are the first passage
 of :mod:`fluidqoe.spectral` on the fill clock ``r = -lam``, which has no

@@ -4,11 +4,11 @@
 playback start runs empty by playback time ``t`` with the source in state
 ``j`` at that moment, given initial state ``i``.  It is the first passage
 of the playback clock ``lam - mu`` down by ``x``: its transform, its
-deterministic-path atoms and its exact slope at the origin come from the
-level-generator engine of :mod:`fluidqoe.spectral`.  Inversion gives the
-CDF, the value at the file-exhaustion horizon ``Z/mu`` gives the overall
-starvation probability, and the slope gives the restricted mean time to
-starve.
+deterministic-path atoms and its slope at the origin (by the complex step)
+come from the level-generator engine of :mod:`fluidqoe.spectral`.
+Inversion gives the CDF, the value at the file-exhaustion horizon ``Z/mu``
+gives the overall starvation probability, and the slope gives the
+restricted mean time to starve.
 
 Columns for non-draining states are identically zero: the buffer cannot hit
 empty while it is growing or holding.
@@ -101,11 +101,12 @@ class SeverityMatrix:
 
 
 def mean_playback_time(model: FluidModel, x: float) -> SeverityMatrix:
-    """Restricted mean time to starvation, ``-dH~/dw`` at ``w = 0``, exactly.
+    """Restricted mean time to starvation, ``-dH~/dw`` at ``w = 0``, exact to
+    rounding.
 
-    The slope comes from the level-generator engine at ``w = 0`` for every
-    state count: one Riccati solve, one Sylvester solve for its slope and one
-    block exponential (see :func:`fluidqoe.spectral._slope_at_zero`).
+    The slope is the level-generator engine at the one complex-step
+    frequency ``w = i h`` for every state count: one Riccati solve and one
+    matrix exponential (see :func:`fluidqoe.spectral._slope_at_zero`).
     Requires strictly negative mean drift so the mean exists; raises
     :class:`Unstable` otherwise.  Entries are clamped at zero after
     verifying they are no more negative than -1e-8 (anything worse signals a

@@ -53,6 +53,18 @@ def theorem_cases():
     }
 
 
+def superposed_onoff(n_sources=3, peak=12.0, base=5.0):
+    """``(Q, lam)`` of ``n_sources`` independent on-off sources, source ``k``
+    switching at rate ``4^-k`` both ways and sending ``peak`` while on, over
+    a base rate: ``2^n_sources`` states, ``Q`` their Kronecker sum."""
+    Q, lam = np.zeros((1, 1)), np.array([base])
+    for k in range(n_sources):
+        rate = 4.0 ** -k
+        Q = np.kron(Q, np.eye(2)) + np.kron(np.eye(len(Q)), [[-rate, rate], [rate, -rate]])
+        lam = (lam[:, None] + [0.0, peak]).ravel()
+    return Q.tolist(), lam.tolist()
+
+
 def omega_grid(n=13):
     """Frequency probe set: real and imaginary rays."""
     mags = np.geomspace(0.01, 10.0, n)

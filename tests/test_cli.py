@@ -345,6 +345,18 @@ class TestManifests:
         with pytest.raises(ConfigError, match=f"run manifest {re.escape(str(path))}"):
             rerun_manifest(str(path))
 
+    def test_missing_recorded_arg_named(self, model_config, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", model_config, "--reps", "100",
+                     "--seed", "7", "--out", str(out)]) == 0
+        manifest_path = tmp_path / "sim.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["args"]["seed"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f"run manifest {re.escape(str(manifest_path))}"
+                                              r".*'seed'"):
+            rerun_manifest(str(manifest_path), str(tmp_path / "sim2.json"))
+
     def test_manifest_records_seed(self, model_config, tmp_path):
         out = tmp_path / "sim.json"
         main(["simulate", "--config", model_config, "--reps", "100",

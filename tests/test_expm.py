@@ -20,7 +20,7 @@ def level_generator(n_states: int, norm: float, rng) -> np.ndarray:
     return G * (norm / np.abs(G).sum(axis=0).max())
 
 
-# 1e-3 .. 4 reach each Pade degree without scaling; the rest need squaring
+# 1e-3 .. 4 need no scaling at degree 13; the rest need squaring
 NORMS = (1e-3, 0.1, 0.5, 1.5, 4.0, 30.0, 200.0, 600.0)
 
 
@@ -51,56 +51,6 @@ def test_censored_zero_rate_fill_matches_scipy(monkeypatch, x):
     np.testing.assert_allclose(V, prefetch_end_distribution(model, 1.0, x), rtol=0, atol=1e-13)
     np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-13)
     assert np.all(V[:, [0, 2]] == 0.0)
-
-
-# --- the single-matrix real path, as it was before stacks ---------------------
-
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-          13: 5.371920351148152e0}
-_PADE = {m: [float(math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k)))
-             for k in range(m + 1)] for m in _THETA}
-
-
-def single_expm(A) -> np.ndarray:
-    """``exp(A)`` of a real square matrix, one matrix at a time."""
-    A = np.asarray(A, dtype=float)
-    ident = np.eye(A.shape[0])
-    norm = float(np.abs(A).sum(axis=0).max())
-    m = next(m for m in _THETA if norm <= _THETA[m] or m == 13)
-    s = max(0, math.ceil(math.log2(norm / _THETA[13]))) if m == 13 else 0
-    A = A / 2.0**s
-    b = _PADE[m]
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        odd = (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-               + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-        even = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-                + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    else:
-        odd, even, power = b[1] * ident, b[0] * ident, ident
-        for k in range(2, m + 1, 2):
-            power = power @ A2
-            odd = odd + b[k + 1] * power
-            even = even + b[k] * power
-    U = A @ odd
-    R = ident + 2.0 * np.linalg.solve(even - U, U)
-    for _ in range(s):
-        R = R @ R
-    return R
-
-
-@pytest.mark.parametrize("n_states", [1, 2, 3, 4, 6, 8, 12, 16])
-def test_real_single_matrix_is_bit_identical_to_single_path(n_states):
-    # the Van Loan block of the exact means takes the single-matrix path;
-    # one moving state leaves a 1x1 generator, -q/lam after censoring
-    rng = np.random.default_rng(100 + n_states)
-    for _ in range(4):
-        for norm in NORMS:
-            G = level_generator(n_states, norm, rng) if n_states > 1 else [[-norm]]
-            np.testing.assert_array_equal(expm(G), single_expm(G))
 
 
 def euler_frequencies() -> np.ndarray:

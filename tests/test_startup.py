@@ -17,6 +17,7 @@ from fluidqoe import (
     validate_model,
 )
 from fluidqoe.startup import startup_atoms
+from conftest import superposed_onoff
 
 SILENT3 = ([[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]], [0.0, 20.0, 40.0])
 MEAN_SOURCES = {
@@ -25,6 +26,7 @@ MEAN_SOURCES = {
                     [2.12, 25.48, 26.43]),
     "onoff": ([[-1.0, 1.0], [4.0, -4.0]], [30.0, 0.0]),
     "silent_three_state": SILENT3,
+    "superposed_eight_state": superposed_onoff(),
 }
 
 
@@ -173,6 +175,15 @@ class TestExpectedStartupDelay:
         entry = stationary_distribution(m)
         exact = mpmath_mean(Q, lam, x, [mpmath.mpf(float(p)) for p in entry])
         assert expected_startup_delay(m, x) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("c", [1e-4, 1e4])
+    @pytest.mark.parametrize("source", ["two_state", "three_state", "silent_three_state"])
+    def test_free_of_time_unit(self, source, c):
+        # Q, lam and mu scaled by c make every time 1/c as long
+        Q, lam = MEAN_SOURCES[source]
+        mean = expected_startup_delay(validate_model(Q, lam, 25.0), 40.0)
+        scaled = validate_model(np.multiply(Q, c), np.multiply(lam, c), 25.0 * c)
+        assert expected_startup_delay(scaled, 40.0) * c == pytest.approx(mean, rel=1e-13, abs=0)
 
     def test_silent_entry_waits_out_its_excursion(self, onoff_model):
         # from the silent state: a mean 1/4 s of silence, then a fill from ON

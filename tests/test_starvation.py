@@ -18,7 +18,7 @@ from fluidqoe import (
 from fluidqoe.inversion import invert_cdf_with_atoms
 from fluidqoe.spectral import evaluator
 from fluidqoe.starvation import starvation_atoms, starvation_probability_from_cdf
-from conftest import mpmath_transform, two_state_quadratic
+from conftest import mpmath_transform, superposed_onoff, two_state_quadratic
 
 Q3 = [[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]]
 MEAN_SOURCES = {
@@ -27,7 +27,9 @@ MEAN_SOURCES = {
     "both_draining": ([[-6.0, 6.0], [2.0, -2.0]], [2.0, 20.0]),
     "three_state": (Q3, [5.0, 20.0, 30.0]),
     "zero_drift_three_state": (Q3, [5.0, 25.0, 30.0]),
+    "superposed_eight_state": superposed_onoff(),
 }
+SILENT3 = (Q3, [0.0, 20.0, 40.0])
 
 
 def mpmath_mean(model, x):
@@ -189,6 +191,16 @@ class TestMeanPlaybackTime:
             assert gaps[-1] <= 1e-4 * np.max(np.abs(D))
             for wide, narrow in zip(gaps, gaps[1:]):
                 assert 90.0 <= wide / narrow <= 110.0, gaps
+
+    @pytest.mark.parametrize("c", [1e-4, 1e4])
+    @pytest.mark.parametrize("source", [MEAN_SOURCES["bursty"], MEAN_SOURCES["three_state"],
+                                        SILENT3], ids=["bursty", "three_state", "silent"])
+    def test_free_of_time_unit(self, source, c):
+        # Q, lam and mu scaled by c make every time 1/c as long
+        Q, lam = source
+        D = mean_playback_time(validate_model(Q, lam, 25.0), 40.0).D
+        scaled = validate_model(np.multiply(Q, c), np.multiply(lam, c), 25.0 * c)
+        np.testing.assert_allclose(mean_playback_time(scaled, 40.0).D * c, D, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("x", [5.0, 40.0])
     @pytest.mark.parametrize("source", sorted(MEAN_SOURCES))
