@@ -36,7 +36,7 @@ print("frame rates: progressive", scenario_to_model(spec).lam, "fps,",
 rows = []
 for c3 in (0.0, 1.0, 1.5):
     weights = CostWeights(1.0, 0.1, c3)
-    report = compare_scenarios(spec, weights, Z_grid, x, j_max=5)
+    report = compare_scenarios(spec, weights, Z_grid, x)
     cross = report.crossover_Z
     print(f"quality weight c3 = {c3}:")
     for Z, p, a in zip(report.Z_grid, report.progressive, report.adaptive):
@@ -56,7 +56,7 @@ print("Optimizing the prefetch threshold for progressive streaming at Z=800")
 print("(stall weight 1, start-up weight 0.5):")
 model = scenario_to_model(spec)
 result = optimize_threshold(model, 800.0, CostWeights(1.0, 0.5, 0.0),
-                            [10.0, 20.0, 40.0, 80.0, 160.0, 320.0], j_max=6)
+                            [10.0, 20.0, 40.0, 80.0, 160.0, 320.0])
 for xv, cost in zip(result.x_grid, result.costs):
     marker = "  <-- best" if xv == result.best_x else ""
     print(f"  x={xv:5.0f}: stalls {cost.expected_starvations:6.3f}, "

@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FluidQoeError,
-    GridTooCoarse,
     InfeasiblePlayout,
     NegativeDensityWarning,
     NegativeOffDiagonal,
@@ -25,16 +24,10 @@ from .errors import (
     Reducible,
     RowSumViolation,
     SingularSystem,
-    TailTooLarge,
     Unstable,
     ValidationError,
 )
-from .events import (
-    PathGrid,
-    StarvationPmf,
-    build_path_grid,
-    starvation_count_pmf,
-)
+from .events import StarvationPmf, starvation_count_pmf
 from .inversion import (
     DEFAULT_PARAMS,
     InversionParams,

@@ -78,14 +78,19 @@ def expm2(A) -> np.ndarray:
     ``exp(A) = e^m (cosh(d) I + sinh(d)/d (A - m I))``.  Both coefficients
     are even in ``d``; they are formed from ``e^(m + d)`` with ``Re d >= 0``
     and ``expm1(-2d)``, which neither overflows nor cancels, and stay
-    accurate where the two eigenvalues ``m -+ d`` coincide.
+    accurate where the two eigenvalues ``m -+ d`` coincide.  Where the
+    eigenvalue ``m + d`` is near 0 (a level generator at ``w = 0``), the sum
+    cancels, so it is taken as ``det(A) / (m - d)`` instead.
     """
     A = np.asarray(A, dtype=complex)
     a, b, c, e = A.reshape(-1, 4).T
     m = (a + e) / 2
     h = (a - e) / 2
     d = np.sqrt(h * h + b * c)
-    top = np.exp(m + d)
+    lead = m + d
+    k = np.abs(lead) < 1e-3 * np.abs(m)
+    lead[k] = (a[k] * e[k] - b[k] * c[k]) / (m[k] - d[k])
+    top = np.exp(lead)
     gap = np.expm1(-2.0 * d)
     cosh = top * (1.0 + gap / 2)
     sinhc = top * np.divide(-gap, 2.0 * d, out=np.ones_like(d), where=d != 0.0)

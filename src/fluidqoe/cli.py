@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError, ValidationError
-from .events import starvation_count_pmf
+from .events import NODES_PER_PREFETCH, starvation_count_pmf
 from .inversion import DEFAULT_PARAMS, InversionParams, self_test
 from .model import FluidModel, SessionParams, mean_drift, validate_model
 from .qoe import (
@@ -275,10 +275,11 @@ def _run_events(snapshot: dict, args: dict) -> str:
     model = _model_from_snapshot(snapshot)
     params = SessionParams(x=args["x"], Z=args["Z"])
     inv = _parse_inversion(args.get("params"))
-    # an unset --grid, recorded as null, means the library's 16 points
-    grid = 16 if args["grid"] is None else int(args["grid"])
-    pmf = starvation_count_pmf(model, params, j_max=int(args["jmax"]), inv=inv,
-                               points_per_prefetch=grid)
+    # manifests written while events took --grid record it (null when unset)
+    if args.get("grid") not in (None, NODES_PER_PREFETCH):
+        raise ConfigError(f"--grid {args['grid']} cannot be replayed: the count grid "
+                          f"has {NODES_PER_PREFETCH} nodes per prefetch interval")
+    pmf = starvation_count_pmf(model, params, j_max=int(args["jmax"]), inv=inv)
     return _json_text({"pmf": pmf.p.tolist(), "tail": pmf.tail})
 
 
@@ -303,8 +304,7 @@ def _run_optimize(snapshot: dict, args: dict) -> tuple:
     model = scenario_to_model(spec)
     quality = quality_loss_fraction(spec)
     report = optimize_threshold(model, Z, weights, x_grid,
-                                quality_term=quality,
-                                j_max=int(args["jmax"]), inv=inv)
+                                quality_term=quality, inv=inv)
     rows = [[x, c.expected_starvations, c.expected_startup, c.quality_term, c.total]
             for x, c in zip(report.x_grid, report.costs)]
     csv = _csv_text(["x", "starvations", "startup", "quality", "total"], rows)
@@ -323,8 +323,7 @@ def _run_compare(snapshot: dict, args: dict) -> tuple:
     x = args["x"]
     Z_grid = parse_grid(args["z_grid"])
     inv = _parse_inversion(args.get("params"))
-    report = compare_scenarios(spec, weights, Z_grid, x,
-                               j_max=int(args["jmax"]), inv=inv)
+    report = compare_scenarios(spec, weights, Z_grid, x, inv=inv)
     rows = []
     for Z, p, a in zip(report.Z_grid, report.progressive, report.adaptive):
         rows.append([Z, p.expected_starvations, p.expected_startup,
@@ -432,6 +431,9 @@ _X = ("--x", {"type": float, "help": "prefetch threshold (frames)"})
 _Z = ("--Z", {"type": float, "help": "file size (frames)"})
 _T_GRID = ("--t-grid", {"help": "time grid a:b:n (seconds)"})
 _JMAX = ("--jmax", {"type": int, "default": 3, "help": "starvation-count truncation"})
+# the cost counts every starvation the file allows; --jmax stays accepted
+# (and recorded) so that older command lines still run
+_JMAX_IGNORED = ("--jmax", {"type": int, "default": 3, "help": "ignored"})
 _WEIGHTS = ("--weights", {"required": True, "help": "cost weights c1,c2,c3"})
 
 # The one place a subcommand and its flags are declared, as
@@ -443,10 +445,7 @@ _SUBCOMMANDS = {
     "starvation": (_run_starvation, "config", "starvation CDF and probability",
                    (_X, _Z, _T_GRID)),
     "startup": (_run_startup, "config", "start-up delay CDF and mean", (_X, _T_GRID)),
-    "events": (_run_events, "config", "starvation-count distribution", (
-        _X, _Z, _JMAX,
-        ("--grid", {"type": int, "help": "grid points per prefetch interval (default 16)"}),
-    )),
+    "events": (_run_events, "config", "starvation-count distribution", (_X, _Z, _JMAX)),
     "simulate": (_run_simulate, "config", "Monte Carlo session simulation", (
         _X, _Z,
         ("--reps", {"type": int, "default": 10000}),
@@ -455,13 +454,13 @@ _SUBCOMMANDS = {
                              "help": "'stationary' or a state index"}),
     )),
     "optimize": (_run_optimize, "scenario", "optimize the prefetch threshold", (
-        _WEIGHTS, _JMAX,
+        _WEIGHTS, _JMAX_IGNORED,
         ("--x-grid", {"required": True, "help": "thresholds a:b:n (frames)"}),
         _Z,
         ("--mode", {"choices": ["progressive", "adaptive"]}),
     )),
     "compare": (_run_compare, "scenario", "progressive vs adaptive cost over Z", (
-        _WEIGHTS, _JMAX,
+        _WEIGHTS, _JMAX_IGNORED,
         ("--Z-grid", {"dest": "z_grid", "required": True, "help": "file sizes a:b:n (frames)"}),
         _X,
     )),

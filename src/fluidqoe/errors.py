@@ -56,10 +56,6 @@ class Unstable(ValidationError):
     """Operation requires strictly negative mean drift."""
 
 
-class GridTooCoarse(ValidationError):
-    """Quadrature grid does not resolve the prefetch interval finely enough."""
-
-
 # --- numerics ---------------------------------------------------------------
 
 class SingularSystem(NumericError):
@@ -76,10 +72,6 @@ class OverflowRisk(NumericError):
 
 class OutOfRange(NumericError):
     """Inverted probability fell far outside [0, 1]; transform or parameters are wrong."""
-
-
-class TailTooLarge(NumericError):
-    """Truncated count distribution leaves too much residual mass."""
 
 
 # --- warnings ---------------------------------------------------------------

@@ -27,9 +27,12 @@ happen before ``k x`` frames have played), and the ``j``-th step's density,
 closed with the survival, gives the probability of exactly ``j``
 starvations.  The bound that the remaining starvations must still fit in
 the file cuts only nodes the later steps never read, so the chain need not
-be rebuilt per count.  State is carried along the chain: densities are
-resolved per starvation state, because re-prefetch outcomes and subsequent
-passages depend on it.
+be rebuilt per count.  A session starves fewer than ``Z/x`` times, so the
+chain runs until no further starvation fits in the file; the counts beyond
+the requested truncation are summed into an exact tail rather than
+estimated.  State is carried along the chain: densities are resolved per
+starvation state, because re-prefetch outcomes and subsequent passages
+depend on it.
 """
 
 from __future__ import annotations
@@ -39,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridTooCoarse,
-    NegativeDensityWarning,
-    NumericError,
-    TailTooLarge,
-)
+from .errors import DomainError, NegativeDensityWarning, NumericError
 from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps, invert,
                         invert_cdf, subtract_atoms)
 from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
@@ -54,8 +51,9 @@ from .starvation import starvation_atoms, starvation_probability
 from .startup import prefetch_end_distribution
 
 NEGATIVE_DENSITY_TOL = -1e-6
-TAIL_LIMIT = 0.05
 MASS_BAND = 0.02
+# path-grid nodes per prefetch interval x/mu
+NODES_PER_PREFETCH = 16
 
 
 def _clamp_density(values: np.ndarray, what: str) -> np.ndarray:
@@ -92,13 +90,14 @@ def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray, ev,
 
 
 @dataclass(frozen=True)
-class PathGrid:
+class _PathGrid:
     """Uniform playback-time grid with the per-node quantities the count
     distribution needs.
 
-    The step divides ``x/mu`` exactly, so every support bound that is a
-    multiple of the prefetch interval lands on a node.  Cached arrays (all
-    ungated; windows are applied where the grid is consumed):
+    The step is ``x/mu`` over :data:`NODES_PER_PREFETCH`, so every support
+    bound that is a multiple of the prefetch interval lands on a node, and
+    the grid reaches past the end of the file.  Cached arrays (all ungated;
+    windows are applied where the grid is consumed):
 
     * ``first_density[g, j]``: entry-weighted density of a first starvation
       in state ``j`` at node ``g``,
@@ -114,47 +113,21 @@ class PathGrid:
     step: float
     n_t: int
     t: np.ndarray
-    rho0: np.ndarray
-    fill: np.ndarray
     first_density: np.ndarray
     kernel: np.ndarray
     survive: np.ndarray
 
-    def __post_init__(self):
-        if self.step * self.n_t < self.Z / self.mu - 1e-9:
-            raise GridTooCoarse(
-                f"grid spans {self.step * self.n_t:g}s but the session "
-                f"lasts {self.Z / self.mu:g}s"
-            )
-        ratio = self.x / self.mu / self.step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise GridTooCoarse(
-                f"step {self.step:g} does not divide the prefetch interval "
-                f"{self.x / self.mu:g}"
-            )
 
-    @property
-    def nodes_per_prefetch(self) -> int:
-        return int(round(self.x / (self.mu * self.step)))
-
-
-def build_path_grid(model: FluidModel, params: SessionParams,
-                    inv: InversionParams = DEFAULT_PARAMS,
-                    points_per_prefetch: int = 16) -> PathGrid:
+def _build_path_grid(model: FluidModel, params: SessionParams,
+                     inv: InversionParams = DEFAULT_PARAMS) -> _PathGrid:
     """Evaluate densities, kernels and survivals on an aligned uniform grid.
 
-    ``points_per_prefetch`` sets the resolution of the prefetch interval
-    ``x/mu``; fewer than 8 points is rejected as too coarse to trust the
-    windowed quadrature.  The starvation transform is inverted as is at the
-    feasible nodes; the inversion is linear, so the entry law and the fill
-    matrix mix the inverted densities afterwards.
+    The starvation transform is inverted as is at the feasible nodes; the
+    inversion is linear, so the entry law and the fill matrix mix the
+    inverted densities afterwards.
     """
-    if points_per_prefetch < 8:
-        raise GridTooCoarse(
-            f"points_per_prefetch must be >= 8, got {points_per_prefetch}"
-        )
     x, Z, mu = params.x, params.Z, model.mu
-    step = x / mu / points_per_prefetch
+    step = x / mu / NODES_PER_PREFETCH
     horizon = Z / mu
     n_t = int(np.ceil(horizon / step)) + 1
     t = np.arange(n_t) * step
@@ -182,18 +155,17 @@ def build_path_grid(model: FluidModel, params: SessionParams,
         survive[at_risk] = _refetch_survival(model, x, fill, ev,
                                              horizon - t[at_risk], inv)
 
-    return PathGrid(x=x, Z=Z, mu=mu, step=step, n_t=n_t, t=t, rho0=rho0,
-                    fill=fill, first_density=first_density, kernel=kernel,
-                    survive=survive)
+    return _PathGrid(x=x, Z=Z, mu=mu, step=step, n_t=n_t, t=t,
+                     first_density=first_density, kernel=kernel, survive=survive)
 
 
 @dataclass(frozen=True)
 class StarvationPmf:
     """Count probabilities ``p[j]`` for ``j = 0 .. J_max`` plus residual mass.
 
-    ``tail`` estimates the probability of more than ``J_max`` starvations;
-    ``p`` and ``tail`` together account for all paths, so their total sits
-    within quadrature error of 1.
+    ``tail`` is the probability of more than ``J_max`` starvations, the sum
+    of the chain's counts beyond the truncation; ``p`` and ``tail`` together
+    account for all paths, so their total sits within quadrature error of 1.
     """
 
     p: np.ndarray
@@ -210,7 +182,8 @@ class StarvationPmf:
         if not (1.0 - MASS_BAND <= total <= 1.0 + MASS_BAND):
             raise NumericError(
                 f"count mass {total:.4f} is outside [{1 - MASS_BAND}, "
-                f"{1 + MASS_BAND}]; refine the grid"
+                f"{1 + MASS_BAND}]: the path-grid quadrature does not resolve "
+                f"this session"
             )
 
     @property
@@ -229,7 +202,7 @@ def _window_weights(n_nodes: int, step: float) -> np.ndarray:
     return w
 
 
-def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int) -> np.ndarray:
+def _chain_once(f: np.ndarray, grid: _PathGrid, lower_gate: int) -> np.ndarray:
     """One continuation step: integrate ``f`` against the re-prefetch kernel.
 
     ``f[g1, j]`` is a starvation density; the result ``new[g2, m]`` gathers
@@ -240,7 +213,7 @@ def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int) -> np.ndarray:
     less half of each end node; the one-node window ``g2 = lower_gate + ix``
     gets weight 0.
     """
-    ix = grid.nodes_per_prefetch
+    ix = NODES_PER_PREFETCH
     new = np.zeros_like(f)
     g2_lo = lower_gate + ix
     g2_hi = min(grid.n_t, int(np.ceil(grid.Z / (grid.mu * grid.step))))
@@ -262,9 +235,8 @@ def _chain_once(f: np.ndarray, grid: PathGrid, lower_gate: int) -> np.ndarray:
 
 
 def starvation_count_pmf(model: FluidModel, params: SessionParams,
-                         j_max: int = 3, grid: PathGrid | None = None,
-                         inv: InversionParams = DEFAULT_PARAMS,
-                         points_per_prefetch: int = 16) -> StarvationPmf:
+                         j_max: int = 3,
+                         inv: InversionParams = DEFAULT_PARAMS) -> StarvationPmf:
     """Probability of exactly ``0 .. j_max`` starvations in a session.
 
     ``p[0]`` comes from the overall starvation probability (one code path for
@@ -273,44 +245,44 @@ def starvation_count_pmf(model: FluidModel, params: SessionParams,
     no-more-starvations probability.  The per-count support bound (the
     ``l``-th starvation of ``j`` must leave room for ``j - l - 1`` more) only
     cuts nodes that neither the next step nor the closure reads, so the chain
-    runs without it.  The residual mass beyond ``j_max`` is the mass of the
-    last step that goes on to starve at least once more; if it exceeds 5% the
-    truncation is refused.
+    runs without it.  The ``j``-th starvation cannot come before ``j x``
+    frames have played, so the chain ends once the next one no longer fits
+    in the file; the counts it closes beyond ``j_max`` add up to ``tail``,
+    and the counts past its end are exactly 0.
     """
     if not _is_integer(j_max) or j_max < 1:
         raise DomainError(f"j_max must be an integer >= 1, got {j_max!r}")
     if np.all(model.lam >= model.mu):
         # no state drains the buffer, so it can never empty mid-session
         return StarvationPmf(p=np.eye(j_max + 1)[0], tail=0.0)
-    if grid is None:
-        grid = build_path_grid(model, params, inv, points_per_prefetch)
-    ix = grid.nodes_per_prefetch
+    grid = _build_path_grid(model, params, inv)
+    ix = NODES_PER_PREFETCH
     iz = grid.Z / (grid.mu * grid.step)  # file end in node units (possibly fractional)
 
     p = np.zeros(j_max + 1)
     p[0] = 1.0 - starvation_probability(model, params, inv)
-
+    tail = 0.0
     node = np.arange(grid.n_t)
     f = grid.first_density.copy()
     f[(node < ix) | (node >= iz)] = 0.0
-    p[1] = _close_chain(f, grid, 1)
-    for j in range(2, j_max + 1):
-        f = _chain_once(f, grid, lower_gate=(j - 1) * ix)
-        p[j] = _close_chain(f, grid, j)
-    tail = _continue_mass(f, grid)
-    if tail > TAIL_LIMIT:
-        raise TailTooLarge(
-            f"residual count mass {tail:.3f} beyond j_max={j_max} exceeds "
-            f"{TAIL_LIMIT}; raise j_max"
-        )
+    j = 1
+    while True:
+        count = _close_chain(f, grid, j)
+        if j <= j_max:
+            p[j] = count
+        else:
+            tail += count
+        if (j + 1) * ix >= iz:
+            break
+        f = _chain_once(f, grid, lower_gate=j * ix)
+        j += 1
     return StarvationPmf(p=p, tail=tail)
 
 
-def _close_chain(f: np.ndarray, grid: PathGrid, j: int) -> float:
+def _close_chain(f: np.ndarray, grid: _PathGrid, j: int) -> float:
     """Integrate a ``j``-th starvation density against the closure."""
-    ix = grid.nodes_per_prefetch
     iz = grid.Z / (grid.mu * grid.step)
-    lo = j * ix
+    lo = j * NODES_PER_PREFETCH
     hi = min(grid.n_t - 1, int(np.ceil(iz)) - 1)
     if hi <= lo:
         return 0.0
@@ -318,15 +290,3 @@ def _close_chain(f: np.ndarray, grid: PathGrid, j: int) -> float:
     certain = grid.mu * grid.t[lo:hi + 1] >= grid.Z - grid.x
     closure = np.where(certain[:, None], 1.0, grid.survive[lo:hi + 1])
     return float(np.einsum("n,nj,nj->", w, f[lo:hi + 1], closure))
-
-
-def _continue_mass(f: np.ndarray, grid: PathGrid) -> float:
-    """Probability mass that goes on to at least one more starvation."""
-    iz = grid.Z / (grid.mu * grid.step)
-    hi = min(grid.n_t - 1, int(np.ceil(iz)) - 1)
-    if hi <= 0:
-        return 0.0
-    w = _window_weights(hi + 1, grid.step)
-    at_risk = grid.mu * grid.t[:hi + 1] < grid.Z - grid.x
-    more = np.where(at_risk[:, None], 1.0 - grid.survive[:hi + 1], 0.0)
-    return float(np.einsum("n,nj,nj->", w, f[:hi + 1], more))

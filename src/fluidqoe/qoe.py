@@ -11,6 +11,7 @@ sustain top-quality playback, trading quality for fewer stalls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,20 +146,21 @@ class CostBreakdown:
 
 
 def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
-                 quality_term: float = 0.0, j_max: int = 3,
+                 quality_term: float = 0.0, j_max: int | None = None,
                  inv: InversionParams = DEFAULT_PARAMS) -> CostBreakdown:
     """Weighted session cost for a concrete fluid model.
 
-    The starvation term is the expected count from the truncated count
-    distribution (residual mass folded in at the truncation); the start-up
-    term is the stationary-entry expected delay; ``quality_term`` carries the
-    scenario's quality loss (zero for a model without bitrate reduction).
-    Terms with a zero weight are skipped entirely.
+    The starvation term is the expected count over every count the file
+    allows (fewer than ``Z/x`` starvations), so nothing is truncated; the
+    start-up term is the stationary-entry expected delay; ``quality_term``
+    carries the scenario's quality loss (zero for a model without bitrate
+    reduction).  Terms with a zero weight are skipped entirely.  ``j_max`` is
+    accepted for older callers and ignored.
     """
     starv = 0.0
     if weights.c1 != 0.0:
-        pmf = starvation_count_pmf(model, params, j_max=j_max, inv=inv)
-        starv = pmf.expected_count
+        every = math.ceil(params.Z / params.x)
+        starv = starvation_count_pmf(model, params, j_max=every, inv=inv).expected_count
     delay = 0.0
     if weights.c2 != 0.0:
         delay = expected_startup_delay(model, params.x)
@@ -168,13 +170,11 @@ def session_cost(model: FluidModel, params: SessionParams, weights: CostWeights,
 
 
 def scenario_cost(spec: ScenarioSpec, params: SessionParams, weights: CostWeights,
-                  j_max: int = 3,
                   inv: InversionParams = DEFAULT_PARAMS) -> CostBreakdown:
     """Session cost of a scenario: model and quality term derived together."""
     model = scenario_to_model(spec)
     quality = quality_loss_fraction(spec)
-    return session_cost(model, params, weights, quality_term=quality,
-                        j_max=j_max, inv=inv)
+    return session_cost(model, params, weights, quality_term=quality, inv=inv)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,6 @@ class CrossoverReport:
 
 
 def compare_scenarios(spec: ScenarioSpec, weights: CostWeights, Z_grid, x: float,
-                      j_max: int = 3,
                       inv: InversionParams = DEFAULT_PARAMS) -> CrossoverReport:
     """Cost both policies over ascending file sizes and locate the crossover."""
     Z_grid = np.asarray(Z_grid, dtype=float)
@@ -205,8 +204,8 @@ def compare_scenarios(spec: ScenarioSpec, weights: CostWeights, Z_grid, x: float
     crossover = None
     for Z in Z_grid:
         params = SessionParams(x=x, Z=float(Z))
-        p = scenario_cost(prog_spec, params, weights, j_max, inv)
-        a = scenario_cost(adap_spec, params, weights, j_max, inv)
+        p = scenario_cost(prog_spec, params, weights, inv)
+        a = scenario_cost(adap_spec, params, weights, inv)
         prog.append(p)
         adap.append(a)
         # strictly cheaper: a tie (identical arms) expresses no preference
@@ -227,7 +226,7 @@ class ThresholdReport:
 
 
 def optimize_threshold(model: FluidModel, Z: float, weights: CostWeights, x_grid,
-                       quality_term: float = 0.0, j_max: int = 3,
+                       quality_term: float = 0.0,
                        inv: InversionParams = DEFAULT_PARAMS) -> ThresholdReport:
     """Grid-minimize the session cost over the prefetch threshold.
 
@@ -242,8 +241,7 @@ def optimize_threshold(model: FluidModel, Z: float, weights: CostWeights, x_grid
     costs = []
     for x in x_grid:
         params = SessionParams(x=float(x), Z=float(Z))
-        costs.append(session_cost(model, params, weights, quality_term,
-                                  j_max, inv))
+        costs.append(session_cost(model, params, weights, quality_term, inv=inv))
     totals = np.array([c.total for c in costs])
     best = int(np.argmin(totals))
     return ThresholdReport(x_grid=x_grid, costs=tuple(costs),

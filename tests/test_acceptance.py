@@ -240,11 +240,11 @@ def test_criterion_8_cost_crossover():
     Z_grid = [100.0, 250.0, 500.0, 800.0, 1200.0, 1600.0, 2000.0]
     x = 20.0
 
-    free = compare_scenarios(spec, CostWeights(1.0, 0.1, 0.0), Z_grid, x, j_max=5)
+    free = compare_scenarios(spec, CostWeights(1.0, 0.1, 0.0), Z_grid, x)
     ok = all(a.total <= p.total for p, a in zip(free.progressive, free.adaptive))
 
-    z1 = compare_scenarios(spec, CostWeights(1.0, 0.1, 1.0), Z_grid, x, j_max=5)
-    z15 = compare_scenarios(spec, CostWeights(1.0, 0.1, 1.5), Z_grid, x, j_max=5)
+    z1 = compare_scenarios(spec, CostWeights(1.0, 0.1, 1.0), Z_grid, x)
+    z15 = compare_scenarios(spec, CostWeights(1.0, 0.1, 1.5), Z_grid, x)
     ok &= z1.crossover_Z is not None and z1.crossover_Z <= 2000.0
     ok &= z15.crossover_Z is not None and z15.crossover_Z <= 2000.0
     ok &= z15.crossover_Z >= z1.crossover_Z

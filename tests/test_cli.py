@@ -163,13 +163,11 @@ class TestExitCodes:
         pytest.param("", {}, "ConfigError", id="usage-no-subcommand"),
         pytest.param("simulate --config {model} --cap", {}, "ConfigError",
                      id="usage-simulate-cap"),
-        # values passed through to the library's own checks
-        pytest.param("events --config {model} --grid 0", {}, "GridTooCoarse",
+        pytest.param("events --config {model} --grid 0", {}, "ConfigError",
                      id="events-grid-0"),
-        pytest.param("optimize --scenario {scenario} --weights 1,0.1,0 --x-grid 10:40:3 "
-                     "--jmax 0", {}, "DomainError", id="optimize-jmax-0"),
-        pytest.param("compare --scenario {scenario} --weights 1,0.1,1 --Z-grid 200:800:3 "
-                     "--jmax 0", {}, "DomainError", id="compare-jmax-0"),
+        # values passed through to the library's own checks
+        pytest.param("events --config {model} --jmax 0", {}, "DomainError",
+                     id="events-jmax-0"),
         pytest.param("optimize --scenario {scenario} --weights nan,0,0 --x-grid 10:160:3 "
                      "--jmax 4", {}, "DomainError", id="weights-nan"),
         pytest.param("compare --scenario {scenario} --weights 1,inf,1 --Z-grid 200:800:3",
@@ -329,6 +327,50 @@ class TestManifests:
         replay = tmp_path / "sim2.json"
         assert rerun_manifest(str(manifest_path), str(replay)) == 0
         assert replay.read_bytes() == out.read_bytes()
+
+    def _events_manifest_with_grid(self, model_config, tmp_path, grid):
+        out = tmp_path / "events.json"
+        assert main(["events", "--config", model_config, "--jmax", "4",
+                     "--out", str(out)]) == 0
+        manifest_path = tmp_path / "events.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "grid" not in manifest["args"]
+        manifest["args"]["grid"] = grid
+        manifest_path.write_text(json.dumps(manifest))
+        return out, manifest_path
+
+    @pytest.mark.parametrize("grid", [None, 16])
+    def test_events_manifest_with_grid_arg_replays(self, model_config, tmp_path, grid):
+        # manifests written while events took --grid record it (null when
+        # unset); the grid now always has the 16 nodes per prefetch it defaulted to
+        out, manifest_path = self._events_manifest_with_grid(model_config, tmp_path, grid)
+        replay = tmp_path / "events2.json"
+        assert rerun_manifest(str(manifest_path), str(replay)) == 0
+        assert replay.read_bytes() == out.read_bytes()
+
+    def test_events_manifest_with_other_grid_refused(self, model_config, tmp_path):
+        _, manifest_path = self._events_manifest_with_grid(model_config, tmp_path, 32)
+        with pytest.raises(ConfigError, match="--grid 32 cannot be replayed"):
+            rerun_manifest(str(manifest_path), str(tmp_path / "events2.json"))
+
+    @pytest.mark.parametrize("jmax", [3, 4])
+    def test_optimize_manifest_with_jmax_arg_replays(self, scenario_config, tmp_path, jmax):
+        # optimize counts every starvation, so the recorded --jmax is ignored
+        out = tmp_path / "opt.csv"
+        with pytest.warns(NegativeDensityWarning):
+            assert main(["optimize", "--scenario", scenario_config, "--weights", "1,0.1,0",
+                         "--x-grid", "10:40:3", "--jmax", "4", "--out", str(out)]) == 0
+        manifest_path = tmp_path / "opt.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["args"]["jmax"] == 4
+        manifest["args"]["jmax"] = jmax
+        manifest_path.write_text(json.dumps(manifest))
+        replay = tmp_path / "opt2.csv"
+        with pytest.warns(NegativeDensityWarning):
+            assert rerun_manifest(str(manifest_path), str(replay)) == 0
+        assert replay.read_bytes() == out.read_bytes()
+        summary = tmp_path / "opt2.csv.summary.json"
+        assert summary.read_bytes() == (tmp_path / "opt.csv.summary.json").read_bytes()
 
     @pytest.mark.parametrize("content", [
         pytest.param(None, id="missing-file"),

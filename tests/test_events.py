@@ -3,12 +3,9 @@ import pytest
 
 from fluidqoe import (
     DomainError,
-    GridTooCoarse,
     ScenarioSpec,
     SessionParams,
     SimConfig,
-    TailTooLarge,
-    build_path_grid,
     monte_carlo,
     simulate_session,
     starvation_count_pmf,
@@ -40,7 +37,7 @@ def _trapezoid_weights(n_nodes, step):
 def _reference_chain_step(f, grid, lower_gate, upper_idx):
     """One continuation step, node by node: the next starvation at ``g2``
     integrates ``f[g1] kernel[g2 - g1]`` over ``g1 in [lower_gate, g2 - ix]``."""
-    ix = grid.nodes_per_prefetch
+    ix = events.NODES_PER_PREFETCH
     new = np.zeros_like(f)
     for g2 in range(lower_gate + ix, min(grid.n_t, int(np.ceil(upper_idx)))):
         hi = g2 - ix
@@ -53,8 +50,9 @@ def _reference_chain_step(f, grid, lower_gate, upper_idx):
 def _reference_pmf(model, params, j_max, grid):
     """Count pmf with one chain per count, each step cut by that count's
     support bound (the ``l``-th of ``j`` starvations leaves room for
-    ``j - l - 1`` more), and the tail from a separate uncut chain."""
-    ix = grid.nodes_per_prefetch
+    ``j - l - 1`` more), and the tail from a separate uncut chain whose
+    closures beyond ``j_max`` are summed until no starvation fits."""
+    ix = events.NODES_PER_PREFETCH
     iz = grid.Z / (grid.mu * grid.step)
     hi = min(grid.n_t - 1, int(np.ceil(iz)) - 1)
     certain = grid.mu * grid.t >= grid.Z - grid.x
@@ -67,29 +65,32 @@ def _reference_pmf(model, params, j_max, grid):
             f = _reference_chain_step(f, grid, l * ix, cut(l))
         return f
 
+    def close(f, j):
+        lo = j * ix
+        if hi <= lo:
+            return 0.0
+        closure = np.empty((hi - lo + 1, f.shape[1]))
+        for offset, g in enumerate(range(lo, hi + 1)):
+            closure[offset] = 1.0 if certain[g] else grid.survive[g]
+        w = _trapezoid_weights(hi - lo + 1, grid.step)
+        return np.einsum("n,nj,nj->", w, f[lo:hi + 1], closure)
+
     p = np.zeros(j_max + 1)
     p[0] = 1.0 - starvation_probability(model, params)
     for j in range(1, j_max + 1):
-        f = chain(j - 1, lambda l: iz - (j - l - 1) * ix)
-        lo = j * ix
-        if hi > lo:
-            closure = np.empty((hi - lo + 1, f.shape[1]))
-            for offset, g in enumerate(range(lo, hi + 1)):
-                closure[offset] = 1.0 if certain[g] else grid.survive[g]
-            w = _trapezoid_weights(hi - lo + 1, grid.step)
-            p[j] = np.einsum("n,nj,nj->", w, f[lo:hi + 1], closure)
-    f = chain(j_max - 1, lambda l: iz)
-    more = np.zeros((hi + 1, f.shape[1]))
-    for g in range(hi + 1):
-        if not certain[g]:
-            more[g] = 1.0 - grid.survive[g]
-    tail = np.einsum("n,nj,nj->", _trapezoid_weights(hi + 1, grid.step), f[:hi + 1], more)
+        p[j] = close(chain(j - 1, lambda l: iz - (j - l - 1) * ix), j)
+    tail, j = 0.0, j_max + 1
+    f = chain(j_max, lambda l: iz)
+    while j * ix < iz:
+        tail += close(f, j)
+        f = _reference_chain_step(f, grid, j * ix, iz)
+        j += 1
     return p, tail
 
 
 @pytest.fixture(scope="module")
 def reference_grid(reference_model, reference_session):
-    return build_path_grid(reference_model, reference_session)
+    return events._build_path_grid(reference_model, reference_session)
 
 
 class TestFirstStarvationDensity:
@@ -184,11 +185,10 @@ class TestStarvationCountPmf:
         p_s = starvation_probability(onoff_model, onoff_session)
         assert pmf.p[0] == pytest.approx(1.0 - p_s, abs=1e-6)
 
-    def test_grid_refinement_stable(self, onoff_model, onoff_session):
-        coarse = starvation_count_pmf(onoff_model, onoff_session, j_max=3,
-                                      points_per_prefetch=16)
-        fine = starvation_count_pmf(onoff_model, onoff_session, j_max=3,
-                                    points_per_prefetch=32)
+    def test_grid_refinement_stable(self, onoff_model, onoff_session, monkeypatch):
+        coarse = starvation_count_pmf(onoff_model, onoff_session, j_max=3)
+        monkeypatch.setattr(events, "NODES_PER_PREFETCH", 32)
+        fine = starvation_count_pmf(onoff_model, onoff_session, j_max=3)
         assert np.max(np.abs(coarse.p - fine.p)) < 5e-3
 
     def test_large_threshold_suppresses_starvation(self, onoff_model):
@@ -201,25 +201,33 @@ class TestStarvationCountPmf:
         pmf = starvation_count_pmf(m, SessionParams(x=20, Z=400), j_max=3)
         assert pmf.p[0] == 1.0 and pmf.tail == 0.0
 
-    def test_grid_too_coarse(self, onoff_model, onoff_session):
-        with pytest.raises(GridTooCoarse):
-            starvation_count_pmf(onoff_model, onoff_session, points_per_prefetch=4)
-
     @pytest.mark.parametrize("j_max", [3.0, True, 0], ids=["float", "bool", "zero"])
     def test_rejects_bad_j_max(self, onoff_model, onoff_session, j_max):
         with pytest.raises(DomainError, match="j_max must be an integer >= 1"):
             starvation_count_pmf(onoff_model, onoff_session, j_max=j_max)
 
     def test_numpy_integer_j_max(self, onoff_model, onoff_session):
-        grid = build_path_grid(onoff_model, onoff_session)
-        a = starvation_count_pmf(onoff_model, onoff_session, j_max=np.int64(3), grid=grid)
-        b = starvation_count_pmf(onoff_model, onoff_session, j_max=3, grid=grid)
+        a = starvation_count_pmf(onoff_model, onoff_session, j_max=np.int64(3))
+        b = starvation_count_pmf(onoff_model, onoff_session, j_max=3)
         np.testing.assert_array_equal(a.p, b.p)
         assert a.tail == b.tail
 
-    def test_tail_too_large(self, onoff_model):
-        with pytest.raises(TailTooLarge):
-            starvation_count_pmf(onoff_model, SessionParams(x=40.0, Z=6000.0), j_max=1)
+    @pytest.mark.parametrize("source, x, Z", [
+        ("onoff", 40.0, 1000.0),
+        ("onoff", 40.0, 6000.0),     # 150 chain steps, mass 0.77 beyond j_max
+        ("bursty", 40.0, 501.0),
+        ("bursty", 20.0, 229.0),
+    ])
+    def test_tail_is_the_counts_beyond_j_max(self, source, x, Z, onoff_model,
+                                             reference_model):
+        model = {"onoff": onoff_model, "bursty": reference_model}[source]
+        params = SessionParams(x=x, Z=Z)
+        short = starvation_count_pmf(model, params, j_max=3)
+        full = starvation_count_pmf(model, params, j_max=int(np.ceil(Z / x)))
+        np.testing.assert_array_equal(short.p, full.p[:4])
+        # the chain adds its counts one by one: a running sum
+        assert short.tail == np.cumsum(full.p[4:])[-1]
+        assert full.tail == 0.0
 
     def test_expected_count_folds_tail(self, onoff_model, onoff_session):
         pmf = starvation_count_pmf(onoff_model, onoff_session, j_max=4)
@@ -252,37 +260,35 @@ class TestSharedChain:
         model = {"onoff": onoff_model, "bursty": reference_model,
                  "progressive": PROGRESSIVE}[source]
         params = SessionParams(x=x, Z=Z)
-        grid = build_path_grid(model, params)
-        pmf = starvation_count_pmf(model, params, j_max=j_max, grid=grid)
-        p, tail = _reference_pmf(model, params, j_max, grid)
+        pmf = starvation_count_pmf(model, params, j_max=j_max)
+        p, tail = _reference_pmf(model, params, j_max, events._build_path_grid(model, params))
         np.testing.assert_allclose(pmf.p, np.clip(p, 0.0, None), rtol=0.0, atol=1e-14)
         assert pmf.tail == pytest.approx(tail, rel=0.0, abs=1e-14)
 
 
 class TestPathGrid:
-    def test_alignment(self, reference_model, reference_session):
-        grid = build_path_grid(reference_model, reference_session,
-                               points_per_prefetch=8)
-        assert grid.nodes_per_prefetch == 8
-        assert grid.step * grid.nodes_per_prefetch == pytest.approx(
+    def test_alignment(self, reference_model, reference_session, monkeypatch):
+        monkeypatch.setattr(events, "NODES_PER_PREFETCH", 8)
+        grid = events._build_path_grid(reference_model, reference_session)
+        assert grid.step * 8 == pytest.approx(
             reference_session.x / reference_model.mu, abs=1e-12
         )
         assert grid.step * (grid.n_t - 1) >= reference_session.Z / reference_model.mu - 1e-9
 
-    def test_cached_density_nonnegative(self, reference_model, reference_session):
-        grid = build_path_grid(reference_model, reference_session,
-                               points_per_prefetch=8)
+    def test_cached_density_nonnegative(self, reference_model, reference_session,
+                                        monkeypatch):
+        monkeypatch.setattr(events, "NODES_PER_PREFETCH", 8)
+        grid = events._build_path_grid(reference_model, reference_session)
         assert np.all(grid.first_density >= 0.0)
         assert np.all(grid.kernel >= 0.0)
         assert np.all((grid.survive >= 0.0) & (grid.survive <= 1.0))
 
     def test_field_shapes(self, reference_model, reference_session):
-        grid = build_path_grid(reference_model, reference_session)
+        grid = events._build_path_grid(reference_model, reference_session)
         L = reference_model.n_states
         assert grid.t.shape == (grid.n_t,)
         assert grid.first_density.shape == grid.survive.shape == (grid.n_t, L)
         assert grid.kernel.shape == (grid.n_t, L, L)
-        assert grid.rho0.shape == (L,) and grid.fill.shape == (L, L)
 
 
 THREE_STATE = validate_model(
@@ -344,7 +350,7 @@ class TestInvertThenMix:
     @pytest.mark.parametrize("x, Z", [(20.0, 200.0), (40.0, 501.0)])
     def test_matches_per_frequency_mixing(self, source, x, Z):
         model, params = self.SOURCES[source], SessionParams(x=x, Z=Z)
-        grid = build_path_grid(model, params)
+        grid = events._build_path_grid(model, params)
         first_density, kernel, survive = _mixed_per_frequency(model, params, grid.t)
         np.testing.assert_allclose(grid.first_density, first_density, rtol=0, atol=1e-13)
         np.testing.assert_allclose(grid.kernel, kernel, rtol=0, atol=1e-13)
@@ -364,7 +370,7 @@ class TestInvertThenMix:
             return counted
 
         monkeypatch.setattr(events, "evaluator", counting_evaluator)
-        grid = build_path_grid(model, params)
+        grid = events._build_path_grid(model, params)
         feasible, at_risk = _grid_nodes(model, params, grid.t)
         assert DEFAULT_PARAMS.n_evaluations == 51
         assert sum(seen) == 51 * (feasible.sum() + at_risk.sum())

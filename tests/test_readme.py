@@ -16,12 +16,8 @@ from fluidqoe.cli import main, resolve_model_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# At the default --jmax 3 the count distribution leaves too much residual
-# mass (TailTooLarge, exit 2); the truncation should size itself (ROADMAP
-# item 1).  optimize also warns of negative densities on the way, which
-# test_cli's test_optimize_and_compare already reports.
-KNOWN_FAILING = pytest.mark.xfail(
-    strict=True, reason="exits 2 with TailTooLarge at --jmax 3 (ROADMAP item 1)")
+# optimize warns of negative densities on the way, which test_cli's
+# test_optimize_and_compare already reports.
 NEGATIVE_DENSITY = pytest.mark.filterwarnings(
     "ignore::fluidqoe.errors.NegativeDensityWarning")
 
@@ -42,8 +38,7 @@ def readme_commands() -> list:
 def _param(argv: list):
     sub = argv[1]
     config = next((Path(a).stem for a in argv if a.endswith(".json")), None)
-    marks = {"optimize": [KNOWN_FAILING, NEGATIVE_DENSITY],
-             "compare": [KNOWN_FAILING]}.get(sub, [])
+    marks = {"optimize": [NEGATIVE_DENSITY]}.get(sub, [])
     return pytest.param(argv[1:], id=f"{sub}-{config}" if config else sub, marks=marks)
 
 

@@ -176,6 +176,17 @@ class TestExpectedStartupDelay:
         exact = mpmath_mean(Q, lam, x, [mpmath.mpf(float(p)) for p in entry])
         assert expected_startup_delay(m, x) == pytest.approx(exact, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("x", [40.0, 160.0])
+    def test_two_state_zero_eigenvalue_exact(self, x):
+        # at w = 0 one eigenvalue of the 2x2 level generator is exactly 0;
+        # formed as a sum of two terms of size |trace| it carried their
+        # rounding into the whole mean
+        Q, lam = MEAN_SOURCES["two_state"]
+        m = validate_model(Q, lam, 25.0)
+        entry = stationary_distribution(m)
+        exact = mpmath_mean(Q, lam, x, [mpmath.mpf(float(p)) for p in entry])
+        assert expected_startup_delay(m, x) == pytest.approx(exact, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("c", [1e-4, 1e4])
     @pytest.mark.parametrize("source", ["two_state", "three_state", "silent_three_state"])
     def test_free_of_time_unit(self, source, c):
