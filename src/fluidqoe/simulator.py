@@ -20,6 +20,15 @@ simulated as numpy arrays, one event per iteration per live replication;
 finished replications leave the arrays (the last rows move into their
 places).
 
+Row blocks.  The per-replication outputs are allocated once, and the event
+loop runs on blocks of at most ``_BLOCK`` consecutive replications, one
+after another, writing into views of them.  So working memory is bounded
+by the block, plus 40 B of output per replication (and, for a recorded
+session, its list of starvation instants), however many replications a run
+has; large arrays would also outgrow the cache and slow every pass.  The
+streams are counter-addressed, so the split changes no bit of any output.
+``_MAX_EVENTS`` caps the lockstep iterations of one block.
+
 Per-code tables.  Each row carries one code, ``state + L * playing``.  Its
 buffer drift, playback flag and the denominators and pads of its candidate
 columns are read from small tables indexed by that code, with no per-row
@@ -43,11 +52,14 @@ draws and takes the jump; the rows with an event then get their code,
 sojourn and counter back, so the counter advances by 2 only for rows that
 jumped.  So a stationary two-state run reads its sojourns at counters 1, 3,
 5, ...  The engine reads replication ``s``'s counter ``c`` as counter
-``f(s) + c`` of stream 0, with ``f`` computed once per run (see
+``f(s) + c`` of stream 0, with ``f`` computed once per block (see
 ``_fold_streams``).  The hashed word is ``c * gamma + k(s)`` modulo 2**64
 for an odd ``gamma``, so this is the same address and the same value bit for
 bit, and the stream-0 key is hashed once per seed (see ``_stream0_key``),
-not once per row or per draw.
+not once per row or per draw.  The engine hands that key and its counters
+to ``_uniforms``, the hashing core of ``counter_uniform``, which it reaches
+without the public function's argument checks; the two counters of a jump
+are two 1-D calls.
 """
 
 from __future__ import annotations
@@ -126,12 +138,19 @@ def counter_uniform(seed: int, stream, counter) -> np.ndarray:
         key = _stream0_key(int(seed) & _MASK64)
     else:
         key = _stream_key(seed, s)
+    u = _uniforms(key, c)
+    return u[0] if np.ndim(stream) == np.ndim(counter) == 0 else u
+
+
+def _uniforms(key: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The hashing core of :func:`counter_uniform`: the uniforms at the
+    uint64 counters ``c`` of the stream whose key is ``key``."""
     word = _mix64(c * _GOLDEN + key)
     word >>= _SHIFT11
     # below 2**53, so the signed view converts exactly (and faster)
     u = word.view(np.int64).astype(np.float64)
     u *= _INV53
-    return u[0] if np.ndim(stream) == np.ndim(counter) == 0 else u
+    return u
 
 
 def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
@@ -212,9 +231,10 @@ class SimStats:
         }
 
 
-_MAX_EVENTS = 20_000_000
+_MAX_EVENTS = 20_000_000  # lockstep iterations per block
+_BLOCK = 32_768  # replications per run of the event loop
 _U_MAX = 1.0 - 2.0**-53  # the largest value counter_uniform returns
-_JUMP_DRAWS = np.array([[0], [1]], dtype=np.uint64)
+_ONE = np.uint64(1)
 _TWO = np.uint64(2)
 
 
@@ -296,10 +316,11 @@ class _Batch:
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
-    def draw(self, seed: int) -> np.ndarray:
-        """One uniform per replication, at its counter."""
-        u = counter_uniform(seed, _STREAM0, self.counters)
-        self.counters += np.uint64(1)
+    def draw(self, key: np.ndarray) -> np.ndarray:
+        """One uniform per replication, at its counter; ``key`` is stream
+        0's."""
+        u = _uniforms(key, self.counters)
+        self.counters += _ONE
         return u
 
     def drop(self, stop) -> None:
@@ -319,12 +340,13 @@ class _Batch:
             setattr(self, name, a[:size])
 
 
-def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
+def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch,
+                    key: np.ndarray) -> np.ndarray:
     n = batch.rows.size
     if cfg.initial_state_mode == "stationary":
         cum_pi = np.cumsum(stationary_distribution(model))
         cum_pi[-1] = max(cum_pi[-1], 1.0)
-        return np.searchsorted(cum_pi, batch.draw(cfg.seed), side="right").astype(np.int64)
+        return np.searchsorted(cum_pi, batch.draw(key), side="right").astype(np.int64)
     state0 = int(cfg.initial_state_mode)
     if not (0 <= state0 < model.n_states):
         raise DomainError(f"initial state {state0} outside 0..{model.n_states - 1}")
@@ -358,17 +380,46 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     or starvation that ends a fill or drain run (-1 otherwise); the total
     ``play_time`` of a session; and, with ``record_times``, the lists of
     starvation instants.
+
+    Row blocks.  These outputs are allocated once, 40 B per replication
+    (``times`` aside), and each block of at most ``_BLOCK`` replications
+    runs the event loop into views of them, so the working memory beyond
+    them is bounded by the block.  The split changes no bit of any output.
     """
     rep_hi = cfg.replications if rep_hi is None else rep_hi
     n = rep_hi - rep_lo
+    out = {
+        "startup": np.full(n, np.nan),
+        "count": np.zeros(n, dtype=np.int64),
+        "first_starvation": np.full(n, np.nan),
+        "end_state": np.full(n, -1, dtype=np.int64),
+        "play_time": np.zeros(n),
+        "times": [[] for _ in range(n)] if record_times else None,
+    }
+    tab = _CodeTables(model)
+    key = _stream0_key(int(cfg.seed) & _MASK64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        block = {name: None if a is None else a[lo:hi] for name, a in out.items()}
+        _run_block(model, tab, key, phase, x, limit, cfg, rep_lo + lo, rep_lo + hi,
+                   **block)
+    return out
+
+
+def _run_block(model: FluidModel, tab: _CodeTables, key: np.ndarray, phase: str,
+               x: float, limit: float, cfg: SimConfig, rep_lo: int, rep_hi: int,
+               startup, count, first_starvation, end_state, play_time, times) -> None:
+    """Run the event loop on replications ``rep_lo .. rep_hi - 1``, writing
+    into the views of :func:`_lockstep`'s outputs (``times`` a list of the
+    block's lists, or None), whose row ``i`` is replication ``rep_lo + i``."""
+    n = rep_hi - rep_lo
     L, mu = model.n_states, model.mu
     session, drain = phase == "session", phase == "drain"
-    tab = _CodeTables(model)
 
     streams = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     b = _Batch(counters=_fold_streams(cfg.seed, streams), rows=np.arange(n))
-    b.code = _initial_states(model, cfg, b) + (L if drain else 0)
-    u = b.draw(cfg.seed)
+    b.code = _initial_states(model, cfg, b, key) + (L if drain else 0)
+    u = b.draw(key)
     # a one-state chain never leaves; an irreducible chain of two or more
     # states leaves every state
     b.tau = np.full(n, np.inf) if L == 1 else _sojourns(u, tab.neg_exit[b.code])
@@ -379,13 +430,6 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
         b.played = np.zeros(n)
         b.play_time = np.zeros(n)
     n_play = n if drain else 0  # live rows with code >= L
-
-    startup = np.full(n, np.nan)
-    first_starv = np.full(n, np.nan)
-    nstarv = np.zeros(n, dtype=np.int64)
-    end_state = np.full(n, -1, dtype=np.int64)
-    play_time = np.zeros(n)
-    times = [[] for _ in range(n)] if record_times else None
     none = np.zeros(0, dtype=np.int64)
 
     # a session buffer within float noise of its target has reached it, and
@@ -472,11 +516,11 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
 
             if starves.size:
                 r = b.rows[starves]
-                nstarv[r] += 1
+                count[r] += 1
                 t_play = b.played[starves] / mu if session else b.clock[starves]
-                fresh = np.isnan(first_starv[r])
-                first_starv[r[fresh]] = t_play[fresh]
-                if record_times:
+                fresh = np.isnan(first_starvation[r])
+                first_starvation[r[fresh]] = t_play[fresh]
+                if times is not None:
                     for i, t in zip(r, t_play):
                         times[i].append(float(t))
                 if session:
@@ -498,12 +542,11 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
             # next one; every row draws and takes the jump, and the rows with
             # an event then get their own code, sojourn and counter back
             if L > 1 and hit.size < m:
+                u_stay = _uniforms(key, b.counters + _ONE)
                 if tab.cum is None:
-                    u_stay = counter_uniform(cfg.seed, _STREAM0, b.counters + np.uint64(1))
                     new_code = tab.next[b.code]
                 else:
-                    u_next, u_stay = counter_uniform(cfg.seed, _STREAM0,
-                                                     b.counters + _JUMP_DRAWS)
+                    u_next = _uniforms(key, b.counters)
                     new_code = tab.base[b.code]
                     for column in tab.cum:
                         new_code += column[b.code] <= u_next
@@ -521,16 +564,9 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
                 if session or drain:  # rows stop there only while playing
                     n_play -= stop.size
         else:
-            raise NonConvergence(f"{phase} simulation exceeded {_MAX_EVENTS} events")
-
-    return {
-        "startup": startup,
-        "count": nstarv,
-        "first_starvation": first_starv,
-        "end_state": end_state,
-        "play_time": play_time,
-        "times": times,
-    }
+            raise NonConvergence(
+                f"{phase} simulation exceeded {_MAX_EVENTS} lockstep iterations "
+                f"in one block of {n} replications")
 
 
 def _require_content(model: FluidModel) -> None:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from fluidqoe import (
     stationary_distribution,
     validate_model,
 )
+from fluidqoe import simulator
 from fluidqoe.simulator import (
     _GOLDEN,
     _GOLDEN_INV,
@@ -727,13 +729,16 @@ def _random_source(seed):
     return validate_model(Q, lam, mu)
 
 
-def _assert_matches_reference(model, phase, x, limit, cfg):
-    want = _reference_lockstep(model, phase, x, limit, cfg, record_times=True)
-    got = _lockstep(model, phase, x, limit, cfg, record_times=True)
+def _assert_same_outputs(got, want):
     for key in ("startup", "count", "first_starvation", "end_state", "play_time"):
         assert got[key].dtype == want[key].dtype
         assert np.array_equal(got[key], want[key], equal_nan=True), key
     assert got["times"] == want["times"]
+
+
+def _assert_matches_reference(model, phase, x, limit, cfg):
+    want = _reference_lockstep(model, phase, x, limit, cfg, record_times=True)
+    _assert_same_outputs(_lockstep(model, phase, x, limit, cfg, record_times=True), want)
 
 
 class TestReferenceEngine:
@@ -772,3 +777,56 @@ class TestReferenceEngine:
         }[case]
         cfg = SimConfig(replications=20, seed=5, initial_state_mode=0)
         _assert_matches_reference(model, phase, x, limit, cfg)
+
+
+_THREE_STATE = validate_model([[-3, 2, 1], [1, -2, 1], [2, 2, -4]], [5.0, 20.0, 40.0], 25.0)
+
+
+class TestRowBlocks:
+    """The event loop runs on blocks of at most ``_BLOCK`` replications."""
+
+    @pytest.mark.parametrize("block,n", [(1, 30), (7, 100), (4096, 9000)])
+    def test_block_edges_are_invisible(self, monkeypatch, reference_model, block, n):
+        runs = [(model, phase, limit, SimConfig(replications=n, seed=61,
+                                                initial_state_mode=initial))
+                for model in (reference_model, _THREE_STATE)
+                for phase, limit in (("session", 500.0), ("fill", np.inf), ("drain", 20.0))
+                for initial in ("stationary", 1)]
+        assert n < simulator._BLOCK
+        whole = [_lockstep(model, phase, 40.0, limit, cfg, record_times=True)
+                 for model, phase, limit, cfg in runs]
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        for (model, phase, limit, cfg), want in zip(runs, whole):
+            _assert_same_outputs(
+                _lockstep(model, phase, 40.0, limit, cfg, record_times=True), want)
+
+    def test_reference_engine_across_block_edges(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK", 7)
+        # three states, one with two successors and one with zero drift
+        model = _random_source(18)
+        for phase, limit in (("session", 60.0), ("fill", np.inf), ("drain", 2.4)):
+            _assert_matches_reference(model, phase, 5.0, limit,
+                                      SimConfig(replications=40, seed=1018))
+
+    @pytest.mark.parametrize("source", ["reference", "three-state"])
+    def test_memory_is_flat_in_the_replications(self, monkeypatch, reference_model,
+                                                source):
+        # tracemalloc sees numpy's buffers; past the block's working memory
+        # a run keeps 40 B of output per replication
+        model = reference_model if source == "reference" else _THREE_STATE
+        session = SessionParams(x=20.0, Z=100.0)  # short, to keep the test fast
+        block = 4096
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+
+        def peak(run, n):
+            tracemalloc.start()
+            try:
+                run(SimConfig(replications=n, seed=62))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for run in (lambda cfg: monte_carlo(model, session, cfg),
+                    lambda cfg: first_passage_times(model, 20.0, 4.0, cfg)):
+            slope = (peak(run, 6 * block) - peak(run, 2 * block)) / (4 * block)
+            assert slope <= 64, slope
