@@ -14,8 +14,7 @@ level moves in each state.  Two clocks share it:
 States with ``r = 0`` (zero drift while playing, silence while prefetching)
 make no level progress.  They are censored out at the frequency ``w``: an
 excursion through them costs the discount ``(w I - Q_OO)^-1 Q_OP`` on the way
-back (:func:`_level_generator`).  Then the first-passage transform of the
-level down by ``x`` is
+back.  Then the first-passage transform of the level down by ``x`` is
 
     H(x, w) = [Psi(w); I] expm(x U(w)),    U(w) = A_dd + A_du Psi(w),
 
@@ -35,7 +34,10 @@ state fills, ``Psi`` is empty and ``H = expm(x A)``.  Zero-rate rows are
 lifted through their exit discounts; the columns of the filling and the
 zero-rate states are zero: the level cannot fall while it rises or holds.
 
-:func:`_passage` is that engine.  The starvation transform is the passage at
+:class:`_Level` is that engine.  Its constructor censors, lifts and solves
+for ``Psi`` and ``U`` once per frequency stack, none of which depends on
+``x``; its :meth:`_Level.passage` is the ``expm(x U)`` part, so one object
+serves every threshold.  The starvation transform is the passage at
 ``lam - mu`` (:func:`transform_matrix`); the start-up transform and the
 fill-completion matrix of :mod:`fluidqoe.startup` are the passage at
 ``-lam``.  The same engine at the one frequency ``w = i h``, ``h`` tiny,
@@ -102,7 +104,7 @@ def _riccati(blocks, om):
     """Minimal solution ``Psi`` of the level generator's Riccati equation over
     the ``(K,)`` stack ``om``, and ``U = A_dd + A_du Psi``.
 
-    ``blocks`` are ``(A_uu, A_ud, A_du, A_dd)`` from :func:`_level_generator`.
+    ``blocks`` are ``(A_uu, A_ud, A_du, A_dd)`` from :class:`_Level`.
     With one filling and one draining state the equation is the scalar
     quadratic ``a_du psi^2 + (a_uu + a_dd) psi + a_ud = 0``, and ``Psi`` its
     root of least modulus, taken by Vieta as ``a_ud / q`` with ``q`` the
@@ -146,72 +148,81 @@ def _riccati(blocks, om):
     )
 
 
-def _level_generator(model: FluidModel, rates, omega):
-    """The censored level generator on the states whose level moves at
-    ``rates``, in blocks, and the zero-rate states' exit discounts
-    ``(w I - Q_OO)^-1 Q_OP`` (``None`` without zero-rate states).
+class _Level:
+    """The x-free half of the first passage of the level moving at ``rates``
+    over the ``(K,)`` frequency stack ``omega`` taken as is: the censored
+    level generator, the zero-rate states' exit discounts and ``Psi``.
 
-    The level generator is ``diag(1/|r_P|) (Q_PP - w I + Q_PO lift)``.
-    Returns ``(pos, zero, up, down, blocks, lift)``: ``pos`` and ``zero``
-    index the moving and the zero-rate states, ``up`` and ``down`` the
-    filling and the draining ones among ``pos``, and ``blocks`` is
-    ``(A_uu, A_ud, A_du, A_dd)``.  ``omega`` is a scalar or a ``(K,)``
-    stack.  Only the diagonal blocks carry the shift ``-w / |r|``; the
-    others gain a leading frequency axis only through the lift.
+    ``pos`` and ``zero`` index the moving and the zero-rate states, ``up``
+    and ``down`` the filling and the draining ones among ``pos``.  The level
+    generator is ``diag(1/|r_P|) (Q_PP - w I + Q_PO lift)``, with ``lift``
+    the exit discounts ``(w I - Q_OO)^-1 Q_OP`` (``None`` without zero-rate
+    states), and ``blocks`` is ``(A_uu, A_ud, A_du, A_dd)``.  Only the
+    diagonal blocks carry the shift ``-w / |r|``; the others gain a leading
+    frequency axis only through the lift.  With filling and draining states
+    ``psi`` and ``U`` come from one :func:`_riccati` solve over the stack;
+    otherwise ``psi`` is ``None`` and ``U = A_dd``.  Every threshold then
+    costs only :meth:`passage`.  The level-reflected process is
+    ``_Level(model, -rates, omega)``: its ``psi`` and ``U`` are ``Xi`` and
+    ``K^`` (Bean, O'Reilly & Taylor 2005).
     """
-    pos, zero = (rates != 0.0).nonzero()[0], (rates == 0.0).nonzero()[0]
-    if pos.size == 0:
-        raise InfeasiblePlayout("no state moves the buffer level; the threshold is unreachable")
-    Q = model.Q
-    speed = np.abs(rates[pos])
-    shift = np.asarray(omega)[..., None, None]
-    gen = Q[pos[:, None], pos]
-    lift = None
-    if zero.size:
-        lift = np.linalg.solve(-(Q[np.ix_(zero, zero)] - shift * np.eye(zero.size)),
-                               Q[np.ix_(zero, pos)])
-        gen = gen + Q[np.ix_(pos, zero)] @ lift
-    gen, slow = gen / speed[:, None], np.diag(1.0 / speed)
-    up, down = (rates[pos] > 0.0).nonzero()[0], (rates[pos] < 0.0).nonzero()[0]
 
-    def block(rows, cols):
-        return gen[..., rows[:, None], cols]
+    def __init__(self, model: FluidModel, rates, omega: np.ndarray):
+        pos, zero = (rates != 0.0).nonzero()[0], (rates == 0.0).nonzero()[0]
+        if pos.size == 0:
+            raise InfeasiblePlayout("no state moves the buffer level; the threshold is unreachable")
+        Q = model.Q
+        speed = np.abs(rates[pos])
+        shift = omega[:, None, None]
+        gen = Q[pos[:, None], pos]
+        lift = None
+        if zero.size:
+            lift = np.linalg.solve(-(Q[np.ix_(zero, zero)] - shift * np.eye(zero.size)),
+                                   Q[np.ix_(zero, pos)])
+            gen = gen + Q[np.ix_(pos, zero)] @ lift
+        gen, slow = gen / speed[:, None], np.diag(1.0 / speed)
+        up, down = (rates[pos] > 0.0).nonzero()[0], (rates[pos] < 0.0).nonzero()[0]
 
-    def diagonal(rows):
-        return block(rows, rows) - shift * slow[rows[:, None], rows]
+        def block(rows, cols):
+            return gen[..., rows[:, None], cols]
 
-    return pos, zero, up, down, (diagonal(up), block(up, down), block(down, up),
-                                 diagonal(down)), lift
+        def diagonal(rows):
+            return block(rows, rows) - shift * slow[rows[:, None], rows]
+
+        self.blocks = (diagonal(up), block(up, down), block(down, up), diagonal(down))
+        self.pos, self.zero, self.up, self.down, self.lift = pos, zero, up, down, lift
+        self.psi, self.U = (_riccati(self.blocks, omega) if up.size and down.size
+                            else (None, self.blocks[3]))
+
+    def passage(self, x: float) -> np.ndarray:
+        """First-passage transform ``(K, L, L)`` of the level down by ``x``.
+
+        ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
+        draining columns, the zero-rate rows lifted through their exit
+        discounts and every other column zero (see the module docstring):
+        one stacked matrix exponential.  When every state drains, ``H`` is
+        ``expm(x A)`` itself.  Needs a draining state.
+        """
+        pos, zero, up = self.pos, self.zero, self.up
+        E = expm(x * self.U)
+        if not (zero.size or up.size):
+            return E
+        L = pos.size + zero.size
+        cols = pos[self.down]
+        H = np.zeros(E.shape[:1] + (L, L), dtype=E.dtype)
+        H[:, cols[:, None], cols] = E
+        if up.size:
+            H[:, pos[up, None], cols] = self.psi @ E
+        if zero.size:
+            H[:, zero[:, None], cols] = self.lift @ H[:, pos[:, None], cols]
+        return H
 
 
-def _passage(model: FluidModel, rates, x: float, omega: np.ndarray) -> np.ndarray:
-    """First-passage transform ``(K, L, L)`` of the level moving at ``rates``,
-    down by ``x``, over the ``(K,)`` frequency stack ``omega`` taken as is.
-
-    ``H = [Psi; I] expm(x U)`` on the (filling; draining) rows of the
-    draining columns, the zero-rate rows lifted through their exit discounts
-    and every other column zero (see the module docstring); the whole stack
-    costs one batched Riccati solve and one stacked matrix exponential.
-    When every state drains, ``H`` is ``expm(x A)`` itself.  Needs a
-    draining state.
-    """
-    L = model.n_states
-    kept, zero, up, down, blocks, lift = _level_generator(model, rates, omega)
-    if up.size:
-        psi, U = _riccati(blocks, omega)
-    else:
-        U = blocks[3]
-    E = expm(x * U)
-    if kept.size == L and not up.size:
-        return E
-    cols = kept[down]
-    H = np.zeros(E.shape[:1] + (L, L), dtype=E.dtype)
-    H[:, cols[:, None], cols] = E
-    if up.size:
-        H[:, kept[up, None], cols] = psi @ E
-    if zero.size:
-        H[:, zero[:, None], cols] = lift @ H[:, kept[:, None], cols]
-    return H
+def _check_x(x) -> None:
+    """Raise :class:`DomainError` unless the level distance ``x`` is finite
+    and ``>= 0``."""
+    if not 0 <= x < np.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
 
 
 def _passage_atoms(model: FluidModel, rates, x: float):
@@ -224,8 +235,7 @@ def _passage_atoms(model: FluidModel, rates, x: float):
     Returns ``(times, masses)`` per state.  Raises :class:`DomainError`
     unless ``x`` is finite and ``>= 0``.
     """
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     down = rates < 0.0
     times = np.full(model.n_states, np.inf)
     masses = np.zeros(model.n_states)
@@ -242,12 +252,11 @@ def transform_matrix(model: FluidModel, x: float, omega) -> np.ndarray:
     ``(L, L)``) or an array of shape ``(K,)`` (result ``(K, L, L)``); without
     a draining state the transform is zero.
     """
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     om, scalar = _frequency_stack(omega)
     rates = effective_rates(model)
     if (rates < 0.0).any():
-        H = _passage(model, rates, x, om)
+        H = _Level(model, rates, om).passage(x)
     else:
         H = np.zeros((om.shape[0], model.n_states, model.n_states), dtype=complex)
     return H[0] if scalar else H
@@ -260,7 +269,7 @@ def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
     (Squire & Trapp, *SIAM Review* 40(1), 1998), exact to rounding at
     ``h = _COMPLEX_STEP``.  Needs a draining state.
     """
-    return _passage(model, rates, x, np.array([1j * _COMPLEX_STEP]))[0].imag / _COMPLEX_STEP
+    return _Level(model, rates, np.array([1j * _COMPLEX_STEP])).passage(x)[0].imag / _COMPLEX_STEP
 
 
 def evaluator(model: FluidModel, x: float):
@@ -270,7 +279,6 @@ def evaluator(model: FluidModel, x: float):
     count.  The returned callable maps a ``(K,)`` frequency array to
     ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
     """
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     return lambda omegas: transform_matrix(model, x, omegas)
 

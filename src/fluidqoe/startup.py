@@ -33,8 +33,10 @@ level its own time and its expected silent excursions, and a silent start
 state adds its own expected excursion ``(-Q_OO)^-1 1``.
 
 The transform, the fill-completion matrix and the mean are the first passage
-of :mod:`fluidqoe.spectral` on the fill clock ``r = -lam``, which has no
-filling states, so its ``expm(x A)`` is ``expm(x G(w))`` above.
+of :mod:`fluidqoe.spectral` on the fill clock ``r = -lam``: one
+:class:`fluidqoe.spectral._Level` per frequency stack, passed down by ``x``.
+The fill clock has no filling states, so no Riccati solve runs and its
+``expm(x A)`` is ``expm(x G(w))`` above.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import DomainError, InfeasiblePlayout
 from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
                         time_array)
 from .model import FluidModel, stationary_distribution
-from .spectral import _passage, _passage_atoms, _slope_at_zero
+from .spectral import _check_x, _Level, _passage_atoms, _slope_at_zero
 
 
 def startup_transform(model: FluidModel, x: float, omega) -> np.ndarray:
@@ -56,13 +58,12 @@ def startup_transform(model: FluidModel, x: float, omega) -> np.ndarray:
     ``(L, L)`` matrix, a ``(K,)`` stack a ``(K, L, L)`` array.  At ``x = 0``
     this is the identity.
     """
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     om = np.asarray(omega, dtype=complex)
     L = model.n_states
     if x == 0:
         return np.broadcast_to(np.eye(L, dtype=complex), om.shape + (L, L)).copy()
-    return _passage(model, -model.lam, x, om.reshape(-1)).reshape(om.shape + (L, L))
+    return _Level(model, -model.lam, om.reshape(-1)).passage(x).reshape(om.shape + (L, L))
 
 
 def startup_atoms(model: FluidModel, x: float):
@@ -112,8 +113,7 @@ def expected_startup_delay(model: FluidModel, x: float,
             raise DomainError("entry_distribution must be a finite nonnegative "
                               "length-L vector with a positive finite sum")
         entry = entry / total
-    if not 0 <= x < np.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     if x == 0:
         return 0.0
     return float(entry @ -_slope_at_zero(model, -model.lam, x).sum(axis=1))
@@ -133,4 +133,4 @@ def prefetch_end_distribution(model: FluidModel, q: float, x: float) -> np.ndarr
         raise DomainError(f"need 0 <= q <= x with x finite, got q={q}, x={x}")
     if q == x:
         return np.eye(model.n_states)
-    return _passage(model, -model.lam, x - q, np.zeros(1))[0].real
+    return _Level(model, -model.lam, np.zeros(1)).passage(x - q)[0].real

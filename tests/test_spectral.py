@@ -14,8 +14,9 @@ from fluidqoe import (
 )
 from fluidqoe import spectral
 from fluidqoe.inversion import _TIMES_PER_CALL, DEFAULT_PARAMS, _euler_constants
-from fluidqoe.spectral import OMEGA_FLOOR, _level_generator, evaluator
-from conftest import mpmath_transform, omega_grid, two_state, two_state_quadratic
+from fluidqoe.spectral import _COMPLEX_STEP, OMEGA_FLOOR, _Level, evaluator
+from conftest import (mpmath_transform, omega_grid, superposed_onoff, two_state,
+                      two_state_quadratic)
 
 
 def test_engine_does_not_import_startup():
@@ -119,13 +120,35 @@ class TestBoundaryCoefficients:
             np.fill_diagonal(Q, -Q.sum(axis=1))
             m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
             om = np.array([rng.uniform(0.1, 4.0) + 1j * rng.uniform(-2, 2)])
-            _, _, up, down, blocks, _ = _level_generator(m, m.lam - m.mu, om)
-            if up.size == 0 or down.size == 0:
+            level = _Level(m, m.lam - m.mu, om)
+            if level.up.size == 0 or level.down.size == 0:
                 continue
-            psi = spectral._riccati(blocks, om)[0][0]
-            Auu, Aud, Adu, Add = (np.broadcast_to(b, (1,) + b.shape[-2:])[0] for b in blocks)
-            residual = Aud + Auu @ psi + psi @ Add + psi @ Adu @ psi
-            assert np.max(np.abs(residual)) < 1e-10
+            assert np.max(np.abs(_riccati_residual(level)[0])) < 1e-10
+            checked += 1
+        assert checked >= 5
+
+    def test_reflected_level_random_three_state(self):
+        # the level-reflected process at -(lam - mu) swaps filling and
+        # draining; its Psi (Xi of the original level) solves its own
+        # Riccati equation, and at real w > 0 it is a substochastic matrix
+        # of discounted return probabilities
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(24):
+            Q = rng.uniform(0.2, 3.0, (3, 3))
+            np.fill_diagonal(Q, 0.0)
+            np.fill_diagonal(Q, -Q.sum(axis=1))
+            m = validate_model(Q, rng.uniform(0, 50, 3), 25.0)
+            real = rng.uniform(0.1, 4.0)
+            om = np.array([real + 0j, real + 1j * rng.uniform(-2, 2)])
+            level = _Level(m, -(m.lam - m.mu), om)
+            if level.up.size == 0 or level.down.size == 0:
+                continue
+            assert np.max(np.abs(_riccati_residual(level))) < 1e-10
+            psi = _Level(m, -(m.lam - m.mu), np.array([real])).psi[0]
+            assert psi.dtype == float
+            assert np.all((psi >= 0.0) & (psi <= 1.0))
+            assert np.all(psi.sum(axis=1) <= 1.0)
             checked += 1
         assert checked >= 5
 
@@ -144,6 +167,13 @@ class TestBoundaryCoefficients:
         H = transform_matrix(m, 7.0, 1.0)
         np.testing.assert_allclose(H[:, 0], phi * np.exp(s * 7.0), rtol=1e-12)
         assert np.all(H[:, 1] == 0.0)
+
+
+def _riccati_residual(level):
+    """``A_ud + A_uu Psi + Psi A_dd + Psi A_du Psi`` over the level's
+    frequency stack."""
+    (Auu, Aud, Adu, Add), psi = level.blocks, level.psi
+    return Aud + Auu @ psi + psi @ Add + psi @ Adu @ psi
 
 
 class TestTwoStateTransform:
@@ -272,6 +302,34 @@ SILENT_SOURCES = {
     "two_silent4": ([[-3.0, 1.0, 1.5, 0.5], [2.0, -4.0, 1.0, 1.0],
                      [0.5, 2.5, -5.0, 2.0], [1.0, 1.0, 1.0, -3.0]], [0.0, 20.0, 0.0, 35.0]),
 }
+
+
+# the closed-form root, Newton, a silent state, a zero-drift state and
+# eight states
+LEVEL_SOURCES = {**{name: STACK_SOURCES[name]
+                    for name in ("two_state", "three_state", "silent", "zero_rate")},
+                 "superposed8": superposed_onoff(3)}
+
+
+class TestLevel:
+    """One :class:`_Level` serves every threshold: its x-free half is
+    computed once, and :meth:`_Level.passage` at each ``x`` equals a fresh
+    object's bit for bit."""
+
+    @pytest.mark.parametrize("clock", ["playback", "prefetch"])
+    @pytest.mark.parametrize("source", sorted(LEVEL_SOURCES))
+    def test_reuse_across_x_is_bit_exact(self, source, clock):
+        m = validate_model(*LEVEL_SOURCES[source], 25.0)
+        rates = m.lam - m.mu if clock == "playback" else -m.lam
+        thresholds = np.r_[0.0, np.geomspace(0.1, 200.0, 15)]
+        for om in (np.array([OMEGA_FLOOR + 0j, 0.3 + 2.0j, 4.0 - 1.0j, 50.0 + 0j]),
+                   np.array([1j * _COMPLEX_STEP])):
+            shared = _Level(m, rates, om)
+            for x in thresholds:
+                reused, fresh = shared.passage(x), _Level(m, rates, om).passage(x)
+                assert reused.shape == fresh.shape == (om.size, m.n_states, m.n_states)
+                assert reused.dtype == fresh.dtype
+                assert reused.tobytes() == fresh.tobytes(), x
 
 
 def _startup_reference(model, x, w):
