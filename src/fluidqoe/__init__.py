@@ -34,7 +34,6 @@ from .inversion import (
     SelfTestReport,
     invert,
     invert_cdf,
-    invert_cdf_value,
     self_test,
 )
 from .model import (

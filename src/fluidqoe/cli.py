@@ -3,14 +3,18 @@
 Subcommands: validate, starvation, startup, events, simulate, optimize,
 compare, invert-selftest.  ``_SUBCOMMANDS`` is the one place a subcommand and
 its flags are declared: the parser, the argument resolution and manifest
-replay are all built from it.  Model and scenario descriptions are JSON files
-with strictly validated keys and value types; numeric grids use the inclusive
-``a:b:n`` notation (start, end, count).
+replay are all built from it.  Only the subcommands that run an inversion
+take ``--params``.  Model and scenario descriptions are JSON files with
+strictly validated keys and value types; a scenario's keys are the fields of
+:class:`~fluidqoe.qoe.ScenarioSpec` (plus ``x``, ``Z`` and ``units``), and its
+snapshot is the spec itself.  Numeric grids use the inclusive ``a:b:n``
+notation (start, end, count).
 
 Every result written with ``--out`` is paired with a run manifest (JSON)
 recording the subcommand, the resolved configuration snapshot, tool version,
-inversion parameters and seed; :func:`rerun_manifest` replays a manifest and
-reproduces the output byte for byte for deterministic subcommands.
+inversion parameters (the defaults where none are taken) and seed;
+:func:`rerun_manifest` replays a manifest and reproduces the output byte for
+byte for deterministic subcommands.
 
 Exit codes: 0 success, 1 input/validation error (usage errors and malformed
 flag or config values included), 2 numerical failure.  Anticipated errors
@@ -23,7 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +49,8 @@ from .startup import expected_startup_delay, startup_delay_cdf
 from .starvation import starvation_cdf, starvation_probability_from_cdf
 
 MODEL_KEYS = {"states", "Q", "lambda", "mu", "x", "Z", "units"}
-SCENARIO_KEYS = {"throughput", "frame_sizes", "alpha", "beta", "mu",
-                 "delta_f", "mode", "x", "Z", "units"}
+_SCENARIO_FIELDS = [f.name for f in fields(ScenarioSpec)]
+SCENARIO_KEYS = {*_SCENARIO_FIELDS, "x", "Z", "units"}
 EXPECTED_UNITS = {"content": "frames", "time": "seconds"}
 
 
@@ -166,30 +170,13 @@ def _model_from_snapshot(snapshot: dict) -> FluidModel:
 
 def load_scenario_config(path: str) -> dict:
     data = _read_json(path, "scenario config")
-    _check_config(data, SCENARIO_KEYS,
-                  ("throughput", "frame_sizes", "alpha", "beta", "mu"), "scenario config")
-    spec = _scenario_from_snapshot(data)
-    return _with_defaults({
-        "throughput": list(spec.throughput),
-        "frame_sizes": list(spec.frame_sizes),
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "mu": spec.mu,
-        "delta_f": spec.delta_f,
-        "mode": spec.mode,
-    }, data)
+    required = tuple(f.name for f in fields(ScenarioSpec) if f.default is MISSING)
+    _check_config(data, SCENARIO_KEYS, required, "scenario config")
+    return _with_defaults(asdict(_scenario_from_snapshot(data)), data)
 
 
 def _scenario_from_snapshot(data: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        throughput=tuple(data["throughput"]),
-        frame_sizes=tuple(data["frame_sizes"]),
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-        mu=float(data["mu"]),
-        delta_f=float(data.get("delta_f", 1.0)),
-        mode=data.get("mode", "progressive"),
-    )
+    return ScenarioSpec(**{key: data[key] for key in _SCENARIO_FIELDS if key in data})
 
 
 def _resolve(value, snapshot: dict, key: str, what: str) -> float:
@@ -296,7 +283,8 @@ def _run_simulate(snapshot: dict, args: dict) -> str:
 
 
 def _run_optimize(snapshot: dict, args: dict) -> tuple:
-    spec = _scenario_from_snapshot({**snapshot, "mode": args.get("mode") or snapshot.get("mode", "progressive")})
+    spec = _scenario_from_snapshot(snapshot)
+    spec = replace(spec, mode=args.get("mode") or spec.mode)
     weights = _parse_weights(args["weights"])
     Z = args["Z"]
     x_grid = parse_grid(args["x_grid"])
@@ -305,8 +293,7 @@ def _run_optimize(snapshot: dict, args: dict) -> tuple:
     quality = quality_loss_fraction(spec)
     report = optimize_threshold(model, Z, weights, x_grid,
                                 quality_term=quality, inv=inv)
-    rows = [[x, c.expected_starvations, c.expected_startup, c.quality_term, c.total]
-            for x, c in zip(report.x_grid, report.costs)]
+    rows = [[x, *astuple(c)] for x, c in zip(report.x_grid, report.costs)]
     csv = _csv_text(["x", "starvations", "startup", "quality", "total"], rows)
     summary = _json_text({
         "best_x": report.best_x,
@@ -324,12 +311,8 @@ def _run_compare(snapshot: dict, args: dict) -> tuple:
     Z_grid = parse_grid(args["z_grid"])
     inv = _parse_inversion(args.get("params"))
     report = compare_scenarios(spec, weights, Z_grid, x, inv=inv)
-    rows = []
-    for Z, p, a in zip(report.Z_grid, report.progressive, report.adaptive):
-        rows.append([Z, p.expected_starvations, p.expected_startup,
-                     p.quality_term, p.total,
-                     a.expected_starvations, a.expected_startup,
-                     a.quality_term, a.total])
+    rows = [[Z, *astuple(p), *astuple(a)]
+            for Z, p, a in zip(report.Z_grid, report.progressive, report.adaptive)]
     csv = _csv_text(
         ["Z", "prog_starvations", "prog_startup", "prog_quality", "prog_total",
          "adap_starvations", "adap_startup", "adap_quality", "adap_total"],
@@ -427,6 +410,7 @@ def _parse_initial_state(text: str):
 _LOADERS = {"config": (load_model_config, "model config JSON"),
             "scenario": (load_scenario_config, "scenario config JSON")}
 
+_PARAMS = ("--params", {"help": "inversion parameters l,m,n,A"})
 _X = ("--x", {"type": float, "help": "prefetch threshold (frames)"})
 _Z = ("--Z", {"type": float, "help": "file size (frames)"})
 _T_GRID = ("--t-grid", {"help": "time grid a:b:n (seconds)"})
@@ -439,13 +423,15 @@ _WEIGHTS = ("--weights", {"required": True, "help": "cost weights c1,c2,c3"})
 # The one place a subcommand and its flags are declared, as
 #   name: (runner, the config flag it loads or None, help line,
 #          (flag, argparse keyword arguments) in the order they resolve);
-# every subcommand also takes --out and --params.
+# every subcommand also takes --out, and those that invert take _PARAMS.
 _SUBCOMMANDS = {
     "validate": (_run_validate, "config", "validate a model config", ()),
     "starvation": (_run_starvation, "config", "starvation CDF and probability",
-                   (_X, _Z, _T_GRID)),
-    "startup": (_run_startup, "config", "start-up delay CDF and mean", (_X, _T_GRID)),
-    "events": (_run_events, "config", "starvation-count distribution", (_X, _Z, _JMAX)),
+                   (_PARAMS, _X, _Z, _T_GRID)),
+    "startup": (_run_startup, "config", "start-up delay CDF and mean",
+                (_PARAMS, _X, _T_GRID)),
+    "events": (_run_events, "config", "starvation-count distribution",
+               (_PARAMS, _X, _Z, _JMAX)),
     "simulate": (_run_simulate, "config", "Monte Carlo session simulation", (
         _X, _Z,
         ("--reps", {"type": int, "default": 10000}),
@@ -454,17 +440,17 @@ _SUBCOMMANDS = {
                              "help": "'stationary' or a state index"}),
     )),
     "optimize": (_run_optimize, "scenario", "optimize the prefetch threshold", (
-        _WEIGHTS, _JMAX_IGNORED,
+        _PARAMS, _WEIGHTS, _JMAX_IGNORED,
         ("--x-grid", {"required": True, "help": "thresholds a:b:n (frames)"}),
         _Z,
         ("--mode", {"choices": ["progressive", "adaptive"]}),
     )),
     "compare": (_run_compare, "scenario", "progressive vs adaptive cost over Z", (
-        _WEIGHTS, _JMAX_IGNORED,
+        _PARAMS, _WEIGHTS, _JMAX_IGNORED,
         ("--Z-grid", {"dest": "z_grid", "required": True, "help": "file sizes a:b:n (frames)"}),
         _X,
     )),
-    "invert-selftest": (_run_selftest, None, "inversion accuracy report", ()),
+    "invert-selftest": (_run_selftest, None, "inversion accuracy report", (_PARAMS,)),
 }
 
 
@@ -489,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{source}", required=True, help=_LOADERS[source][1])
         p.add_argument("--out", help="output file, paired with a run manifest "
                                      "(optimize and compare add a .summary.json)")
-        p.add_argument("--params", help="inversion parameters l,m,n,A")
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
     return parser
@@ -508,7 +493,7 @@ def dispatch(argv) -> int:
     ns = _build_parser().parse_args(argv)
     run, source, _, arguments = _SUBCOMMANDS[ns.subcommand]
     snapshot = _LOADERS[source][0](getattr(ns, source)) if source else {}
-    args = {"params": ns.params}
+    args = {}
     for flag, kwargs in arguments:
         name = kwargs.get("dest", flag[2:].replace("-", "_"))  # argparse's dest
         value = getattr(ns, name)

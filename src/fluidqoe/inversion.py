@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,14 +96,6 @@ DEFAULT_PARAMS = InversionParams()
 LEGACY_M64_PARAMS = dict(l=1, m=64, n=64, A=2.0 * math.log(10.0) * 64 / 3.0)
 
 
-@dataclass(frozen=True)
-class CdfValue:
-    """Raw inverted value alongside its [0, 1]-clamped version."""
-
-    raw: float | np.ndarray
-    clamped: float | np.ndarray
-
-
 def _evaluate(f: Callable, omegas: np.ndarray) -> np.ndarray:
     values = np.asarray(f(omegas))
     if values.shape[:1] != omegas.shape:
@@ -140,17 +132,18 @@ def _euler_constants(params: InversionParams) -> tuple:
 
 
 def time_array(t) -> np.ndarray:
-    """``t`` as a float array of shape ``()`` or ``(T,)`` with every time > 0;
-    a :class:`DomainError` names the first time that is not."""
+    """``t`` as a float array of shape ``()`` or ``(T,)`` with every time > 0
+    and finite; a :class:`DomainError` names the first time that is not."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise DomainError(f"t must be a float or a 1-D array, got shape {times.shape}")
     if times.size == 0:
         raise DomainError("t must hold at least one time")
     flat = times.reshape(-1)
-    bad = ~(flat > 0)
-    if bad.any():
-        raise DomainError(f"t must be > 0, got {flat[bad][0]}")
+    bad = flat[~((flat > 0) & (flat < np.inf))]
+    if bad.size:
+        need = "finite" if bad[0] == np.inf else "> 0"
+        raise DomainError(f"t must be {need}, got {bad[0]}")
     return times
 
 
@@ -209,47 +202,35 @@ def _invert_block(f: Callable, t: np.ndarray, params: InversionParams) -> np.nda
     return (weights @ partial).reshape((n_times,) + shape)
 
 
-def _cdf_evaluator(lst: Callable) -> Callable:
-    def over_omega(omegas: np.ndarray) -> np.ndarray:
-        vals = np.asarray(lst(omegas))
-        return vals / omegas.reshape((omegas.shape[0],) + (1,) * (vals.ndim - 1))
-
-    return over_omega
-
-
-def invert_cdf_value(lst: Callable, t,
-                     params: InversionParams = DEFAULT_PARAMS) -> CdfValue:
+def invert_cdf(lst: Callable, t, params: InversionParams = DEFAULT_PARAMS):
     """Invert the Laplace-Stieltjes transform of a (sub-)probability CDF.
 
     The ordinary transform of the CDF is ``lst(w)/w``.  ``t`` is a time or a
     1-D array of times, as for :func:`invert`.  Raw inverted values outside
-    ``[-1e-3, 1 + 1e-3]`` raise :class:`OutOfRange` (a broken transform or
-    unsuitable parameters, not ordinary ripple), naming the worst value at
-    the first such time in the order of ``t``; anything closer is clamped to
-    [0, 1].
+    ``[-1e-3, 1 + 1e-3]``, NaN included, raise :class:`OutOfRange` (a broken
+    transform or unsuitable parameters, not ordinary ripple), naming the
+    worst value at the first such time in the order of ``t``; anything closer
+    is clamped to [0, 1].
     """
-    raw = invert(_cdf_evaluator(lst), t, params)
-    arr = np.asarray(raw, dtype=float)
-    per_time = arr.reshape(np.size(t), -1)
-    outside = ((per_time < -CDF_ERROR_TOL) | (per_time > 1.0 + CDF_ERROR_TOL)).any(axis=1)
+    def over_omega(omegas: np.ndarray) -> np.ndarray:
+        vals = np.asarray(lst(omegas))
+        return vals / omegas.reshape((omegas.shape[0],) + (1,) * (vals.ndim - 1))
+
+    raw = np.asarray(invert(over_omega, t, params), dtype=float)
+    per_time = raw.reshape(np.size(t), -1)
+    inside = (per_time >= -CDF_ERROR_TOL) & (per_time <= 1.0 + CDF_ERROR_TOL)
+    outside = ~inside.all(axis=1)
     if outside.any():
         first = int(np.argmax(outside))
+        # argmax picks a NaN before any number
         worst = per_time[first, int(np.argmax(np.abs(per_time[first] - 0.5)))]
         when = float(np.reshape(t, -1)[first])
         raise OutOfRange(
             f"inverted CDF value {float(worst):g} at t={when:g} is outside "
             f"[-{CDF_ERROR_TOL:g}, 1+{CDF_ERROR_TOL:g}]"
         )
-    clamped = np.clip(arr, 0.0, 1.0)
-    if arr.ndim == 0:
-        return CdfValue(raw=float(arr), clamped=float(clamped))
-    return CdfValue(raw=arr, clamped=clamped)
-
-
-def invert_cdf(lst: Callable, t, params: InversionParams = DEFAULT_PARAMS):
-    """Clamped CDF value at ``t`` (a time or a 1-D array of times); see
-    :func:`invert_cdf_value`."""
-    return invert_cdf_value(lst, t, params).clamped
+    clamped = np.clip(raw, 0.0, 1.0)
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 def subtract_atoms(evaluator: Callable, times: np.ndarray, masses: np.ndarray) -> Callable:
@@ -319,14 +300,7 @@ class SelfTestReport:
     failure: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "params": {"l": self.params.l, "m": self.params.m,
-                       "n": self.params.n, "A": self.params.A},
-            "max_abs_error": self.max_abs_error,
-            "t_grid": list(self.t_grid),
-            "passed": self.passed,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 def reference_transform(omega: np.ndarray) -> np.ndarray:

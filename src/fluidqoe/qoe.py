@@ -61,6 +61,8 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "throughput", tuple(float(v) for v in self.throughput))
         object.__setattr__(self, "frame_sizes", tuple(float(v) for v in self.frame_sizes))
+        for name in ("alpha", "beta", "mu", "delta_f"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         numbers = {"throughput": self.throughput, "frame_sizes": self.frame_sizes,
                    "alpha": self.alpha, "beta": self.beta, "mu": self.mu,
                    "delta_f": self.delta_f}

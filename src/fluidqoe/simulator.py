@@ -64,7 +64,7 @@ are two 1-D calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -186,6 +186,9 @@ class SimConfig:
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
+        if self.replications > np.iinfo(np.intp).max:
+            raise DomainError(f"replications must be at most {np.iinfo(np.intp).max} "
+                              f"(the largest array index), got {self.replications}")
         mode = self.initial_state_mode
         if not (mode == "stationary" or _is_integer(mode)):
             raise DomainError(
@@ -222,18 +225,11 @@ class SimStats:
     count_histogram: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "starvation_probability": vars(self.starvation_probability),
-            "starvation_count": vars(self.starvation_count),
-            "startup_delay": vars(self.startup_delay),
-            "count_histogram": self.count_histogram.tolist(),
-        }
+        return {**asdict(self), "count_histogram": self.count_histogram.tolist()}
 
 
 _MAX_EVENTS = 20_000_000  # lockstep iterations per block
 _BLOCK = 32_768  # replications per run of the event loop
-_U_MAX = 1.0 - 2.0**-53  # the largest value counter_uniform returns
 _ONE = np.uint64(1)
 _TWO = np.uint64(2)
 
@@ -250,15 +246,6 @@ def _jump_tables(model: FluidModel):
             cum[i] = np.cumsum(probs)
         cum[i, -1] = max(cum[i, -1], 1.0)
     return exit_rates, cum
-
-
-def _jump_targets(u, cum_jump, states) -> np.ndarray:
-    # each row of cum_jump is nondecreasing and ends at >= 1 > u, so the
-    # first entry above u comes after every entry at or below it
-    target = np.zeros(np.shape(states), dtype=np.int64)
-    for column in cum_jump[:, :-1].T:
-        target += column[states] <= u
-    return target
 
 
 # Masked selects branch on every element.  Over 100 000 rows with a random
@@ -295,10 +282,11 @@ class _CodeTables:
         exit_rates, cum = _jump_tables(model)
         self.neg_exit = -exit_rates[state]
         self.base = code - state
-        first = _jump_targets(0.0, cum, np.arange(L))
-        if np.array_equal(first, _jump_targets(_U_MAX, cum, np.arange(L))):
+        # the positive entries of Q are its off-diagonal rates
+        successors = model.Q > 0
+        if (successors.sum(axis=1) == 1).all():
             # every state has one successor: the jump uniform is never read
-            self.next, self.cum = self.base + first[state], None
+            self.next, self.cum = self.base + successors.argmax(axis=1)[state], None
         else:
             self.next, self.cum = None, cum[state][:, :-1].T.copy()
 

@@ -1,10 +1,11 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fluidqoe import cli
+from fluidqoe import ScenarioSpec, cli
 from fluidqoe.cli import (
     load_model_config,
     load_scenario_config,
@@ -98,6 +99,28 @@ class TestConfigLoading:
         assert snap["mode"] == "progressive"
         assert snap["Z"] == 400.0
 
+    def test_scenario_keys_are_the_spec_fields(self, tmp_path):
+        spec_fields = {f.name for f in fields(ScenarioSpec)}
+        assert cli.SCENARIO_KEYS == spec_fields | {"x", "Z", "units"}
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({**SCENARIO, "delta_f": 0.5, "mode": "adaptive"}))
+        snap = load_scenario_config(str(path))
+        assert set(snap) == spec_fields | {"x", "Z"}
+        assert (snap["delta_f"], snap["mode"]) == (0.5, "adaptive")
+
+    def test_integer_scenario_numbers_snapshot_as_floats(self, tmp_path):
+        # the snapshot bytes (and so every manifest) do not depend on
+        # whether the config wrote 1 or 1.0
+        as_ints, as_floats = tmp_path / "ints.json", tmp_path / "floats.json"
+        as_ints.write_text(json.dumps({**SCENARIO, "alpha": 1, "beta": 3, "mu": 17,
+                                       "delta_f": 2}))
+        as_floats.write_text(json.dumps({**SCENARIO, "alpha": 1.0, "beta": 3.0,
+                                         "mu": 17.0, "delta_f": 2.0}))
+        texts = [cli._json_text(load_scenario_config(str(path)))
+                 for path in (as_ints, as_floats)]
+        assert texts[0] == texts[1]
+        assert '"alpha": 1.0' in texts[0]
+
     def test_parse_grid(self):
         np.testing.assert_allclose(parse_grid("1:5:5"), [1, 2, 3, 4, 5])
         with pytest.raises(ConfigError):
@@ -165,6 +188,13 @@ class TestExitCodes:
                      id="usage-simulate-cap"),
         pytest.param("events --config {model} --grid 0", {}, "ConfigError",
                      id="events-grid-0"),
+        # --params only where an inversion runs
+        pytest.param("validate --config {model} --params 1,11,38,18.4", {}, "ConfigError",
+                     id="validate-params"),
+        pytest.param("simulate --config {model} --params 1,64,64,98.24", {}, "ConfigError",
+                     id="simulate-params"),
+        pytest.param("simulate --config {model} --reps 1180591620717411303424", {},
+                     "DomainError", id="simulate-reps-beyond-index"),
         # values passed through to the library's own checks
         pytest.param("events --config {model} --jmax 0", {}, "DomainError",
                      id="events-jmax-0"),
@@ -327,6 +357,36 @@ class TestManifests:
         replay = tmp_path / "sim2.json"
         assert rerun_manifest(str(manifest_path), str(replay)) == 0
         assert replay.read_bytes() == out.read_bytes()
+
+    def test_params_only_where_an_inversion_runs(self):
+        takes = [name for name, spec in cli._SUBCOMMANDS.items() if cli._PARAMS in spec[3]]
+        assert takes == ["starvation", "startup", "events", "optimize", "compare",
+                         "invert-selftest"]
+
+    @pytest.mark.parametrize("argv, params, inversion", [
+        pytest.param(["simulate", "--reps", "300", "--seed", "5"], "1,64,64,98.24",
+                     {"A": 98.24, "l": 1, "m": 64, "n": 64}, id="simulate"),
+        pytest.param(["validate"], None, None, id="validate"),
+    ])
+    def test_manifest_with_params_arg_replays(self, model_config, tmp_path, argv,
+                                              params, inversion):
+        # manifests written while every subcommand took --params record it
+        # in args (null when unset) and its inversion parameters; the replay
+        # keeps both, so it rewrites the manifest byte for byte
+        out = tmp_path / "run.json"
+        assert main(argv + ["--config", model_config, "--out", str(out)]) == 0
+        manifest_path = tmp_path / "run.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "params" not in manifest["args"]
+        manifest["args"]["params"] = params
+        if inversion is not None:
+            manifest["inversion"] = inversion
+        written = cli._json_text(manifest)
+        manifest_path.write_text(written)
+        result = out.read_bytes()
+        assert rerun_manifest(str(manifest_path)) == 0
+        assert out.read_bytes() == result
+        assert manifest_path.read_text() == written
 
     def _events_manifest_with_grid(self, model_config, tmp_path, grid):
         out = tmp_path / "events.json"

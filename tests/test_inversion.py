@@ -10,7 +10,6 @@ from fluidqoe import (
     OverflowRisk,
     invert,
     invert_cdf,
-    invert_cdf_value,
     self_test,
 )
 from fluidqoe.inversion import (
@@ -127,9 +126,8 @@ class TestInvertCdf:
 
     def test_clamping_reports_raw(self):
         lst = lambda w: (1.0 + 5e-4) * np.ones_like(w)
-        value = invert_cdf_value(lst, 1.0)
-        assert value.raw > 1.0
-        assert value.clamped == 1.0
+        assert invert(lambda w: lst(w) / w, 1.0) > 1.0
+        assert invert_cdf(lst, 1.0) == 1.0
 
     def test_out_of_range(self):
         lst = lambda w: 1.01 * np.ones_like(w)
@@ -140,15 +138,21 @@ class TestInvertCdf:
     def test_out_of_range_at_one_time_of_a_batch(self):
         # 1.01 (1 - e^-2t) leaves the band only once it passes 1.001, near t = 2.35
         lst = lambda w: 1.01 * 2.0 / (2.0 + w)
-        value = invert_cdf_value(lst, np.array([0.5, 1.0]))
-        assert value.raw.shape == value.clamped.shape == (2,)
+        assert invert_cdf(lst, np.array([0.5, 1.0])).shape == (2,)
         with pytest.raises(OutOfRange, match="t=3"):
-            invert_cdf_value(lst, np.array([0.5, 1.0, 3.0, 1.5]))
+            invert_cdf(lst, np.array([0.5, 1.0, 3.0, 1.5]))
         # the first failing time in the order given is named with its worst
         # entry, as a loop over the times would, though t = 10 is worse
         pair = lambda w: np.stack([1.005 * 2.0 / (2.0 + w), lst(w)], axis=-1)
         with pytest.raises(OutOfRange, match=r"value 1\.0075 at t=3 "):
-            invert_cdf_value(pair, np.array([0.5, 3.0, 10.0]))
+            invert_cdf(pair, np.array([0.5, 3.0, 10.0]))
+
+    def test_nan_is_out_of_range(self):
+        # NaN fails every comparison, so it must not slip through the band
+        # check and leave the clamp as a probability
+        lst = lambda w: np.where(w.real < 10.0, np.nan, 1.0)
+        with pytest.raises(OutOfRange, match=r"value nan at t=1 "):
+            invert_cdf(lst, np.array([0.5, 1.0]))
 
 
 class TestInversionParams:

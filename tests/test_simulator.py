@@ -655,6 +655,13 @@ class TestConfigValidation:
             with pytest.raises(DomainError):
                 SimConfig(replications=bad)
 
+    @pytest.mark.parametrize("count", [2**63, 2**70])
+    def test_replications_beyond_an_array_index(self, count):
+        # refused at construction, so no array of that length is attempted
+        with pytest.raises(DomainError, match="^replications must be at most"):
+            SimConfig(replications=count)
+        assert SimConfig(replications=np.iinfo(np.intp).max).replications > 0
+
     def test_bad_seed(self):
         for bad in (1.5, False, "7"):
             with pytest.raises(DomainError):

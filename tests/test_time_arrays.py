@@ -68,6 +68,18 @@ def test_scalar_time_keeps_its_shape_and_errors(which, reference_model):
         cdf(reference_model, 40.0, np.array([1.0, -2.0, 0.0]))
 
 
+@pytest.mark.parametrize("which", CDFS)
+def test_infinite_time_is_refused(which, reference_model):
+    # refused before any transform is evaluated, so no RuntimeWarning (an
+    # error under this suite's filter) can come from an infinite time
+    with pytest.raises(DomainError, match=r"t must be finite, got inf$"):
+        CDFS[which][0](reference_model, 40.0, np.inf)
+    with pytest.raises(DomainError, match=r"t must be finite, got inf$"):
+        CDFS[which][0](reference_model, 40.0, np.array([1.0, np.inf]))
+    with pytest.raises(DomainError, match=r"t must be finite, got inf$"):
+        inversion.invert(inversion.reference_transform, np.inf)
+
+
 @pytest.mark.parametrize("x", [np.inf, np.nan, -1.0])
 @pytest.mark.parametrize("which", CDFS)
 def test_threshold_must_be_finite_and_nonnegative(which, x, reference_model):
@@ -111,6 +123,19 @@ def test_table_reports_the_first_failing_time(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "OutOfRange: inverted CDF value -0.00630581 at t=1.6 is outside "
         "[-0.001, 1+0.001]\n")
+
+
+def test_table_refuses_a_nan_probability(bursty_config, capsys):
+    # at t = 1e308 the Euler prefactor overflows (with RuntimeWarnings) and
+    # the inversion reads NaN, which must fail the band check instead of
+    # printing as a probability
+    argv = ["starvation", "--config", bursty_config, "--x", "40", "--Z", "500",
+            "--t-grid", "1:1e308:2"]
+    with pytest.warns(RuntimeWarning):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("OutOfRange: inverted CDF value nan at t=1e+308 ")
+    assert err.count("\n") == 1
 
 
 def test_package_imports_without_scipy():
