@@ -17,7 +17,8 @@ inversion parameters (the defaults where none are taken) and seed;
 byte for deterministic subcommands.
 
 Exit codes: 0 success, 1 input/validation error (usage errors and malformed
-flag or config values included), 2 numerical failure.  Anticipated errors
+flag or config values included), 2 numerical failure or an allocation the
+machine cannot hold (``MemoryError``).  Anticipated errors
 print a single diagnostic line on stderr, never a stack trace.
 """
 
@@ -511,6 +512,10 @@ def main(argv=None) -> int:
         return 1
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy raises a private subclass; the line names the builtin
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,10 @@ density/CDF from buffer level ``x``:
 
 The count probabilities chain these with composite-trapezoid quadrature on
 a playback-time grid aligned so that ``x/mu`` is a whole number of steps.
-The densities, kernels and survivals of every node come from one inversion
-call each.  The inversion is linear, so the starvation transform is inverted
+The densities and kernels of every node come from one inversion of the
+starvation transform, and the survivals from one :func:`starvation_cdf`
+call, which takes the passage law's atoms out before inverting like every
+passage CDF of the package.  The inversion is linear, so both are inverted
 as is and mixed with the entry law and the fill matrix afterwards, on real
 per-node arrays rather than at every complex frequency.  One chain serves
 every count: each step is a windowed discrete convolution of the previous
@@ -43,11 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NegativeDensityWarning, NumericError
-from .inversion import (DEFAULT_PARAMS, InversionParams, atom_steps, invert,
-                        invert_cdf, subtract_atoms)
+from .inversion import DEFAULT_PARAMS, InversionParams, invert
 from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
-from .spectral import evaluator
-from .starvation import starvation_atoms, starvation_probability
+from .spectral import transform_matrix
+from .starvation import starvation_atoms, starvation_cdf, starvation_probability
 from .startup import prefetch_end_distribution
 
 NEGATIVE_DENSITY_TOL = -1e-6
@@ -65,28 +66,6 @@ def _clamp_density(values: np.ndarray, what: str) -> np.ndarray:
             stacklevel=3,
         )
     return np.clip(values, 0.0, None)
-
-
-def _refetch_survival(model: FluidModel, x: float, fill: np.ndarray, ev,
-                      h: np.ndarray, inv: InversionParams) -> np.ndarray:
-    """Per-state no-starvation probability over each remaining horizon.
-
-    Row ``k`` re-prefetches from each state, then avoids the first passage
-    for ``h[k]`` seconds; one inversion call serves every horizon.
-    Deterministic drain atoms of the passage law are stepped in exactly; only
-    the continuous remainder is inverted.  Its transform is summed over the
-    starvation state and then mixed with the fill, one ``(K, L)`` by
-    ``(L, L)`` product, so the clamp and range check of :func:`invert_cdf`
-    act on the fill-mixed CDF.
-    """
-    atoms = starvation_atoms(model, x)
-    continuous = subtract_atoms(ev, *atoms)
-
-    def refetch_cdf(omegas):
-        return np.asarray(continuous(omegas)).sum(-1) @ fill.T
-
-    cdf = invert_cdf(refetch_cdf, h, inv) + (fill @ atom_steps(*atoms, h)).sum(-1)
-    return 1.0 - np.clip(cdf, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -122,9 +101,11 @@ def _build_path_grid(model: FluidModel, params: SessionParams,
                      inv: InversionParams = DEFAULT_PARAMS) -> _PathGrid:
     """Evaluate densities, kernels and survivals on an aligned uniform grid.
 
-    The starvation transform is inverted as is at the feasible nodes; the
-    inversion is linear, so the entry law and the fill matrix mix the
-    inverted densities afterwards.
+    The starvation transform is inverted as is at the feasible nodes, and
+    its CDF at the remaining horizons of the nodes at risk; the inversion is
+    linear, so the entry law and the fill matrix mix both afterwards.  A
+    horizon shorter than the fastest drain gets the CDF's exact 0, so its
+    survival is exactly 1.
     """
     x, Z, mu = params.x, params.Z, model.mu
     step = x / mu / NODES_PER_PREFETCH
@@ -134,7 +115,6 @@ def _build_path_grid(model: FluidModel, params: SessionParams,
 
     fill = prefetch_end_distribution(model, 0.0, x)
     rho0 = stationary_distribution(model) @ fill
-    ev = evaluator(model, x)
     L = model.n_states
 
     support = max(np.min(starvation_atoms(model, x)[0]), x / mu)
@@ -142,7 +122,7 @@ def _build_path_grid(model: FluidModel, params: SessionParams,
     kernel = np.zeros((n_t, L, L))
     feasible = ~((t < support) | (t == 0.0))
     if np.any(feasible):
-        dens = invert(ev, t[feasible], inv)
+        dens = invert(lambda omegas: transform_matrix(model, x, omegas), t[feasible], inv)
         first_density[feasible] = rho0 @ dens
         kernel[feasible] = fill @ dens
     first_density = _clamp_density(first_density, "first starvation density")
@@ -152,8 +132,8 @@ def _build_path_grid(model: FluidModel, params: SessionParams,
     survive = np.ones((n_t, L))
     at_risk = mu * t < Z - x
     if np.any(at_risk):
-        survive[at_risk] = _refetch_survival(model, x, fill, ev,
-                                             horizon - t[at_risk], inv)
+        cdf = starvation_cdf(model, x, horizon - t[at_risk], inv)
+        survive[at_risk] = 1.0 - np.clip(cdf.sum(-1) @ fill.T, 0.0, 1.0)
 
     return _PathGrid(x=x, Z=Z, mu=mu, step=step, n_t=n_t, t=t,
                      first_density=first_density, kernel=kernel, survive=survive)

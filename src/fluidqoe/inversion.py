@@ -26,6 +26,12 @@ times; instead the frequencies of a block of times go to the evaluator in
 one call and the Euler sums of the block run as one array operation.  A
 scalar ``t`` is a block of one, and long arrays are split into blocks of a
 fixed size so the evaluator's working memory stays bounded.
+
+The first-passage laws of the package have point masses, at the paths with
+no jump.  :func:`invert_cdf_with_atoms` is the one place where such atoms
+meet the inverter: it inverts the continuous remainder and adds the steps
+back exactly.  The starvation and start-up CDFs, and through the former the
+survivals of the starvation-count chain, all go through it.
 """
 
 from __future__ import annotations
@@ -184,8 +190,9 @@ def _invert_block(f: Callable, t: np.ndarray, params: InversionParams) -> np.nda
     # Term k (k = 0 .. n+m) needs f~(base + i pi (j + k l)/(l t)), j = 1 .. l;
     # the frequency index j + k l runs over 1 .. l(n+m+1) without repeats,
     # and index 0 is the real abscissa itself.
-    base = params.A / (2 * l * t)
-    omegas = base[:, None] + scaled_idx / (l * t)[:, None]
+    # dividing by t last keeps every product finite up to the largest float t
+    base = params.A / (2 * l) / t
+    omegas = base[:, None] + scaled_idx / l / t[:, None]
     values = _evaluate(f, omegas.reshape(-1))
     shape = values.shape[1:]
     values = values.reshape(omegas.shape + (-1,))  # (T, frequency, value)
@@ -195,7 +202,7 @@ def _invert_block(f: Callable, t: np.ndarray, params: InversionParams) -> np.nda
     # is what survives for a real-valued original.
     phased = (phase @ values[:, 1:].reshape(n_times, n_terms, l, -1)).real
 
-    pref = (exp_half / (2 * l * t))[:, None]
+    pref = (exp_half / (2 * l) / t)[:, None]
     terms = 2.0 * pref[:, None] * phased
     terms[:, 0] += pref * head
     partial = np.cumsum(terms * signs, axis=1)[:, n:]
@@ -233,59 +240,40 @@ def invert_cdf(lst: Callable, t, params: InversionParams = DEFAULT_PARAMS):
     return float(clamped) if clamped.ndim == 0 else clamped
 
 
-def subtract_atoms(evaluator: Callable, times: np.ndarray, masses: np.ndarray) -> Callable:
-    """Evaluator for the continuous part of a matrix transform.
-
-    Point masses make the inverted CDF jump, and the trapezoidal inversion
-    converges to jump midpoints with ringing nearby; distributions with
-    known atoms should invert only their continuous remainder and add the
-    steps back exactly.  ``times[i]``/``masses[i]`` describe an atom on the
-    diagonal entry ``(i, i)``; zero-mass entries are ignored.
-    """
-    live = np.nonzero(np.asarray(masses) > 0.0)[0]
-    if live.size == 0:
-        return evaluator
-
-    def continuous(omegas):
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=complex))
-        vals = np.array(evaluator(omegas))
-        for i in live:
-            vals[:, i, i] -= masses[i] * np.exp(-omegas * times[i])
-        return vals
-
-    return continuous
-
-
-def atom_steps(times: np.ndarray, masses: np.ndarray, t) -> np.ndarray:
-    """Diagonal matrices of the atom masses that have arrived by time ``t``:
-    shape ``(L, L)`` for one time, ``(T, L, L)`` for a 1-D array of times."""
-    times = np.asarray(times, dtype=float)
-    finite = np.isfinite(times)
-    threshold = np.full(times.shape, np.inf)
-    threshold[finite] = times[finite] - 1e-12 * np.maximum(np.abs(times[finite]), 1.0)
-    arrived = np.asarray(t, dtype=float)[..., None] >= threshold
-    return np.where(arrived, masses, 0.0)[..., None] * np.eye(times.size)
-
-
 def invert_cdf_with_atoms(evaluator: Callable, atoms: tuple, t: np.ndarray,
                           params: InversionParams = DEFAULT_PARAMS) -> np.ndarray:
     """Clamped CDF matrices of a law whose point masses are the diagonal
-    atoms ``atoms = (times, masses)`` (see :func:`subtract_atoms`).
+    atoms ``atoms = (times, masses)``: entry ``(i, i)`` jumps by
+    ``masses[i]`` at ``times[i]`` (time ``inf`` or mass 0: no atom).
 
-    ``t`` comes from :func:`time_array`; the result has shape ``(L, L)`` for
-    one time and ``(T, L, L)`` for ``T``.  The law has no mass before its
-    earliest atom (the fastest path is the one with no jump), so earlier
-    times get exact zeros and are never inverted; so do all times when no
-    state has an atom.  The others go to one :func:`invert_cdf` call on the
-    continuous remainder, and the atom steps are added back exactly.
+    Point masses make the inverted CDF jump, and the trapezoidal inversion
+    converges to jump midpoints with ringing nearby, so only the continuous
+    remainder is inverted and the steps are added back exactly; a step
+    counts from a relative ``1e-12`` before its time.  ``t`` comes from
+    :func:`time_array`; the result has shape ``(L, L)`` for one time and
+    ``(T, L, L)`` for ``T``.  The law has no mass before its earliest atom
+    (the fastest path is the one with no jump), so earlier times get exact
+    zeros and are never inverted; so do all times when no state has an
+    atom.  The others go to one :func:`invert_cdf` call.
     """
+    times, masses = atoms
     flat = t.reshape(-1)
-    L = len(atoms[0])
+    L = len(times)
     cdf = np.zeros((flat.size, L, L))
-    live = flat >= np.min(atoms[0])
+    live = flat >= np.min(times)
     if live.any():
-        cont = invert_cdf(subtract_atoms(evaluator, *atoms), flat[live], params)
-        cdf[live] = np.clip(cont + atom_steps(*atoms, flat[live]), 0.0, 1.0)
+        atom = np.nonzero(masses > 0.0)[0]
+
+        def continuous(omegas):
+            vals = np.array(evaluator(omegas))
+            vals[:, atom, atom] -= masses[atom] * np.exp(-omegas[:, None] * times[atom])
+            return vals
+
+        finite = np.isfinite(times)
+        arrival = np.full(L, np.inf)
+        arrival[finite] = times[finite] - 1e-12 * np.maximum(np.abs(times[finite]), 1.0)
+        steps = np.where(flat[live, None] >= arrival, masses, 0.0)[..., None] * np.eye(L)
+        cdf[live] = np.clip(invert_cdf(continuous, flat[live], params) + steps, 0.0, 1.0)
     return cdf.reshape(t.shape + (L, L))
 
 

@@ -234,20 +234,6 @@ _ONE = np.uint64(1)
 _TWO = np.uint64(2)
 
 
-def _jump_tables(model: FluidModel):
-    exit_rates = -np.diag(model.Q).copy()
-    L = model.n_states
-    cum = np.zeros((L, L))
-    for i in range(L):
-        if exit_rates[i] > 0:
-            probs = model.Q[i] / exit_rates[i]
-            probs = probs.copy()
-            probs[i] = 0.0
-            cum[i] = np.cumsum(probs)
-        cum[i, -1] = max(cum[i, -1], 1.0)
-    return exit_rates, cum
-
-
 # Masked selects branch on every element.  Over 100 000 rows with a random
 # half-true mask, np.where took 670 us and a boolean-mask assignment 940 us.
 # The comparison that builds the mask took 38 us, and dividing by the mask
@@ -278,8 +264,11 @@ class _CodeTables:
         net = rate - mu
         self.starve_den, self.starve_pad = _masked(-net, playing & (net < 0))
 
-        # jump tables: a jump keeps the playing bit
-        exit_rates, cum = _jump_tables(model)
+        # jump tables: a jump keeps the playing bit; a state that never
+        # leaves (exit rate 0) has a zero row, divided by 1 to stay zero
+        exit_rates = -np.diag(model.Q)
+        jump = model.Q / np.where(exit_rates > 0, exit_rates, 1.0)[:, None]
+        np.fill_diagonal(jump, 0.0)
         self.neg_exit = -exit_rates[state]
         self.base = code - state
         # the positive entries of Q are its off-diagonal rates
@@ -288,7 +277,7 @@ class _CodeTables:
             # every state has one successor: the jump uniform is never read
             self.next, self.cum = self.base + successors.argmax(axis=1)[state], None
         else:
-            self.next, self.cum = None, cum[state][:, :-1].T.copy()
+            self.next, self.cum = None, np.cumsum(jump, axis=1)[state][:, :-1].T.copy()
 
 
 class _Batch:

@@ -270,15 +270,3 @@ def _slope_at_zero(model: FluidModel, rates, x: float) -> np.ndarray:
     ``h = _COMPLEX_STEP``.  Needs a draining state.
     """
     return _Level(model, rates, np.array([1j * _COMPLEX_STEP])).passage(x)[0].imag / _COMPLEX_STEP
-
-
-def evaluator(model: FluidModel, x: float):
-    """Frequency-stack evaluator of the starvation transform ``H~(x, w)``.
-
-    The level-generator engine, :func:`transform_matrix`, at every state
-    count.  The returned callable maps a ``(K,)`` frequency array to
-    ``(K, L, L)``, and a scalar frequency to ``(L, L)``.
-    """
-    _check_x(x)
-    return lambda omegas: transform_matrix(model, x, omegas)
-

@@ -5,10 +5,13 @@ playback start runs empty by playback time ``t`` with the source in state
 ``j`` at that moment, given initial state ``i``.  It is the first passage
 of the playback clock ``lam - mu`` down by ``x``: its transform, its
 deterministic-path atoms and its slope at the origin (by the complex step)
-come from the level-generator engine of :mod:`fluidqoe.spectral`.
-Inversion gives the CDF, the value at the file-exhaustion horizon ``Z/mu``
-gives the overall starvation probability, and the slope gives the
-restricted mean time to starve.
+come from the level-generator engine of :mod:`fluidqoe.spectral`, and
+:data:`starvation_transform` is that engine's
+:func:`~fluidqoe.spectral.transform_matrix` itself.  Inversion with the
+atoms taken out (:func:`fluidqoe.inversion.invert_cdf_with_atoms`) gives
+the CDF, which also gives the starvation-count chain its survivals; the
+value at the file-exhaustion horizon ``Z/mu`` gives the overall starvation
+probability, and the slope gives the restricted mean time to starve.
 
 Columns for non-draining states are identically zero: the buffer cannot hit
 empty while it is growing or holding.
@@ -25,14 +28,12 @@ from .inversion import (DEFAULT_PARAMS, InversionParams, invert_cdf_with_atoms,
                         time_array)
 from .model import (FluidModel, SessionParams, effective_rates, mean_drift,
                     stationary_distribution)
-from .spectral import _passage_atoms, _slope_at_zero, evaluator
+from .spectral import _passage_atoms, _slope_at_zero, transform_matrix
 from .startup import prefetch_end_distribution
 
-
-def starvation_transform(model: FluidModel, x: float, omega) -> np.ndarray:
-    """Starvation transform matrix ``H~[i, j](x, w)``: ``(L, L)`` at a scalar
-    frequency, ``(K, L, L)`` at a ``(K,)`` stack."""
-    return evaluator(model, x)(omega)
+# The starvation transform matrix ``H~[i, j](x, w)``: ``(L, L)`` at a scalar
+# frequency, ``(K, L, L)`` at a ``(K,)`` stack.
+starvation_transform = transform_matrix
 
 
 def starvation_atoms(model: FluidModel, x: float):
@@ -56,8 +57,8 @@ def starvation_cdf(model: FluidModel, x: float, t,
     deterministic-path atoms accounted exactly.
     """
     times = time_array(t)
-    return invert_cdf_with_atoms(evaluator(model, x), starvation_atoms(model, x),
-                                 times, params)
+    return invert_cdf_with_atoms(lambda omegas: transform_matrix(model, x, omegas),
+                                 starvation_atoms(model, x), times, params)
 
 
 def starvation_probability(model: FluidModel, session: SessionParams,

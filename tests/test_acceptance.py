@@ -22,11 +22,12 @@ from fluidqoe import (
     startup_delay_cdf,
     startup_transform,
     stationary_distribution,
+    transform_matrix,
     validate_model,
 )
 from fluidqoe.cli import main as cli_main, rerun_manifest
 from fluidqoe.simulator import _lockstep
-from fluidqoe.spectral import OMEGA_FLOOR, evaluator
+from fluidqoe.spectral import OMEGA_FLOOR
 from conftest import two_state, two_state_quadratic
 
 REFERENCE = validate_model([[-6.0, 6.0], [2.0, -2.0]], [2.0, 30.0], 25.0)
@@ -51,7 +52,7 @@ def test_criterion_1_inversion_accuracy():
 def test_criterion_2_closed_form_generic_equivalence():
     """Two-state closed forms vs the shipped transforms to 1e-10 on
     real/imaginary rays: the explicit quadratic's starvation transform vs
-    ``evaluator``, the engine's scalar Riccati root, and scipy's matrix
+    ``transform_matrix``, the engine's scalar Riccati root, and scipy's matrix
     exponential of the level generator vs the start-up transform."""
     start = time.perf_counter()
     cases = [
@@ -66,7 +67,7 @@ def test_criterion_2_closed_form_generic_equivalence():
     for m in cases:
         for x in (0.0, 7.0):
             closed = two_state_quadratic(m, x, omegas)
-            shipped = evaluator(m, x)(omegas)
+            shipped = transform_matrix(m, x, omegas)
             worst = max(worst, np.max(np.abs(closed - shipped)))
         if np.all(m.lam > 0):
             closed = startup_transform(m, 7.0, omegas)
@@ -78,7 +79,7 @@ def test_criterion_2_closed_form_generic_equivalence():
 
 
 def test_criterion_3_root_sign_placement():
-    """The shipped transform ``evaluator(m, x)`` on 200 random models with 2,
+    """The shipped transform ``transform_matrix`` on 200 random models with 2,
     3 or 4 states: at real ``w > 0`` the columns of non-draining states are
     exactly zero, the draining ones nonzero, every entry in [0, 1] and every
     row sum at most 1 and decreasing in ``w`` and ``x``; at ``w = 0`` under
@@ -104,7 +105,7 @@ def test_criterion_3_root_sign_placement():
         m = validate_model(Q, lam, mu)
         x = rng.uniform(1.0, 80.0)
         omegas = np.sort(rng.uniform(1e-3, 10.0, 4))
-        H = np.stack([evaluator(m, y)(omegas) for y in (1.0, x, 2 * x)])
+        H = np.stack([transform_matrix(m, y, omegas) for y in (1.0, x, 2 * x)])
         draining = m.lam < m.mu
         ok &= np.all(H.imag == 0.0)
         ok &= np.all(H[..., ~draining] == 0.0)
@@ -115,7 +116,7 @@ def test_criterion_3_root_sign_placement():
         ok &= np.all(np.diff(rows, axis=0) <= 0.0) and np.all(np.diff(rows, axis=1) <= 0.0)
         if mean_drift(m).drift < 0:
             D = mean_playback_time(m, x).D
-            gap = np.max(np.abs(evaluator(m, x)(0.0).real.sum(axis=1)
+            gap = np.max(np.abs(transform_matrix(m, x, 0.0).real.sum(axis=1)
                                 - (1.0 - OMEGA_FLOOR * D.sum(axis=1))))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start

@@ -153,6 +153,22 @@ class TestExitCodes:
         assert code == 2
         assert "OverflowRisk" in capsys.readouterr().err
 
+    def test_memory_error_exits_two(self, model_config, monkeypatch, capsys):
+        # numpy raises a private MemoryError subclass; the runner raises one
+        # instead of allocating, and the line names the builtin
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def runner(snapshot, args):
+            raise ArrayMemoryError("Unable to allocate 58.2 TiB for an array")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "events",
+                            (runner,) + cli._SUBCOMMANDS["events"][1:])
+        assert main(["events", "--config", model_config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "MemoryError: Unable to allocate 58.2 TiB for an array\n"
+
     @pytest.mark.parametrize("state", ["foo", "1.5"])
     def test_bad_initial_state_is_config_error(self, model_config, state, capsys):
         code = main(["simulate", "--config", model_config, "--reps", "10",

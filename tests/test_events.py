@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,11 @@ from fluidqoe import (
     starvation_probability,
     validate_model,
 )
-from fluidqoe import events
-from fluidqoe.inversion import DEFAULT_PARAMS, atom_steps, invert, invert_cdf, subtract_atoms
+from fluidqoe import events, starvation
+from fluidqoe.inversion import DEFAULT_PARAMS, invert, invert_cdf
 from fluidqoe.model import stationary_distribution
 from fluidqoe.qoe import scenario_to_model
-from fluidqoe.spectral import evaluator
+from fluidqoe.spectral import transform_matrix
 from fluidqoe.starvation import starvation_atoms
 from fluidqoe.startup import prefetch_end_distribution
 
@@ -297,11 +299,37 @@ THREE_STATE = validate_model(
 
 
 def _grid_nodes(model, params, t):
-    """Nodes whose densities are inverted and nodes whose survival is."""
-    support = max(starvation_atoms(model, params.x)[0].min(), params.x / model.mu)
-    feasible = (t >= support) & (t > 0.0)
+    """Nodes whose densities are inverted, nodes whose survival is, and among
+    the latter those whose remaining horizon reaches the earliest atom (the
+    fastest drain): the survival CDF is exactly 0 before it."""
+    earliest = starvation_atoms(model, params.x)[0].min()
+    feasible = (t >= max(earliest, params.x / model.mu)) & (t > 0.0)
     at_risk = model.mu * t < params.Z - params.x
-    return feasible, at_risk
+    reached = at_risk & (params.Z / model.mu - t >= earliest)
+    return feasible, at_risk, reached
+
+
+def _subtract_atoms(ev, times, masses):
+    """The matrix transform ``ev`` less its diagonal atoms: entry ``(i, i)``
+    loses ``masses[i] e^(-w times[i])``."""
+    live = np.nonzero(masses > 0.0)[0]
+
+    def continuous(omegas):
+        vals = np.array(ev(omegas))
+        for i in live:
+            vals[:, i, i] -= masses[i] * np.exp(-omegas * times[i])
+        return vals
+    return continuous
+
+
+def _atom_steps(times, masses, t):
+    """Diagonal matrices ``(T, L, L)`` of the atom masses that have arrived by
+    each time of ``t``, from a relative 1e-12 before the atom on."""
+    finite = np.isfinite(times)
+    threshold = np.full(times.shape, np.inf)
+    threshold[finite] = times[finite] - 1e-12 * np.maximum(np.abs(times[finite]), 1.0)
+    arrived = t[:, None] >= threshold
+    return np.where(arrived, masses, 0.0)[..., None] * np.eye(times.size)
 
 
 def _mixed_per_frequency(model, params, t):
@@ -310,7 +338,7 @@ def _mixed_per_frequency(model, params, t):
     x, Z, mu = params.x, params.Z, model.mu
     fill = prefetch_end_distribution(model, 0.0, x)
     rho0 = stationary_distribution(model) @ fill
-    ev = evaluator(model, x)
+    ev = functools.partial(transform_matrix, model, x)
     L = model.n_states
 
     def stacked_density(omegas):
@@ -319,7 +347,7 @@ def _mixed_per_frequency(model, params, t):
         refetch = np.einsum("jn,knm->kjm", fill, H)
         return np.concatenate([first[:, None, :], refetch], axis=1)
 
-    feasible, at_risk = _grid_nodes(model, params, t)
+    feasible, _, reached = _grid_nodes(model, params, t)
     first_density = np.zeros((t.size, L))
     kernel = np.zeros((t.size, L, L))
     block = invert(stacked_density, t[feasible])
@@ -327,15 +355,15 @@ def _mixed_per_frequency(model, params, t):
     kernel[feasible] = block[:, 1:]
 
     atoms = starvation_atoms(model, x)
-    continuous = subtract_atoms(ev, *atoms)
+    continuous = _subtract_atoms(ev, *atoms)
 
     def refetch_cdf(omegas):
         return np.einsum("jn,knm->kj", fill, np.asarray(continuous(omegas)))
 
-    h = Z / mu - t[at_risk]
-    cdf = invert_cdf(refetch_cdf, h) + (fill @ atom_steps(*atoms, h)).sum(-1)
+    h = Z / mu - t[reached]
+    cdf = invert_cdf(refetch_cdf, h) + (fill @ _atom_steps(*atoms, h)).sum(-1)
     survive = np.ones((t.size, L))
-    survive[at_risk] = 1.0 - np.clip(cdf, 0.0, 1.0)
+    survive[reached] = 1.0 - np.clip(cdf, 0.0, 1.0)
     return np.clip(first_density, 0.0, None), np.clip(kernel, 0.0, None), survive
 
 
@@ -361,16 +389,26 @@ class TestInvertThenMix:
         model, params = self.SOURCES[source], SessionParams(x=40.0, Z=501.0)
         seen = []
 
-        def counting_evaluator(*args):
-            ev = evaluator(*args)
+        def counted(model, x, omegas):
+            seen.append(np.size(omegas))
+            return transform_matrix(model, x, omegas)
 
-            def counted(omegas):
-                seen.append(np.size(omegas))
-                return ev(omegas)
-            return counted
-
-        monkeypatch.setattr(events, "evaluator", counting_evaluator)
+        # the densities invert the transform in events, the survivals in
+        # starvation_cdf
+        monkeypatch.setattr(events, "transform_matrix", counted)
+        monkeypatch.setattr(starvation, "transform_matrix", counted)
         grid = events._build_path_grid(model, params)
-        feasible, at_risk = _grid_nodes(model, params, grid.t)
+        feasible, _, reached = _grid_nodes(model, params, grid.t)
         assert DEFAULT_PARAMS.n_evaluations == 51
-        assert sum(seen) == 51 * (feasible.sum() + at_risk.sum())
+        assert sum(seen) == 51 * (feasible.sum() + reached.sum())
+
+    @pytest.mark.parametrize("source", ["three_state", "progressive"])
+    def test_survival_is_certain_before_the_fastest_drain(self, source):
+        # a horizon shorter than the fastest drain cannot hold a starvation:
+        # the survival is exactly 1, not 1 plus the inverter's ripple
+        model, params = self.SOURCES[source], SessionParams(x=20.0, Z=200.0)
+        grid = events._build_path_grid(model, params)
+        _, at_risk, reached = _grid_nodes(model, params, grid.t)
+        short = at_risk & ~reached
+        assert short.any()
+        assert np.all(grid.survive[short] == 1.0)

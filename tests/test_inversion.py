@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from fluidqoe.inversion import (
     reference_original,
     reference_transform,
 )
-from fluidqoe.spectral import evaluator
+from fluidqoe.spectral import transform_matrix
 
 
 def damped_sine(omega):
@@ -80,7 +81,7 @@ class TestInvert:
     def test_batch_matches_scalar_calls(self, reference_model):
         # more times than one evaluator call takes, on a scalar and a 2x2 transform
         ts = np.linspace(0.05, 12.0, 2 * _TIMES_PER_CALL + 5)
-        for f in (damped_sine, evaluator(reference_model, 40.0)):
+        for f in (damped_sine, functools.partial(transform_matrix, reference_model, 40.0)):
             batch = invert(f, ts)
             one_by_one = np.array([invert(f, float(t)) for t in ts])
             assert batch.shape == one_by_one.shape

@@ -1,3 +1,5 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from fluidqoe import (
     validate_model,
 )
 from fluidqoe.inversion import invert_cdf_with_atoms
-from fluidqoe.spectral import evaluator
 from fluidqoe.starvation import starvation_atoms, starvation_probability_from_cdf
 from conftest import mpmath_transform, superposed_onoff, two_state_quadratic
 
@@ -111,7 +112,7 @@ class TestStarvationCdf:
     def test_density_quadrature_matches_cdf(self, reference_model):
         # integrate the inverted density and compare with the CDF inversion
         x, t = 40.0, 18.0
-        ev = evaluator(reference_model, x)
+        ev = functools.partial(transform_matrix, reference_model, x)
         grid = np.linspace(starvation_atoms(reference_model, x)[0].min() * 0.99, t, 400)
         dens = np.array([invert(ev, float(u))[1, 0] for u in grid])
         integral = np.trapezoid(np.clip(dens, 0, None), grid)
@@ -176,13 +177,13 @@ class TestMeanPlaybackTime:
         assert np.all(D26[:, 0] <= D25[:, 0] + 1e-8)
 
     def test_step_size_consistency(self, reference_model):
-        # central differences of the evaluator across w = 0 close in on the
+        # central differences of the transform across w = 0 close in on the
         # exact slope at second order: each tenfold smaller step cuts the
         # gap a hundredfold
         models = [reference_model] + [validate_model(*MEAN_SOURCES[s], 25.0)
                                       for s in ("three_state", "zero_drift_three_state")]
         for m in models:
-            ev = evaluator(m, 40.0)
+            ev = functools.partial(transform_matrix, m, 40.0)
             D = mean_playback_time(m, 40.0).D
             gaps = []
             for h in (1e-2, 1e-3, 1e-4):

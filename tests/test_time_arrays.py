@@ -126,16 +126,22 @@ def test_table_reports_the_first_failing_time(tmp_path, capsys):
 
 
 def test_table_refuses_a_nan_probability(bursty_config, capsys):
-    # at t = 1e308 the Euler prefactor overflows (with RuntimeWarnings) and
-    # the inversion reads NaN, which must fail the band check instead of
-    # printing as a probability
-    argv = ["starvation", "--config", bursty_config, "--x", "40", "--Z", "500",
-            "--t-grid", "1:1e308:2"]
-    with pytest.warns(RuntimeWarning):
-        assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("OutOfRange: inverted CDF value nan at t=1e+308 ")
-    assert err.count("\n") == 1
+    # the Euler prefactors divide by t last, so nothing overflows up to the
+    # largest float time: no RuntimeWarning (the configured filter makes one
+    # an error), and either rows of probabilities or one error line, never a
+    # NaN printed as a probability
+    for params in ("1,11,38,18.4", "2,11,38,18.4"):
+        for t_max in ("1e308", "1.79e308"):
+            argv = ["starvation", "--config", bursty_config, "--x", "40", "--Z", "500",
+                    "--t-grid", f"1:{t_max}:2", "--params", params]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 0:
+                rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+                assert len(rows) == 2 and rows[1][0] == float(t_max)
+                assert all(0.0 <= p <= 1.0 for row in rows for p in row[1:])
+            else:
+                assert code == 2 and err.count("\n") == 1
 
 
 def test_package_imports_without_scipy():
