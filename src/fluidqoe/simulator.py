@@ -51,21 +51,15 @@ one successor, as in every two-state chain.  Each iteration every live row
 draws and takes the jump; the rows with an event then get their code,
 sojourn and counter back, so the counter advances by 2 only for rows that
 jumped.  So a stationary two-state run reads its sojourns at counters 1, 3,
-5, ...  The engine reads replication ``s``'s counter ``c`` as counter
-``f(s) + c`` of stream 0, with ``f`` computed once per block (see
-``_fold_streams``).  The hashed word is ``c * gamma + k(s)`` modulo 2**64
-for an odd ``gamma``, so this is the same address and the same value bit for
-bit, and the stream-0 key is hashed once per seed (see ``_stream0_key``),
-not once per row or per draw.  The engine hands that key and its counters
-to ``_uniforms``, the hashing core of ``counter_uniform``, which it reaches
-without the public function's argument checks; the two counters of a jump
-are two 1-D calls.
+5, ...  Each row carries its replication's stream key ``k(s)``, hashed once
+per block, and its own counter, which starts at 0.  So every draw is at the
+public address ``(seed, s, c)``, hashed by ``_uniforms`` without
+:func:`counter_uniform`'s argument checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,9 +67,7 @@ from .errors import DomainError, NonConvergence
 from .model import FluidModel, SessionParams, _is_integer, stationary_distribution
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_GOLDEN_INV = np.uint64(0xF1DE83E19937733D)  # _GOLDEN * _GOLDEN_INV == 1 mod 2**64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_STREAM0 = np.zeros(1, dtype=np.uint64)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
@@ -84,7 +76,6 @@ _SHIFT11 = np.uint64(11)
 _INV53 = float(2.0**-53)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_KEY_MEMO = 64  # stream-0 keys kept, one per seed
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -107,64 +98,52 @@ def _stream_key(seed: int, stream: np.ndarray) -> np.ndarray:
     return _mix64(key)
 
 
-@lru_cache(maxsize=_KEY_MEMO)
-def _stream0_key(seed: int) -> np.ndarray:
-    """The key ``k(0)`` of ``seed``, which callers pass as ``int(seed) &
-    _MASK64``; read-only, because every caller shares the array."""
-    key = _stream_key(seed, _STREAM0)
-    key.flags.writeable = False
-    return key
-
-
 def counter_uniform(seed: int, stream, counter) -> np.ndarray:
     """Uniform(0, 1) values addressed by ``(seed, stream, counter)``.
 
-    ``seed`` is a Python or numpy integer.  ``stream`` and ``counter``
-    broadcast together; identical addresses give identical values on every
-    platform and in any execution order.  The value hashes the word ``c *
-    gamma + k(s)``, with ``gamma`` the odd golden-ratio constant and ``k(s)``
-    a splitmix64 key of the seed and the stream, so an address depends on
-    its stream only through that word.  A lone stream 0, the stream of every
-    engine draw, takes its key from a per-seed memo instead of hashing it
-    again.  Scalar addresses give a scalar.
+    ``seed`` is a Python or numpy integer, and ``stream`` and ``counter``
+    integers in 0 .. 2**64 - 1 or arrays of them, which broadcast together;
+    identical addresses give identical values on every platform and in any
+    execution order.  The value hashes the word ``c * gamma + k(s)``, with
+    ``gamma`` the odd golden-ratio constant and ``k(s)`` a splitmix64 key of
+    the seed and the stream, so an address depends on its stream only
+    through that word.  Scalar addresses give a scalar.
     """
     if not _is_integer(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
-    # 0-d operands would take numpy's scalar arithmetic, which warns on the
-    # intended wrap modulo 2**64; 1-d operands broadcast to the same shape
-    s = np.atleast_1d(np.asarray(stream, dtype=np.uint64))
-    c = np.atleast_1d(np.asarray(counter, dtype=np.uint64))
-    if s.shape == (1,) and not s[0]:
-        key = _stream0_key(int(seed) & _MASK64)
-    else:
-        key = _stream_key(seed, s)
-    u = _uniforms(key, c)
+    s, c = _address("stream", stream), _address("counter", counter)
+    u = _uniforms(_stream_key(seed, s), c)
     return u[0] if np.ndim(stream) == np.ndim(counter) == 0 else u
+
+
+def _address(name: str, value) -> np.ndarray:
+    """``value`` as a 1-d uint64 array (a 0-d operand would take numpy's
+    scalar arithmetic, which warns on the intended wrap modulo 2**64).
+
+    Refuses, rather than truncate or wrap to another address, a non-integer
+    (a bool included) and an integer outside 0 .. 2**64 - 1.
+    """
+    a = np.asarray(value)
+    if not (isinstance(value, np.ndarray) and a.dtype.kind in "iu"):
+        # checked one by one: numpy reads [2**63, 1] as floats, [1, True] as ints
+        a = np.asarray(value, dtype=object)
+        if not all(_is_integer(v) for v in a.flat):
+            raise DomainError(f"{name} must be an integer or integers, got {value!r}")
+    if a.size and not (0 <= a.min() and a.max() <= _MASK64):
+        raise DomainError(f"{name} must lie in 0..2**64 - 1, got {value!r}")
+    return np.atleast_1d(a.astype(np.uint64))
 
 
 def _uniforms(key: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The hashing core of :func:`counter_uniform`: the uniforms at the
-    uint64 counters ``c`` of the stream whose key is ``key``."""
+    uint64 counters ``c`` of the streams whose keys are ``key``, one key for
+    every counter or one for all."""
     word = _mix64(c * _GOLDEN + key)
     word >>= _SHIFT11
     # below 2**53, so the signed view converts exactly (and faster)
     u = word.view(np.int64).astype(np.float64)
     u *= _INV53
     return u
-
-
-def _fold_streams(seed: int, streams: np.ndarray) -> np.ndarray:
-    """Counters on stream 0 that address each stream's counter 0.
-
-    ``counter_uniform(seed, s, c)`` equals ``counter_uniform(seed, 0,
-    _fold_streams(seed, s) + c)`` bit for bit, for every ``c``: the hashed
-    word ``c * gamma + k(s)`` is ``(c + f) * gamma + k(0)`` modulo 2**64
-    with ``f = (k(s) - k(0)) * gamma**-1``, and ``gamma`` is odd, so
-    invertible modulo 2**64.
-    """
-    shift = _stream_key(seed, streams) - _stream0_key(int(seed) & _MASK64)
-    shift *= _GOLDEN_INV
-    return shift
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,20 +262,18 @@ class _CodeTables:
 class _Batch:
     """Per-replication arrays of the replications still running.
 
-    ``counters`` address each replication's draws on stream 0 of
-    :func:`counter_uniform`: each replication's own stream is folded into
-    its counter once, at the start (see :func:`_fold_streams`), so a draw
-    hashes no stream key at all: stream 0's key is hashed once per seed.
-    :meth:`drop` removes finished replications from every array at once.
+    ``keys`` and ``counters`` address each replication's draws: row ``i``
+    draws at counter ``counters[i]`` of the stream whose key is ``keys[i]``
+    (see :func:`counter_uniform`).  :meth:`drop` removes finished
+    replications from every array at once.
     """
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
-    def draw(self, key: np.ndarray) -> np.ndarray:
-        """One uniform per replication, at its counter; ``key`` is stream
-        0's."""
-        u = _uniforms(key, self.counters)
+    def draw(self) -> np.ndarray:
+        """One uniform per replication, at its counter."""
+        u = _uniforms(self.keys, self.counters)
         self.counters += _ONE
         return u
 
@@ -317,13 +294,12 @@ class _Batch:
             setattr(self, name, a[:size])
 
 
-def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch,
-                    key: np.ndarray) -> np.ndarray:
+def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
     n = batch.rows.size
     if cfg.initial_state_mode == "stationary":
         cum_pi = np.cumsum(stationary_distribution(model))
         cum_pi[-1] = max(cum_pi[-1], 1.0)
-        return np.searchsorted(cum_pi, batch.draw(key), side="right").astype(np.int64)
+        return np.searchsorted(cum_pi, batch.draw(), side="right").astype(np.int64)
     state0 = int(cfg.initial_state_mode)
     if not (0 <= state0 < model.n_states):
         raise DomainError(f"initial state {state0} outside 0..{model.n_states - 1}")
@@ -374,17 +350,15 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
         "times": [[] for _ in range(n)] if record_times else None,
     }
     tab = _CodeTables(model)
-    key = _stream0_key(int(cfg.seed) & _MASK64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         block = {name: None if a is None else a[lo:hi] for name, a in out.items()}
-        _run_block(model, tab, key, phase, x, limit, cfg, rep_lo + lo, rep_lo + hi,
-                   **block)
+        _run_block(model, tab, phase, x, limit, cfg, rep_lo + lo, rep_lo + hi, **block)
     return out
 
 
-def _run_block(model: FluidModel, tab: _CodeTables, key: np.ndarray, phase: str,
-               x: float, limit: float, cfg: SimConfig, rep_lo: int, rep_hi: int,
+def _run_block(model: FluidModel, tab: _CodeTables, phase: str, x: float,
+               limit: float, cfg: SimConfig, rep_lo: int, rep_hi: int,
                startup, count, first_starvation, end_state, play_time, times) -> None:
     """Run the event loop on replications ``rep_lo .. rep_hi - 1``, writing
     into the views of :func:`_lockstep`'s outputs (``times`` a list of the
@@ -394,9 +368,10 @@ def _run_block(model: FluidModel, tab: _CodeTables, key: np.ndarray, phase: str,
     session, drain = phase == "session", phase == "drain"
 
     streams = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-    b = _Batch(counters=_fold_streams(cfg.seed, streams), rows=np.arange(n))
-    b.code = _initial_states(model, cfg, b, key) + (L if drain else 0)
-    u = b.draw(key)
+    b = _Batch(keys=_stream_key(cfg.seed, streams), counters=np.zeros_like(streams),
+               rows=np.arange(n))
+    b.code = _initial_states(model, cfg, b) + (L if drain else 0)
+    u = b.draw()
     # a one-state chain never leaves; an irreducible chain of two or more
     # states leaves every state
     b.tau = np.full(n, np.inf) if L == 1 else _sojourns(u, tab.neg_exit[b.code])
@@ -519,11 +494,11 @@ def _run_block(model: FluidModel, tab: _CodeTables, key: np.ndarray, phase: str,
             # next one; every row draws and takes the jump, and the rows with
             # an event then get their own code, sojourn and counter back
             if L > 1 and hit.size < m:
-                u_stay = _uniforms(key, b.counters + _ONE)
+                u_stay = _uniforms(b.keys, b.counters + _ONE)
                 if tab.cum is None:
                     new_code = tab.next[b.code]
                 else:
-                    u_next = _uniforms(key, b.counters)
+                    u_next = _uniforms(b.keys, b.counters)
                     new_code = tab.base[b.code]
                     for column in tab.cum:
                         new_code += column[b.code] <= u_next

@@ -21,16 +21,9 @@ from fluidqoe import (
     validate_model,
 )
 from fluidqoe import simulator
-from fluidqoe.simulator import (
-    _GOLDEN,
-    _GOLDEN_INV,
-    _KEY_MEMO,
-    _STREAM0,
-    _fold_streams,
-    _lockstep,
-    _stream0_key,
-    _stream_key,
-)
+from fluidqoe.simulator import _lockstep
+
+_STREAM0 = np.zeros(1, dtype=np.uint64)
 
 
 # Reference engine: the lockstep loop with per-column masks and jumps drawn
@@ -346,38 +339,15 @@ class TestCounterRng:
         assert a.starvation_count == b.starvation_count
         np.testing.assert_array_equal(a.count_histogram, b.count_histogram)
 
-    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**63 + 5, np.int64(-1),
-                                      np.uint64(2**63 + 5), np.uint32(4)])
-    def test_memoized_stream0_key_matches_fresh_hash(self, seed):
-        # a lone stream 0 reads its key from the memo, while several zero
-        # streams hash it afresh; both agree, also once the seed was evicted
-        counters = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
-        fresh = counter_uniform(seed, np.zeros(4, dtype=np.uint64), counters)
-        _stream0_key.cache_clear()
-        for _ in range(2):
-            before = _stream0_key.cache_info()
-            for _ in range(2):  # the first draw hashes the key, the second reads it
-                np.testing.assert_array_equal(counter_uniform(seed, _STREAM0, counters), fresh)
-            after = _stream0_key.cache_info()
-            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-            for other in range(10**6, 10**6 + _KEY_MEMO):  # evicts the seed
-                counter_uniform(other, _STREAM0, counters)
-        assert _stream0_key.cache_info().currsize == _KEY_MEMO
-
-    def test_seeds_equal_modulo_2_64_share_one_memo_entry(self):
-        _stream0_key.cache_clear()
+    def test_seeds_equal_modulo_2_64_draw_alike(self, reference_model,
+                                               reference_session):
         a = counter_uniform(-1, _STREAM0, np.arange(3))
         b = counter_uniform(2**64 - 1, _STREAM0, np.arange(3))
         np.testing.assert_array_equal(a, b)
-        info = _stream0_key.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-    def test_memoized_key_is_read_only(self):
-        key = _stream0_key(7)
-        assert not key.flags.writeable
-        with pytest.raises(ValueError):
-            key += np.uint64(1)
-        assert _stream0_key(7)[0] == _stream_key(7, _STREAM0)[0]
+        a, b = (monte_carlo(reference_model, reference_session,
+                            SimConfig(replications=50, seed=seed)).to_dict()
+                for seed in (-1, 2**64 - 1))
+        np.testing.assert_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 901, 2**64 - 1])
     def test_stream0_spellings_agree(self, seed):
@@ -396,31 +366,20 @@ class TestCounterRng:
         with pytest.raises(DomainError, match="^seed must be an integer"):
             counter_uniform(seed, _STREAM0, np.arange(3))
 
-    def test_golden_inverse(self):
-        assert int(_GOLDEN) * int(_GOLDEN_INV) % 2**64 == 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**63 + 5, -1])
-    def test_folded_stream_is_the_same_address(self, seed):
-        # counter c of stream s is counter fold(s) + c of stream 0, bit for
-        # bit, also where fold(s) + c wraps past 2**64 - 1
-        rng = np.random.default_rng(seed % 2**32)
-        streams = np.concatenate([np.arange(5), rng.integers(5, 10**6, 40),
-                                  [10**6]]).astype(np.uint64)
-        stream0 = np.zeros(1, dtype=np.uint64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fold = _fold_streams(seed, streams)
-            assert fold[0] == 0
-            top = np.iinfo(np.uint64).max
-            counters = np.stack([
-                np.zeros_like(fold), np.full_like(fold, 12345), np.full_like(fold, top),
-                top - fold, top - fold + np.uint64(1), top - fold + np.uint64(3),
-            ])
-            want = counter_uniform(seed, streams, counters)
-            got = counter_uniform(seed, stream0, fold + counters)
-        np.testing.assert_array_equal(got, want)
-        # the rows above 2**64 - 1 - fold really wrap
-        assert np.all((fold + counters[4:])[:, 1:] < fold[1:])
+    @pytest.mark.parametrize("name,stream,counter", [
+        ("stream", 0.5, 0),
+        ("counter", 0, 1.7),
+        ("stream", True, 0),
+        ("stream", -1, 0),
+        ("counter", 0, -1),
+        ("counter", 0, 2**64),
+        ("counter", 0, np.array([3, -2, 5])),
+    ])
+    def test_address_must_name_itself(self, name, stream, counter):
+        # a float or bool would truncate, and a negative or too large index
+        # wrap, to another address's value
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            counter_uniform(0, stream, counter)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_engine_raises_no_warning_in_any_phase(self, L):
@@ -743,9 +702,10 @@ def _assert_same_outputs(got, want):
     assert got["times"] == want["times"]
 
 
-def _assert_matches_reference(model, phase, x, limit, cfg):
-    want = _reference_lockstep(model, phase, x, limit, cfg, record_times=True)
-    _assert_same_outputs(_lockstep(model, phase, x, limit, cfg, record_times=True), want)
+def _assert_matches_reference(model, phase, x, limit, cfg, *reps):
+    want = _reference_lockstep(model, phase, x, limit, cfg, *reps, record_times=True)
+    _assert_same_outputs(_lockstep(model, phase, x, limit, cfg, *reps, record_times=True),
+                         want)
 
 
 class TestReferenceEngine:
@@ -761,6 +721,15 @@ class TestReferenceEngine:
                     cfg = SimConfig(replications=40, seed=1000 + seed,
                                     initial_state_mode=initial)
                     _assert_matches_reference(model, phase, x, limit, cfg)
+
+    @pytest.mark.parametrize("phase,limit", [("session", 60.0), ("fill", np.inf),
+                                             ("drain", 2.4)])
+    def test_matches_reference_at_the_top_replications(self, phase, limit):
+        # replications 2**64 - 40 .. 2**64 - 2, at the top of the 64-bit
+        # index; three states, one with two successors
+        _assert_matches_reference(_random_source(18), phase, 5.0, limit,
+                                  SimConfig(replications=40, seed=1018),
+                                  2**64 - 40, 2**64 - 1)
 
     @staticmethod
     def _sojourn_tie_source():
