@@ -71,7 +71,8 @@ def _csv_text(header: list, rows: list) -> str:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Inclusive grid ``a:b:n``: n points from a to b."""
+    """Inclusive grid ``a:b:n``: n points from a to b (one point only when
+    ``a == b``)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be 'a:b:n', got {text!r}")
@@ -83,6 +84,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid count must be >= 1, got {n}")
     if not np.isfinite([a, b]).all():
         raise ConfigError(f"grid bounds must be finite, got {text!r}")
+    if n == 1 and a != b:
+        raise ConfigError(f"a one-point grid cannot reach both ends, got {text!r}")
     return np.linspace(a, b, n)
 
 

@@ -16,18 +16,20 @@ no matter how replications are batched.
 
 One lockstep engine serves full sessions, fill-only runs (the start-up
 oracle) and drain-only runs (the first-passage oracle).  Replications are
-simulated as numpy arrays, one event per iteration per live replication;
-finished replications leave the arrays (the last rows move into their
-places).
+simulated as numpy arrays, one event per iteration per live replication.
 
-Row blocks.  The per-replication outputs are allocated once, and the event
-loop runs on blocks of at most ``_BLOCK`` consecutive replications, one
-after another, writing into views of them.  So working memory is bounded
-by the block, plus 40 B of output per replication (and, for a recorded
-session, its list of starvation instants), however many replications a run
-has; large arrays would also outgrow the cache and slow every pass.  The
-streams are counter-addressed, so the split changes no bit of any output.
-``_MAX_EVENTS`` caps the lockstep iterations of one block.
+One resident batch.  The event loop runs on one batch of at most ``_BLOCK``
+rows.  A finished replication hands its row to the next queued one, which
+starts there at the next iteration; only once the queue is empty do
+finished rows leave the arrays (the last rows move into their places).  So
+working memory is bounded by the batch, however many replications a run
+has, and no batch pays its own tail of nearly empty iterations; large
+arrays would also outgrow the cache and slow every pass.  Each phase keeps
+only the outputs its callers read: 24 B per replication for a session (and,
+for a recorded session, its list of starvation instants), 16 B for a fill
+or drain run.  The streams are counter-addressed, so which row runs a
+replication, and when, changes no bit of any output.  ``_MAX_EVENTS`` caps
+the lockstep iterations of a run.
 
 Per-code tables.  Each row carries one code, ``state + L * playing``.  Its
 buffer drift, playback flag and the denominators and pads of its candidate
@@ -52,7 +54,7 @@ draws and takes the jump; the rows with an event then get their code,
 sojourn and counter back, so the counter advances by 2 only for rows that
 jumped.  So a stationary two-state run reads its sojourns at counters 1, 3,
 5, ...  Each row carries its replication's stream key ``k(s)``, hashed once
-per block, and its own counter, which starts at 0.  So every draw is at the
+when the replication starts, and its own counter, which starts at 0.  So every draw is at the
 public address ``(seed, s, c)``, hashed by ``_uniforms`` without
 :func:`counter_uniform`'s argument checks.
 """
@@ -207,8 +209,12 @@ class SimStats:
         return {**asdict(self), "count_histogram": self.count_histogram.tolist()}
 
 
-_MAX_EVENTS = 20_000_000  # lockstep iterations per block
-_BLOCK = 32_768  # replications per run of the event loop
+_MAX_EVENTS = 20_000_000  # lockstep iterations per run
+_BLOCK = 16_384  # rows of the resident batch
+_OUTPUTS = {"session": ("startup", "count", "play_time"), "fill": ("startup", "end_state"),
+            "drain": ("first_starvation", "end_state")}
+_UNSET = {"startup": np.nan, "count": np.int64(0), "first_starvation": np.nan,
+          "end_state": np.int64(-1), "play_time": 0.0}
 _ONE = np.uint64(1)
 _TWO = np.uint64(2)
 
@@ -264,8 +270,10 @@ class _Batch:
 
     ``keys`` and ``counters`` address each replication's draws: row ``i``
     draws at counter ``counters[i]`` of the stream whose key is ``keys[i]``
-    (see :func:`counter_uniform`).  :meth:`drop` removes finished
-    replications from every array at once.
+    (see :func:`counter_uniform`); ``rows`` maps row ``i`` to its place in
+    the run's outputs.  :meth:`refill` hands finished rows to new
+    replications, and :meth:`drop` removes finished rows from every array
+    at once.
     """
 
     def __init__(self, **arrays):
@@ -276,6 +284,12 @@ class _Batch:
         u = _uniforms(self.keys, self.counters)
         self.counters += _ONE
         return u
+
+    def refill(self, slots, rows: "_Batch") -> None:
+        """Overwrite the rows at the positions ``slots`` with ``rows``, a
+        batch of as many new replications."""
+        for name, a in vars(rows).items():
+            getattr(self, name)[slots] = a
 
     def drop(self, stop) -> None:
         """Remove the replications at the sorted positions ``stop``.
@@ -292,18 +306,6 @@ class _Batch:
         for name, a in list(vars(self).items()):
             a[holes] = a[movers]
             setattr(self, name, a[:size])
-
-
-def _initial_states(model: FluidModel, cfg: SimConfig, batch: _Batch) -> np.ndarray:
-    n = batch.rows.size
-    if cfg.initial_state_mode == "stationary":
-        cum_pi = np.cumsum(stationary_distribution(model))
-        cum_pi[-1] = max(cum_pi[-1], 1.0)
-        return np.searchsorted(cum_pi, batch.draw(), side="right").astype(np.int64)
-    state0 = int(cfg.initial_state_mode)
-    if not (0 <= state0 < model.n_states):
-        raise DomainError(f"initial state {state0} outside 0..{model.n_states - 1}")
-    return np.full(n, state0, dtype=np.int64)
 
 
 def _sojourns(u, neg_exit_rates) -> np.ndarray:
@@ -327,61 +329,74 @@ def _lockstep(model: FluidModel, phase: str, x: float, limit: float, cfg: SimCon
     ``"drain"``: play from level ``x``, stop at the first starvation or after
     ``limit`` seconds of playback.
 
-    Returns per-replication arrays: ``startup`` (wall time of the first
-    crossing) and ``first_starvation`` (its playback instant), both NaN for
-    none; ``count`` of starvations; ``end_state``, the state at the crossing
-    or starvation that ends a fill or drain run (-1 otherwise); the total
-    ``play_time`` of a session; and, with ``record_times``, the lists of
-    starvation instants.
+    Returns per-replication arrays, only those the phase's callers read.  A
+    session returns ``startup`` (wall time of the first crossing), ``count``
+    of starvations, the total ``play_time`` and, with ``record_times``, the
+    lists of starvation instants as ``times``; a fill run ``startup`` and a
+    drain run ``first_starvation`` (its playback instant), NaN for none,
+    each with ``end_state``, the state at the crossing or starvation that
+    ends the run (-1 otherwise).
 
-    Row blocks.  These outputs are allocated once, 40 B per replication
-    (``times`` aside), and each block of at most ``_BLOCK`` replications
-    runs the event loop into views of them, so the working memory beyond
-    them is bounded by the block.  The split changes no bit of any output.
+    One resident batch.  These outputs are allocated once, 24 B per
+    replication for a session (``times`` aside) and 16 B for a fill or
+    drain run.  The event loop runs on a batch of at most ``_BLOCK`` rows:
+    a finished replication hands its row to the next queued one, and rows
+    leave only once the queue is empty.  So the working memory beyond the
+    outputs is bounded by the batch, and the streams being
+    counter-addressed, reusing rows changes no bit of any output.
     """
     rep_hi = cfg.replications if rep_hi is None else rep_hi
     n = rep_hi - rep_lo
-    out = {
-        "startup": np.full(n, np.nan),
-        "count": np.zeros(n, dtype=np.int64),
-        "first_starvation": np.full(n, np.nan),
-        "end_state": np.full(n, -1, dtype=np.int64),
-        "play_time": np.zeros(n),
-        "times": [[] for _ in range(n)] if record_times else None,
-    }
-    tab = _CodeTables(model)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        block = {name: None if a is None else a[lo:hi] for name, a in out.items()}
-        _run_block(model, tab, phase, x, limit, cfg, rep_lo + lo, rep_lo + hi, **block)
+    out = {name: np.full(n, _UNSET[name]) for name in _OUTPUTS[phase]}
+    if record_times and phase == "session":
+        out["times"] = [[] for _ in range(n)]
+    _run_block(model, phase, x, limit, cfg, rep_lo, rep_hi, **out)
     return out
 
 
-def _run_block(model: FluidModel, tab: _CodeTables, phase: str, x: float,
-               limit: float, cfg: SimConfig, rep_lo: int, rep_hi: int,
-               startup, count, first_starvation, end_state, play_time, times) -> None:
+def _run_block(model: FluidModel, phase: str, x: float, limit: float, cfg: SimConfig,
+               rep_lo: int, rep_hi: int, startup=None, count=None, first_starvation=None,
+               end_state=None, play_time=None, times=None) -> None:
     """Run the event loop on replications ``rep_lo .. rep_hi - 1``, writing
-    into the views of :func:`_lockstep`'s outputs (``times`` a list of the
-    block's lists, or None), whose row ``i`` is replication ``rep_lo + i``."""
+    into :func:`_lockstep`'s outputs (None where the phase has none), whose
+    row ``i`` is replication ``rep_lo + i``."""
     n = rep_hi - rep_lo
     L, mu = model.n_states, model.mu
     session, drain = phase == "session", phase == "drain"
+    tab = _CodeTables(model)
+    if cfg.initial_state_mode == "stationary":
+        cum_pi = np.cumsum(stationary_distribution(model))
+        cum_pi[-1] = max(cum_pi[-1], 1.0)
+    else:
+        cum_pi, state0 = None, int(cfg.initial_state_mode)
+        if not 0 <= state0 < L:
+            raise DomainError(f"initial state {state0} outside 0..{L - 1}")
 
-    streams = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-    b = _Batch(keys=_stream_key(cfg.seed, streams), counters=np.zeros_like(streams),
-               rows=np.arange(n))
-    b.code = _initial_states(model, cfg, b) + (L if drain else 0)
-    u = b.draw()
-    # a one-state chain never leaves; an irreducible chain of two or more
-    # states leaves every state
-    b.tau = np.full(n, np.inf) if L == 1 else _sojourns(u, tab.neg_exit[b.code])
-    b.buf = np.full(n, float(x) if drain else 0.0)
-    b.clock = np.zeros(n)  # wall clock; the playback clock of a drain run
-    if session:
-        b.target = np.full(n, float(min(x, limit)))
-        b.played = np.zeros(n)
-        b.play_time = np.zeros(n)
-    n_play = n if drain else 0  # live rows with code >= L
+    def new_rows(lo: int, k: int) -> _Batch:
+        """Rows ``lo .. lo + k - 1`` of the outputs at the start of their
+        replications: a stationary start draws its state at counter 0, and
+        the first sojourn is drawn at the next counter."""
+        streams = np.arange(rep_lo + lo, rep_lo + lo + k, dtype=np.uint64)
+        c = _Batch(keys=_stream_key(cfg.seed, streams), counters=np.zeros_like(streams),
+                   rows=np.arange(lo, lo + k))
+        c.code = (np.full(k, state0, dtype=np.int64) if cum_pi is None
+                  else np.searchsorted(cum_pi, c.draw(), side="right"))
+        c.code += L if drain else 0
+        u = c.draw()
+        # a one-state chain never leaves; an irreducible chain of two or
+        # more states leaves every state
+        c.tau = np.full(k, np.inf) if L == 1 else _sojourns(u, tab.neg_exit[c.code])
+        c.buf = np.full(k, float(x) if drain else 0.0)
+        c.clock = np.zeros(k)  # wall clock; the playback clock of a drain run
+        if session:
+            c.target = np.full(k, float(min(x, limit)))
+            c.played = np.zeros(k)
+            c.play_time = np.zeros(k)
+        return c
+
+    b = new_rows(0, min(n, _BLOCK))
+    loaded = b.rows.size  # rows started so far; the rest are queued
+    n_play = loaded if drain else 0  # live rows with code >= L
     none = np.zeros(0, dtype=np.int64)
 
     # a session buffer within float noise of its target has reached it, and
@@ -466,25 +481,22 @@ def _run_block(model: FluidModel, tab: _CodeTables, phase: str, x: float,
                     b.code[crosses] += L
                     n_play += crosses.size
 
-            if starves.size:
-                r = b.rows[starves]
-                count[r] += 1
-                t_play = b.played[starves] / mu if session else b.clock[starves]
-                fresh = np.isnan(first_starvation[r])
-                first_starvation[r[fresh]] = t_play[fresh]
-                if times is not None:
-                    for i, t in zip(r, t_play):
-                        times[i].append(float(t))
-                if session:
+            if session:
+                if starves.size:
+                    r = b.rows[starves]
+                    count[r] += 1
+                    if times is not None:
+                        for i, t in zip(r, b.played[starves] / mu):
+                            times[i].append(float(t))
                     b.buf[starves] = 0.0
                     b.code[starves] -= L
                     b.target[starves] = np.minimum(x, limit - b.played[starves])
                     n_play -= starves.size
-
-            if session:
                 stop = ends
-            elif drain:
-                end_state[b.rows[starves]] = b.code[starves] - L
+            elif drain:  # the first starvation ends a drain run
+                r = b.rows[starves]
+                first_starvation[r] = b.clock[starves]
+                end_state[r] = b.code[starves] - L
                 stop = np.sort(np.concatenate([ends, starves]))
             else:
                 end_state[b.rows[crosses]] = b.code[crosses]
@@ -512,13 +524,21 @@ def _run_block(model: FluidModel, tab: _CodeTables, phase: str, x: float,
             if stop.size:
                 if session:
                     play_time[b.rows[stop]] = b.play_time[stop]
-                b.drop(stop)
                 if session or drain:  # rows stop there only while playing
                     n_play -= stop.size
+                # finished rows hand their slots to queued replications,
+                # which start playing in a drain run
+                k = min(stop.size, n - loaded)
+                if k:
+                    b.refill(stop[:k], new_rows(loaded, k))
+                    loaded += k
+                    n_play += k if drain else 0
+                if k < stop.size:
+                    b.drop(stop[k:])
         else:
             raise NonConvergence(
                 f"{phase} simulation exceeded {_MAX_EVENTS} lockstep iterations "
-                f"in one block of {n} replications")
+                f"in a run of {n} replications")
 
 
 def _require_content(model: FluidModel) -> None:

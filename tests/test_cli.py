@@ -129,6 +129,10 @@ class TestConfigLoading:
             parse_grid("1:5:0")
         with pytest.raises(ConfigError, match="'1:nan:3'"):
             parse_grid("1:nan:3")
+        # one point reaches both ends only when they coincide
+        np.testing.assert_array_equal(parse_grid("10:10:1"), [10.0])
+        with pytest.raises(ConfigError, match="one-point grid.*'10:160:1'"):
+            parse_grid("10:160:1")
 
 
 class TestExitCodes:

@@ -695,17 +695,27 @@ def _random_source(seed):
     return validate_model(Q, lam, mu)
 
 
-def _assert_same_outputs(got, want):
-    for key in ("startup", "count", "first_starvation", "end_state", "play_time"):
-        assert got[key].dtype == want[key].dtype
-        assert np.array_equal(got[key], want[key], equal_nan=True), key
-    assert got["times"] == want["times"]
+# the outputs that each phase returns, with record_times
+_PHASE_OUTPUTS = {"session": {"startup", "count", "play_time", "times"},
+                  "fill": {"startup", "end_state"},
+                  "drain": {"first_starvation", "end_state"}}
+
+
+def _assert_same_outputs(got, want, phase):
+    # ``want`` may hold more outputs than the phase returns
+    assert set(got) == _PHASE_OUTPUTS[phase]
+    for key in got:
+        if key == "times":
+            assert got[key] == want[key]
+        else:
+            assert got[key].dtype == want[key].dtype
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
 def _assert_matches_reference(model, phase, x, limit, cfg, *reps):
     want = _reference_lockstep(model, phase, x, limit, cfg, *reps, record_times=True)
     _assert_same_outputs(_lockstep(model, phase, x, limit, cfg, *reps, record_times=True),
-                         want)
+                         want, phase)
 
 
 class TestReferenceEngine:
@@ -759,7 +769,8 @@ _THREE_STATE = validate_model([[-3, 2, 1], [1, -2, 1], [2, 2, -4]], [5.0, 20.0, 
 
 
 class TestRowBlocks:
-    """The event loop runs on blocks of at most ``_BLOCK`` replications."""
+    """The event loop runs on one resident batch of at most ``_BLOCK`` rows,
+    whose finished rows take the next queued replications."""
 
     @pytest.mark.parametrize("block,n", [(1, 30), (7, 100), (4096, 9000)])
     def test_block_edges_are_invisible(self, monkeypatch, reference_model, block, n):
@@ -774,7 +785,7 @@ class TestRowBlocks:
         monkeypatch.setattr(simulator, "_BLOCK", block)
         for (model, phase, limit, cfg), want in zip(runs, whole):
             _assert_same_outputs(
-                _lockstep(model, phase, 40.0, limit, cfg, record_times=True), want)
+                _lockstep(model, phase, 40.0, limit, cfg, record_times=True), want, phase)
 
     def test_reference_engine_across_block_edges(self, monkeypatch):
         monkeypatch.setattr(simulator, "_BLOCK", 7)
@@ -787,8 +798,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("source", ["reference", "three-state"])
     def test_memory_is_flat_in_the_replications(self, monkeypatch, reference_model,
                                                 source):
-        # tracemalloc sees numpy's buffers; past the block's working memory
-        # a run keeps 40 B of output per replication
+        # tracemalloc sees numpy's buffers; past the batch's working memory
+        # a session keeps 24 B of output per replication, and a fill or
+        # drain run 16 B
         model = reference_model if source == "reference" else _THREE_STATE
         session = SessionParams(x=20.0, Z=100.0)  # short, to keep the test fast
         block = 4096
@@ -802,7 +814,36 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
 
-        for run in (lambda cfg: monte_carlo(model, session, cfg),
-                    lambda cfg: first_passage_times(model, 20.0, 4.0, cfg)):
+        for run, bound in ((lambda cfg: monte_carlo(model, session, cfg), 32),
+                           (lambda cfg: first_passage_times(model, 20.0, 4.0, cfg), 24),
+                           (lambda cfg: prefetch_times(model, 20.0, cfg), 24)):
             slope = (peak(run, 6 * block) - peak(run, 2 * block)) / (4 * block)
-            assert slope <= 64, slope
+            assert slope <= bound, slope
+
+    @pytest.mark.parametrize("phase,limit", [("session", 500.0), ("fill", np.inf),
+                                             ("drain", 20.0)])
+    def test_event_cap_counts_the_whole_run(self, monkeypatch, phase, limit):
+        # a one-state source plays every replication alike, so a full batch
+        # finishes in a fixed number of iterations; a longer run refills the
+        # batch, and its iterations count against the same cap
+        model = validate_model([[0.0]], [20.0], 25.0)
+        monkeypatch.setattr(simulator, "_BLOCK", 3)
+
+        def run(n):
+            return _lockstep(model, phase, 40.0, limit, SimConfig(replications=n))
+
+        for cap in range(1, 11):  # the smallest cap under which a full batch finishes
+            monkeypatch.setattr(simulator, "_MAX_EVENTS", cap)
+            try:
+                run(3)
+                break
+            except NonConvergence:
+                pass
+        else:
+            pytest.fail("one batch of one-state replications did not finish")
+        for limit_events, n in ((cap - 1, 3), (cap, 4), (cap, 30)):
+            monkeypatch.setattr(simulator, "_MAX_EVENTS", limit_events)
+            with pytest.raises(NonConvergence, match=(
+                    f"^{phase} simulation exceeded {limit_events} lockstep iterations "
+                    f"in a run of {n} replications$")):
+                run(n)
